@@ -12,6 +12,12 @@ maximum of phi, and closes exactly when that advance is a rational multiple
 geodesic, and packages the derived quantities: the period ``t0`` (the
 geodesic length), the torus area (equal to ``t0``), the spectral functional
 value ``2 t0``, and an embedding sampler into the unit sphere in R^4.
+
+One period of the closed geodesic consists of ``2q`` congruent arcs between
+``phi = a`` and ``phi = pi/2 - a``, each the time reflection of the one
+before it.  Only the first arc is integrated; the period is assembled from
+it by symmetry, and the samples are interpolated by a piecewise-quintic
+Hermite polynomial whose Bernstein coefficients are written in closed form.
 """
 
 from __future__ import annotations
@@ -146,7 +152,15 @@ class GeodesicProfile:
     Hermite interpolant built from the sampled values together with the
     first and second derivatives supplied by the geodesic equations, which
     keeps interpolation error far below the integrator tolerance even
-    inside the thin turning layers of small-``a`` tori.
+    inside the thin turning layers of small-``a`` tori.  Its Bernstein
+    coefficients are computed in closed form (:func:`_quintic_hermite`).
+
+    The period is assembled from one traced arc of length
+    ``L = t0 / arcs_per_period`` (see :func:`trace_geodesic`), so the
+    closure errors are measured at the arc end, where the copies join:
+    ``closure_phi_error`` is ``max(|phi(L) - (pi/2 - a)|, |dphi/dt(L)|)``
+    and ``closure_theta_error`` is ``|theta(t0) - 2 pi p|`` with
+    ``theta(t0) = arcs_per_period * theta(L)``.
     """
 
     rotation: Optional[RotationNumber]
@@ -168,10 +182,8 @@ class GeodesicProfile:
 
     def __post_init__(self):
         phi_dd, theta_dd = _geodesic_accelerations(self.phi, self.phi_dot, self.theta_dot)
-        self._phi_ip = BPoly.from_derivatives(
-            self.t, np.column_stack([self.phi, self.phi_dot, phi_dd]))
-        self._theta_ip = BPoly.from_derivatives(
-            self.t, np.column_stack([self.theta, self.theta_dot, theta_dd]))
+        self._phi_ip = _quintic_hermite(self.t, self.phi, self.phi_dot, phi_dd)
+        self._theta_ip = _quintic_hermite(self.t, self.theta, self.theta_dot, theta_dd)
 
     @property
     def n_samples(self) -> int:
@@ -330,6 +342,23 @@ def _geodesic_accelerations(phi, phi_dot, theta_dot):
     return phi_dd, theta_dd
 
 
+def _quintic_hermite(t, f, df, ddf) -> BPoly:
+    """Piecewise quintic matching f, f' and f'' at every knot of ``t``.
+
+    On a knot interval of width h the Bernstein coefficients follow from the
+    end derivatives of the Bernstein basis: c0 = f0, c1 = f0 + h f0'/5,
+    c2 = f0 + 2h f0'/5 + h^2 f0''/20, and the mirror images at the right end.
+    """
+    h = np.diff(t)
+    h2 = h * h / 20.0
+    d0 = h * df[:-1] / 5.0
+    d1 = h * df[1:] / 5.0
+    f0, f1 = f[:-1], f[1:]
+    c = np.stack([f0, f0 + d0, f0 + 2.0 * d0 + h2 * ddf[:-1],
+                  f1 - 2.0 * d1 + h2 * ddf[1:], f1 - d1, f1])
+    return BPoly(c, t)
+
+
 def _geodesic_rhs(t, y):
     phi, phi_dot, _theta, theta_dot = y
     phi_dd, theta_dd = _geodesic_accelerations(phi, phi_dot, theta_dot)
@@ -353,18 +382,26 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
                    n_samples: int | None = None,
                    ode_spec: OdeSpec | None = None,
                    quad_spec: QuadratureSpec | None = None) -> GeodesicProfile:
-    """Integrate the closed geodesic turning at phi = a over one full period.
+    """Trace the closed geodesic turning at phi = a over one full period.
 
     The second-order geodesic system is integrated (it is regular at the
-    turning points, unlike the first-order quadrature form), the period is
-    located as the time at which theta completes its 2 pi p advance, and the
-    trajectory is resampled to a uniform arc-length grid.  The conserved
-    speed and Clairaut momentum, and the closure of (phi, dphi/dt, theta),
-    are validated and recorded on the profile.
+    turning points, unlike the first-order quadrature form) over a single
+    arc from the minimum phi = a.  The arc end ``L`` is located as the time
+    at which theta completes its ``(p/q) pi`` advance, and the period is
+    ``t0 = 2 q L``.  The other ``2q - 1`` arcs are copies of the first: on
+    arc ``k`` (``k = 0 .. 2q - 1``) even arcs run forward from
+    ``u = t - k L`` and odd arcs backward from ``u = (k + 1) L - t``, with
+    dphi/dt negated and theta shifted by whole arc advances.  The uniform
+    arc-length samples are filled from the one arc this way.
+
+    The conserved speed and Clairaut momentum are validated on the samples;
+    closure is measured at the joins, where phi must reach its maximum
+    ``pi/2 - a`` with dphi/dt = 0, and in theta (see
+    :class:`GeodesicProfile`).
 
     ``a = pi/4`` is accepted with ``rotation=None`` and yields the constant
     solution, a Clifford circle of length 2 pi^2 that closes after a single
-    theta revolution.
+    theta revolution; it takes the same path as a two-arc period.
 
     Raises
     ------
@@ -395,36 +432,44 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
 
     c = clairaut_momentum(a)
     y0 = (a, 0.0, 0.0, c / OrbitMetric.G(a))
-    trajectory = integrate_ode(_geodesic_rhs, y0, (0.0, 1.02 * t0_estimate),
-                               ode_spec or OdeSpec())
+    arcs = 2 * q_eff
+    L_estimate = t0_estimate / arcs
+    arc = integrate_ode(_geodesic_rhs, y0, (0.0, 1.02 * L_estimate),
+                        ode_spec or OdeSpec())
     theta_target = 2.0 * pi * p_eff
     try:
-        t0 = find_root_monotone(lambda t: float(trajectory(t)[2]) - theta_target,
-                                0.98 * t0_estimate, 1.02 * t0_estimate,
-                                RootSpec(abs_tol_x=1e-12))
+        L = find_root_monotone(lambda t: float(arc(t)[2]) - theta_target / arcs,
+                               0.98 * L_estimate, 1.02 * L_estimate,
+                               RootSpec(abs_tol_x=1e-12))
     except NoBracket as exc:
         raise ClosureFailure(
-            "theta did not complete its closure advance within 2% of the "
-            f"quadrature period ({exc})") from exc
+            "theta did not complete its arc advance within 2% of the "
+            f"quadrature arc length ({exc})") from exc
+    t0 = arcs * L
+    phi_L, phi_dot_L, theta_L, _ = arc(L)
 
     ts = np.linspace(0.0, t0, n_samples + 1)
-    phi, phi_dot, theta, theta_dot = trajectory(ts)
+    k = np.minimum(np.floor(ts / L), arcs - 1)
+    odd = k % 2 == 1
+    phi, phi_dot, theta_u, theta_dot = arc(np.where(odd, (k + 1) * L - ts, ts - k * L))
+    phi_dot = np.where(odd, -phi_dot, phi_dot)
+    theta = np.where(odd, (k + 1) * theta_L - theta_u, k * theta_L + theta_u)
 
     E = OrbitMetric.E(phi)
     G = OrbitMetric.G(phi)
     speed_error = float(np.max(np.abs(E * phi_dot ** 2 + G * theta_dot ** 2 - 1.0)))
     momentum_error = float(np.max(np.abs(G * theta_dot - c)))
-    closure_phi = abs(float(phi[-1]) - a)
+    closure_phi = max(abs(float(phi_L) - (pi / 2.0 - a)), abs(float(phi_dot_L)))
     closure_theta = abs(float(theta[-1]) - theta_target)
     if closure_phi > 1e-6 or closure_theta > 1e-6:
         raise ClosureFailure(
-            f"geodesic failed to close: |phi(t0) - a| = {closure_phi:.3e}, "
-            f"|theta(t0) - 2 pi p| = {closure_theta:.3e}")
+            f"geodesic failed to close: |phi(L) - (pi/2 - a)| or |phi'(L)| = "
+            f"{closure_phi:.3e}, |theta(t0) - 2 pi p| = {closure_theta:.3e}")
 
     return GeodesicProfile(
         rotation=rotation, a=a, c=c, t0=t0,
         t=ts, phi=phi, theta=theta, phi_dot=phi_dot, theta_dot=theta_dot,
-        arcs_per_period=2 * q_eff,
+        arcs_per_period=arcs,
         speed_error=speed_error, momentum_error=momentum_error,
         closure_phi_error=closure_phi, closure_theta_error=closure_theta)
 

@@ -3,6 +3,7 @@ from math import pi
 
 import numpy as np
 import pytest
+from scipy.interpolate import BPoly
 
 from otsuki import geometry
 from otsuki.geometry import (
@@ -20,7 +21,7 @@ from otsuki.geometry import (
     solve_turning_value,
     trace_geodesic,
 )
-from otsuki.numerics import find_root_monotone, integrate_ode
+from otsuki.numerics import OdeSpec, RootSpec, find_root_monotone, integrate_ode
 
 from conftest import REFERENCE
 
@@ -261,6 +262,57 @@ class TestTraceGeodesic:
             assert profile.n_samples >= max(4096, 512 * q)
             layer = geometry.turning_layer_scale(profile.a)
             assert profile.n_samples >= 8.0 * profile.t0 / layer - 1.0
+
+
+class TestOneArcConstruction:
+    @staticmethod
+    def _full_period_trace(a, rotation):
+        """Reference: the whole period in one RK45 run, t0 at theta = 2 pi p.
+
+        The tolerances are tighter than the defaults: at the defaults the
+        error accumulated over all 2q arcs reaches 1.5e-7 in theta on 5/9,
+        more than the agreement asserted against it.
+        """
+        t0_estimate = period(a, rotation.q)
+        c = clairaut_momentum(a)
+        trajectory = integrate_ode(geometry._geodesic_rhs,
+                                   (a, 0.0, 0.0, c / OrbitMetric.G(a)),
+                                   (0.0, 1.02 * t0_estimate),
+                                   OdeSpec(rel_tol=1e-12, abs_tol=1e-14))
+        t0 = find_root_monotone(
+            lambda t: float(trajectory(t)[2]) - 2.0 * pi * rotation.p,
+            0.98 * t0_estimate, 1.02 * t0_estimate, RootSpec(abs_tol_x=1e-12))
+        return t0, trajectory
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9)])
+    def test_matches_full_period_trace(self, tori, p, q):
+        # the arc copies must reproduce a geodesic traced through all 2q arcs
+        profile = tori[(p, q)].profile
+        t0, trajectory = self._full_period_trace(profile.a, RotationNumber(p, q))
+        assert abs(profile.t0 - t0) <= 1e-9 * t0
+        ts = np.linspace(0.0, profile.t0, 4001)
+        phi, _, theta, _ = trajectory(ts)
+        np.testing.assert_allclose(profile.phi_at(ts), phi, rtol=0.0, atol=1e-7)
+        np.testing.assert_allclose(profile.theta_at(ts), theta, rtol=0.0, atol=1e-7)
+
+    def test_closed_form_interpolant_matches_from_derivatives(self, torus_23):
+        profile = torus_23.profile
+        phi_dd, theta_dd = geometry._geodesic_accelerations(
+            profile.phi, profile.phi_dot, profile.theta_dot)
+        ts = np.linspace(0.0, profile.t0, 100_000)
+        h = profile.t0 / profile.n_samples
+        for data in ((profile.phi, profile.phi_dot, phi_dd),
+                     (profile.theta, profile.theta_dot, theta_dd)):
+            closed = geometry._quintic_hermite(profile.t, *data)
+            looped = BPoly.from_derivatives(profile.t, np.column_stack(data))
+            np.testing.assert_allclose(closed(ts), looped(ts), rtol=0.0, atol=1e-13)
+            # the k-th derivative differences coefficients of size |f| over h^k,
+            # so it is exact at the knots only up to that rounding
+            scale = np.max(np.abs(data[0]))
+            for order, values in enumerate(data):
+                np.testing.assert_allclose(
+                    closed(profile.t, order), values, rtol=0.0,
+                    atol=100.0 * np.finfo(float).eps * scale / h ** order)
 
 
 class TestBuildTorus:

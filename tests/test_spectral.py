@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from otsuki import spectral
+from otsuki.geometry import RotationNumber, build_torus
 from otsuki.spectral import (
     GridTooCoarse,
     assemble,
@@ -283,6 +284,21 @@ class TestCountBelowClassification:
         assert report.verdict is False
 
 
+def _valid_labels(q_max):
+    """Every torus label p/q with q <= q_max, in lowest terms inside the window."""
+    labels = []
+    for q in range(2, q_max + 1):
+        for p in range(1, q):
+            try:
+                labels.append(RotationNumber(p, q))
+            except ValueError:
+                pass
+    return labels
+
+
+SWEEP_LABELS = _valid_labels(13)
+
+
 class TestGeneralization:
     def test_count_for_torus_outside_benchmark_table(self):
         from otsuki.geometry import RotationNumber, build_torus
@@ -290,6 +306,19 @@ class TestGeneralization:
         torus = build_torus(RotationNumber(7, 10))
         report = count_below(torus, threshold=2.0, l_max=3, n_grid=1024)
         assert report.n2 == 13
+        assert report.verdict is True
+
+    def test_sweep_has_twelve_labels(self):
+        assert len(SWEEP_LABELS) == 12
+
+    @pytest.mark.parametrize("rotation", SWEEP_LABELS,
+                             ids=lambda r: f"{r.p}/{r.q}")
+    def test_every_label_up_to_q_13_verifies(self, rotation):
+        torus = build_torus(rotation)
+        assert torus.profile.closure_phi_error < 1e-6
+        assert torus.profile.closure_theta_error < 1e-6
+        report = count_below(torus)
+        assert report.n2 == 2 * rotation.p - 1
         assert report.verdict is True
 
 
