@@ -13,8 +13,12 @@ the number of surface eigenvalues strictly below 2, and the expected count
 is 2p - 1; :func:`count_below` computes it and checks it.
 
 The discretization is second-order symmetric finite differences on a
-uniform periodic grid, giving a cyclic tridiagonal symmetric matrix whose
-low eigenpairs come from shift-invert Lanczos iteration.
+uniform periodic grid, giving a cyclic tridiagonal symmetric matrix.
+Eigenvalues are counted by Sylvester's law of inertia: the number below
+sigma is the number of negative pivots of an unpivoted LDL^T factorization
+of A - sigma I, exactly so in exact arithmetic (see :func:`_inertia` for
+the floating-point caveat).  Shift-invert Lanczos iteration is used only
+where eigenvalues or eigenvectors themselves are needed.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh, splu
 
 from .geometry import OtsukiTorus, turning_layer_scale
 
@@ -45,7 +49,7 @@ class GridTooCoarse(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """The sparse eigensolver failed to converge."""
+    """The sparse eigensolver failed, or an inertia factorization pivoted."""
 
 
 class AmbiguousCount(RuntimeError):
@@ -180,6 +184,49 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
                       zero_counts=zero_counts, n_grid=n, period=problem.period)
 
 
+def _eigenvalues_near(A: sp.csc_matrix, k: int, sigma: float) -> np.ndarray:
+    """The k eigenvalues of A nearest sigma, ascending (shift-invert Lanczos)."""
+    n = A.shape[0]
+    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
+    try:
+        vals = eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+                     return_eigenvectors=False)
+    except (ArpackNoConvergence, ArpackError) as exc:
+        raise SolverFailure(f"eigensolver failed near sigma={sigma!r}, "
+                            f"n_grid={n}: {exc}") from exc
+    return np.sort(vals)
+
+
+def _inertia(A: sp.csc_matrix, sigma: float) -> int:
+    """Number of eigenvalues of the symmetric matrix A strictly below sigma.
+
+    By Sylvester's law of inertia this is, in exact arithmetic, the number
+    of negative pivots of an unpivoted LDL^T factorization of A - sigma I.
+    The pivots are the diagonal of U from SuperLU run with natural ordering
+    and diagonal pivoting forced; any row or column permutation would void
+    the count, so it is an error, as is an exactly singular factor.
+
+    For a tridiagonal matrix the computed count is backward stable (Kahan;
+    LAPACK Users' Guide section 2.4.4).  That result does not cover the
+    cyclic corner: it fills the last row, whose pivot is a Schur complement
+    that can lose accuracy by cancellation when A - sigma I is indefinite.
+    Its reliability here rests on the comparison with Lanczos counts in the
+    test suite and on the grid-doubling check of :func:`count_below`.
+    """
+    n = A.shape[0]
+    try:
+        lu = splu(A - sigma * sp.identity(n, format="csc"),
+                  permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:  # exactly singular: sigma is an eigenvalue
+        raise SolverFailure(f"inertia at sigma={sigma!r}, n_grid={n}: {exc}") from exc
+    identity = np.arange(n)
+    if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
+        raise SolverFailure(f"inertia at sigma={sigma!r}, n_grid={n}: "
+                            "the factorization pivoted")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
 def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
                                   ) -> tuple[float, float, float]:
     """Relative residuals of the three coordinate-restriction eigenfunctions.
@@ -206,7 +253,7 @@ def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
     return tuple(residuals)
 
 
-def _band_from_anchors(spectra: dict[int, SLSpectrum], threshold: float) -> float:
+def _band_from_anchors(l0_near: np.ndarray, l1_ground: float, threshold: float) -> float:
     """Guard band from the measured displacement of the threshold anchors.
 
     Three eigenvalues equal the threshold analytically: the l = 1 ground
@@ -218,62 +265,72 @@ def _band_from_anchors(spectra: dict[int, SLSpectrum], threshold: float) -> floa
     small-``a`` tori it overestimates the eigenvalue error by orders of
     magnitude at practical grids.)
     """
-    d0 = np.sort(np.abs(spectra[0].eigenvalues - threshold))[:2]
-    d1 = abs(spectra[1].eigenvalues[0] - threshold)
-    return 10.0 * max(float(d0.max()), float(d1)) + 1e-13 * threshold
+    d0 = float(np.max(np.abs(l0_near - threshold)))
+    return 10.0 * max(d0, abs(l1_ground - threshold)) + 1e-13 * threshold
 
 
 def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
-                n_grid: int = 2048, k: int | None = None) -> VerificationReport:
+                n_grid: int = 2048) -> VerificationReport:
     """Count surface eigenvalues strictly below ``threshold`` and verify 2p - 1.
 
-    For each mode l = 0 .. l_max the low eigenvalues are computed and those
-    below ``threshold - band`` counted with weight 1 (l = 0) or 2 (l > 0),
-    where the band absorbs the eigenvalues that equal the threshold
-    analytically (see :func:`_band_from_anchors`).  The whole count is
-    repeated on a doubled grid and must not change.  That modes above
-    l_max cannot contribute is not assumed: lambda_0(l) is computed for
-    l = 2 .. l_max and checked to clear the threshold (it increases
-    strictly in l, so the scan terminates).
+    For each mode l = 0 .. l_max the eigenvalues below ``threshold - band``
+    are counted exactly by inertia (:func:`_inertia`) and weighted 1 (l = 0)
+    or 2 (l > 0), where the band absorbs the eigenvalues that equal the
+    threshold analytically (see :func:`_band_from_anchors`).  Lanczos
+    iteration computes only eigenvalues that are reported: the three
+    anchors, the eigenvalues within the band of the threshold, and those
+    in the shoulder when the count is ambiguous.  The whole count is repeated
+    on a doubled grid and must not change.  That modes above l_max cannot
+    contribute is not assumed: the inertia at the threshold is checked to
+    be zero for l = 2 .. l_max (lambda_0(l) increases strictly in l, so the
+    scan terminates).
 
     Raises
     ------
     AmbiguousCount
         If at the finest grid some eigenvalue falls in the shoulder
-        ``(threshold - 2 band, threshold - band)``, where "below" versus
+        ``[threshold - 2 band, threshold - band)``, where "below" versus
         "equal to the threshold" cannot be distinguished reliably.
     """
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
     claimed = torus.eigenvalue_index
-    if k is None:
-        k = claimed + 5
     grids = [n_grid, 2 * n_grid]
     counts_by_grid: dict[int, int] = {}
     band = 0.0
     near: list[tuple[int, int, float]] = []
     truncation_confirmed = True
     for n in grids:
-        spectra = {l: eigen_low(assemble(torus, l, n), k) for l in range(l_max + 1)}
-        band = _band_from_anchors(spectra, threshold)
+        finest = n == grids[-1]
+        problems = [assemble(torus, l, n) for l in range(l_max + 1)]
+        matrices = [operator_matrix(problem) for problem in problems]
+        l0_near = _eigenvalues_near(matrices[0], 2, threshold)
+        l1_ground = float(eigen_low(problems[1], 1).eigenvalues[0])
+        band = _band_from_anchors(l0_near, l1_ground, threshold)
         total = 0
         shoulder: list[tuple[int, float]] = []
-        near = []
-        for l, spectrum in spectra.items():
-            weight = 1 if l == 0 else 2
-            vals = spectrum.eigenvalues
-            total += weight * int(np.sum(vals < threshold - band))
-            shoulder += [(l, float(v)) for v in vals
-                         if threshold - 2.0 * band < v < threshold - band]
-            near += [(l, i, float(v)) for i, v in enumerate(vals)
-                     if abs(v - threshold) <= band]
-        for l in range(2, l_max + 1):
-            if spectra[l].eigenvalues[0] <= threshold:
+        for l, A in enumerate(matrices):
+            # for l >= 2, lambda_0(l) normally clears the band: one inertia settles the mode
+            if l >= 2 and _inertia(A, threshold + band) == 0:
+                continue
+            below = _inertia(A, threshold - band)
+            total += (1 if l == 0 else 2) * below
+            if l >= 2 and _inertia(A, threshold) > 0:
                 truncation_confirmed = False
+            if not finest:
+                continue
+            n_window = _inertia(A, threshold + band) - below
+            if n_window:
+                window = _eigenvalues_near(A, n_window, threshold)
+                near += [(l, below + rank, float(v)) for rank, v in enumerate(window)]
+            n_shoulder = below - _inertia(A, threshold - 2.0 * band)
+            if n_shoulder:
+                values = _eigenvalues_near(A, n_shoulder, threshold - 1.5 * band)
+                shoulder += [(l, round(float(v), 12)) for v in values]
         counts_by_grid[n] = total
-        if n == grids[-1] and shoulder:
+        if shoulder:
             raise AmbiguousCount(
-                f"eigenvalues {shoulder} lie within (threshold - 2 band, "
+                f"eigenvalues {shoulder} lie within [threshold - 2 band, "
                 f"threshold - band) at n_grid = {n}; refine the grid")
     stable = len(set(counts_by_grid.values())) == 1
     n2 = counts_by_grid[grids[-1]]

@@ -4,6 +4,7 @@ from math import pi
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from otsuki import spectral
 from otsuki.geometry import RotationNumber, build_torus
@@ -207,18 +208,20 @@ class TestCountBelow:
 
 
 class TestCountBelowClassification:
-    """White-box checks of the guard-band logic against doctored spectra."""
+    """White-box checks of the guard-band logic against doctored spectra.
+
+    ``operator_matrix`` is replaced by a diagonal matrix whose low entries
+    are the doctored eigenvalues of the mode; the rest of the diagonal is
+    padded with values far above the threshold.
+    """
 
     @staticmethod
-    def _fake_eigen_low(spectra_by_l):
-        def fake(problem, k):
-            vals = np.array(spectra_by_l[problem.l][:k], dtype=float)
-            return spectral.SLSpectrum(
-                l=problem.l, eigenvalues=vals,
-                eigenvectors=np.zeros((problem.n_grid, len(vals))),
-                zero_counts=[0] * len(vals),
-                n_grid=problem.n_grid, period=problem.period)
-        return fake
+    def _doctor(monkeypatch, spectrum_of):
+        def fake(problem):
+            low = np.array(spectrum_of(problem), dtype=float)
+            pad = 20.0 + np.arange(problem.n_grid - low.size)
+            return sp.diags(np.concatenate([low, pad])).tocsc()
+        monkeypatch.setattr(spectral, "operator_matrix", fake)
 
     def test_shoulder_value_raises_ambiguous(self, torus_23, monkeypatch):
         # anchors displaced by 1e-6 set a 1e-5 band; 1.999985 sits in the
@@ -230,9 +233,10 @@ class TestCountBelowClassification:
             2: [5.0] + pad,
             3: [7.0] + pad,
         }
-        monkeypatch.setattr(spectral, "eigen_low", self._fake_eigen_low(spectra))
-        with pytest.raises(spectral.AmbiguousCount):
+        self._doctor(monkeypatch, lambda problem: spectra[problem.l])
+        with pytest.raises(spectral.AmbiguousCount) as excinfo:
             count_below(torus_23, n_grid=256)
+        assert "(0, 1.999985)" in str(excinfo.value)
 
     def test_wrong_count_fails_verdict(self, torus_23, monkeypatch):
         pad = list(np.arange(3.0, 20.0))
@@ -242,7 +246,7 @@ class TestCountBelowClassification:
             2: [5.0] + pad,
             3: [7.0] + pad,
         }
-        monkeypatch.setattr(spectral, "eigen_low", self._fake_eigen_low(spectra))
+        self._doctor(monkeypatch, lambda problem: spectra[problem.l])
         report = count_below(torus_23, n_grid=256)
         assert report.n2 == 2
         assert report.verdict is False
@@ -250,22 +254,16 @@ class TestCountBelowClassification:
     def test_unstable_count_fails_verdict(self, torus_23, monkeypatch):
         pad = list(np.arange(3.0, 20.0))
 
-        def fake(problem, k):
+        def spectrum_of(problem):
             extra = [0.5] if problem.n_grid == 256 else []
-            by_l = {
+            return {
                 0: [0.0] + extra + [0.7, 1.2, 1.9999990, 2.0000010] + pad,
                 1: [2.0000005] + pad,
                 2: [5.0] + pad,
                 3: [7.0] + pad,
-            }
-            vals = np.array(by_l[problem.l][:k], dtype=float)
-            return spectral.SLSpectrum(
-                l=problem.l, eigenvalues=vals,
-                eigenvectors=np.zeros((problem.n_grid, len(vals))),
-                zero_counts=[0] * len(vals),
-                n_grid=problem.n_grid, period=problem.period)
+            }[problem.l]
 
-        monkeypatch.setattr(spectral, "eigen_low", fake)
+        self._doctor(monkeypatch, spectrum_of)
         report = count_below(torus_23, n_grid=256)
         assert len(set(report.counts_by_grid.values())) == 2
         assert report.verdict is False
@@ -278,10 +276,81 @@ class TestCountBelowClassification:
             2: [1.5] + pad,  # scan truncation assumption violated
             3: [7.0] + pad,
         }
-        monkeypatch.setattr(spectral, "eigen_low", self._fake_eigen_low(spectra))
+        self._doctor(monkeypatch, lambda problem: spectra[problem.l])
         report = count_below(torus_23, n_grid=256)
         assert report.truncation_confirmed is False
         assert report.verdict is False
+
+    def test_many_eigenvalues_in_one_mode_counted_in_full(self, torus_23, monkeypatch):
+        # 20 mode-0 eigenvalues below 2, far more than the claimed 3
+        pad = list(np.arange(3.0, 20.0))
+        spectra = {
+            0: list(np.linspace(0.0, 1.9, 20)) + [1.9999990, 2.0000010] + pad,
+            1: [2.0000005] + pad,
+            2: [5.0] + pad,
+            3: [7.0] + pad,
+        }
+        self._doctor(monkeypatch, lambda problem: spectra[problem.l])
+        report = count_below(torus_23, n_grid=256)
+        assert report.counts_by_grid == {256: 20, 512: 20}
+        assert report.n2 == 20
+        assert report.verdict is False
+
+
+def _lowest_above(problem, sigma):
+    """Lanczos eigenvalues of the problem from the lowest through the first above sigma."""
+    k = 4
+    while True:
+        vals = eigen_low(problem, k).eigenvalues
+        if vals[-1] > sigma:
+            return vals
+        k *= 2
+
+
+class TestInertiaAgainstLanczos:
+    """The inertia count against an independent count of Lanczos eigenvalues."""
+
+    def test_shift_at_an_eigenvalue_raises(self):
+        A = sp.diags([1.0, 2.0, 3.0]).tocsc()
+        assert spectral._inertia(A, 2.5) == 2
+        with pytest.raises(spectral.SolverFailure, match="singular"):
+            spectral._inertia(A, 2.0)
+
+    def test_pivoting_factorization_raises(self):
+        # A - I has a zero leading pivot, so SuperLU must swap rows
+        A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))
+        with pytest.raises(spectral.SolverFailure, match="pivoted"):
+            spectral._inertia(A, 1.0)
+
+    @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
+                             ids=lambda pq: f"{pq[0]}/{pq[1]}")
+    def test_inertia_matches_lanczos_count(self, tori, label):
+        torus = tori[label]
+        band = count_below(torus).tolerance_band
+        sigmas = (2.0 - band, 2.0, 2.0 + band)
+        for n in (2048, 4096):
+            for l in range(4):
+                problem = assemble(torus, l, n)
+                vals = _lowest_above(problem, sigmas[-1])
+                A = operator_matrix(problem)
+                for sigma in sigmas:
+                    expected = np.sum(vals < sigma)
+                    assert spectral._inertia(A, sigma) == expected, (n, l, sigma)
+
+    def test_near_threshold_list_matches_lanczos_on_6_11(self):
+        torus = build_torus(RotationNumber(6, 11))
+        report = count_below(torus)
+        band = report.tolerance_band
+        expected = []
+        for l in range(4):
+            vals = _lowest_above(assemble(torus, l, report.grids_used[-1]), 2.0 + band)
+            expected += [(l, i, v) for i, v in enumerate(vals) if abs(v - 2.0) <= band]
+        got = report.eigenvalues_near_2
+        assert len(got) == 13
+        assert sum(l == 1 for l, _, _ in got) == 11
+        assert [(l, i) for l, i, _ in got] == [(l, i) for l, i, _ in expected]
+        np.testing.assert_allclose([v for _, _, v in got], [v for _, _, v in expected],
+                                   rtol=0.0, atol=1e-9)
 
 
 def _valid_labels(q_max):
