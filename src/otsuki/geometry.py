@@ -70,6 +70,11 @@ CLIFFORD_TURNING_VALUE = pi / 4
 # condition becomes numerically degenerate as the two turning circles merge.
 _NEAR_CLIFFORD_GAP = 1e-6
 
+# Most geodesic samples a profile may hold: at 2**22 the samples and the two
+# quintic interpolants take about 0.6 GB.  Thin tori need more (20/39:
+# 7.5 million, 50/99: 181 million) and are rejected before any allocation.
+_MAX_SAMPLES = 2 ** 22
+
 
 class OrbitMetric:
     """Coefficients of the reduced metric E(phi) dphi^2 + G(phi) dtheta^2."""
@@ -405,6 +410,10 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
 
     Raises
     ------
+    DomainError
+        If the sample count, given or by :func:`default_sample_count`, is
+        below ``16 q`` or above ``2**22``; the thin tori that need more
+        are refused before anything is allocated.
     ClosureFailure
         If the traced geodesic misses closure by more than 1e-6 in phi or
         theta, which signals a turning value inconsistent with the rotation
@@ -429,6 +438,9 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
         n_samples = default_sample_count(a, q_eff, t0_estimate)
     if n_samples < 16 * q_eff:
         raise DomainError(f"n_samples must be at least 16 q = {16 * q_eff}")
+    if n_samples > _MAX_SAMPLES:
+        raise DomainError(f"the geodesic needs {n_samples} samples, more than "
+                          f"the limit of {_MAX_SAMPLES}")
 
     c = clairaut_momentum(a)
     y0 = (a, 0.0, 0.0, c / OrbitMetric.G(a))

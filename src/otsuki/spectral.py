@@ -13,12 +13,15 @@ the number of surface eigenvalues strictly below 2, and the expected count
 is 2p - 1; :func:`count_below` computes it and checks it.
 
 The discretization is second-order symmetric finite differences on a
-uniform periodic grid, giving a cyclic tridiagonal symmetric matrix.
-Eigenvalues are counted by Sylvester's law of inertia: the number below
-sigma is the number of negative pivots of an unpivoted LDL^T factorization
-of A - sigma I, exactly so in exact arithmetic (see :func:`_inertia` for
-the floating-point caveat).  Shift-invert Lanczos iteration is used only
-where eigenvalues or eigenvectors themselves are needed.
+uniform periodic grid, giving a cyclic tridiagonal symmetric matrix A.
+Every shifted matrix A - sigma I is factored one way, by bordering: the
+last row and column are split off, the tridiagonal rest T gets LAPACK's
+partial-pivoting LU, and the border leaves one scalar Schur complement s.
+Eigenvalues below sigma are counted, not computed: by Haynsworth's inertia
+additivity their number is the Sturm count of T below sigma (LAPACK
+bisection, backward stable) plus one if s < 0 (see :func:`_inertia`).
+The same factorization is the solve of shift-invert Lanczos iteration,
+which is used only where eigenvalues or eigenvectors themselves are needed.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh, splu
+from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .geometry import OtsukiTorus, turning_layer_scale
 
@@ -49,7 +53,12 @@ class GridTooCoarse(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """The sparse eigensolver failed, or an inertia factorization pivoted."""
+    """The sparse eigensolver failed, or a shifted matrix A - sigma I is singular.
+
+    Singular means an exactly zero pivot in the LU of the tridiagonal block
+    or an exactly zero Schur complement of the border: sigma is then an
+    eigenvalue in floating point, and no count below it is defined.
+    """
 
 
 class AmbiguousCount(RuntimeError):
@@ -107,7 +116,13 @@ def assemble(torus: OtsukiTorus, l: int, n_grid: int) -> SLProblem:
     represent the 2p oscillations of the eigenfunctions near the counting
     threshold.
     """
-    if l < 0:
+    return _assemble_modes(torus, [l], n_grid)[0]
+
+
+def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
+                    ) -> list[SLProblem]:
+    """:func:`assemble` for each listed mode, sampling the profile once."""
+    if any(l < 0 for l in modes):
         raise ValueError("angular mode l must be non-negative")
     p = torus.profile.theta_winding
     if n_grid < 64 or n_grid < 32 * p:
@@ -120,8 +135,9 @@ def assemble(torus: OtsukiTorus, l: int, n_grid: int) -> SLProblem:
     sin_sq = np.sin(phi) ** 2
     P = 4.0 * math.pi ** 2 * sin_sq
     P_mid = 4.0 * math.pi ** 2 * np.sin(phi_mid) ** 2
-    Q = (l * l) / sin_sq if l else np.zeros(n_grid)
-    return SLProblem(l=l, period=t0, grid=grid, P=P, P_mid=P_mid, Q=Q, n_grid=n_grid)
+    return [SLProblem(l=l, period=t0, grid=grid, P=P, P_mid=P_mid,
+                      Q=(l * l) / sin_sq if l else np.zeros(n_grid), n_grid=n_grid)
+            for l in modes]
 
 
 def operator_matrix(problem: SLProblem) -> sp.csc_matrix:
@@ -172,7 +188,8 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     try:
         vals, vecs = eigsh(A, k=k, sigma=-1.0, which="LM", v0=v0,
-                           ncv=min(n, max(2 * k + 1, 40)), maxiter=10000)
+                           ncv=min(n, max(2 * k + 1, 40)), maxiter=10000,
+                           OPinv=_ShiftedCyclic(A, -1.0).inverse())
     except (ArpackNoConvergence, ArpackError) as exc:
         raise SolverFailure(f"eigensolver failed for l={problem.l}, "
                             f"n_grid={n}: {exc}") from exc
@@ -190,41 +207,130 @@ def _eigenvalues_near(A: sp.csc_matrix, k: int, sigma: float) -> np.ndarray:
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     try:
         vals = eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
-                     return_eigenvectors=False)
+                     return_eigenvectors=False,
+                     OPinv=_ShiftedCyclic(A, sigma).inverse())
     except (ArpackNoConvergence, ArpackError) as exc:
         raise SolverFailure(f"eigensolver failed near sigma={sigma!r}, "
                             f"n_grid={n}: {exc}") from exc
     return np.sort(vals)
 
 
-def _inertia(A: sp.csc_matrix, sigma: float) -> int:
-    """Number of eigenvalues of the symmetric matrix A strictly below sigma.
+def _cyclic_bands(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, float]:
+    """Diagonal, superdiagonal and corner ``A[0, n-1]`` of a symmetric cyclic tridiagonal A.
 
-    By Sylvester's law of inertia this is, in exact arithmetic, the number
-    of negative pivots of an unpivoted LDL^T factorization of A - sigma I.
-    The pivots are the diagonal of U from SuperLU run with natural ordering
-    and diagonal pivoting forced; any row or column permutation would void
-    the count, so it is an error, as is an exactly singular factor.
-
-    For a tridiagonal matrix the computed count is backward stable (Kahan;
-    LAPACK Users' Guide section 2.4.4).  That result does not cover the
-    cyclic corner: it fills the last row, whose pivot is a Schur complement
-    that can lose accuracy by cancellation when A - sigma I is indefinite.
-    Its reliability here rests on the comparison with Lanczos counts in the
-    test suite and on the grid-doubling check of :func:`count_below`.
+    Raises ValueError unless A is square of order 3 or more, symmetric,
+    and zero outside the cyclic tridiagonal pattern.
     """
     n = A.shape[0]
-    try:
-        lu = splu(A - sigma * sp.identity(n, format="csc"),
-                  permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError as exc:  # exactly singular: sigma is an eigenvalue
-        raise SolverFailure(f"inertia at sigma={sigma!r}, n_grid={n}: {exc}") from exc
-    identity = np.arange(n)
-    if not (np.array_equal(lu.perm_r, identity) and np.array_equal(lu.perm_c, identity)):
-        raise SolverFailure(f"inertia at sigma={sigma!r}, n_grid={n}: "
-                            "the factorization pivoted")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    if A.shape != (n, n) or n < 3:
+        raise ValueError(f"need a square matrix of order >= 3, got shape {A.shape}")
+    main = A.diagonal()
+    off = A.diagonal(1)
+    corner = float(A[0, n - 1])
+    if not (np.array_equal(A.diagonal(-1), off) and A[n - 1, 0] == corner):
+        raise ValueError("matrix is not symmetric")
+    in_pattern = (np.count_nonzero(main) + 2 * np.count_nonzero(off)
+                  + 2 * (corner != 0.0))
+    if A.count_nonzero() != in_pattern:
+        raise ValueError("matrix has entries outside the cyclic tridiagonal pattern")
+    return main, off, corner
+
+
+class _ShiftedCyclic:
+    """A - sigma I for a symmetric cyclic tridiagonal A, factored by bordering.
+
+    The last row and column are split off::
+
+        A - sigma I = [[T, c], [c^T, d]]
+
+    with T tridiagonal of order n - 1 and c zero but for ``c[0] = A[0, n-1]``
+    (the corner) and ``c[n-2] = A[n-2, n-1]``.  T gets LAPACK's
+    partial-pivoting LU (``dgttrf``); the border is eliminated through
+    ``w = T^{-1} c`` and the scalar Schur complement ``s = d - c.w``.
+    Raises :class:`SolverFailure` if T has an exactly zero pivot or s is
+    exactly zero.
+    """
+
+    def __init__(self, A: sp.spmatrix, sigma: float):
+        main, off, corner = _cyclic_bands(A)
+        n = main.size
+        self.sigma = sigma
+        self._n = n
+        self._main, self._off, self._corner = main, off, corner
+        # the dgttrf wrapper needs order >= 3: pad T with identity rows
+        m = max(n - 1, 3)
+        d = np.ones(m)
+        d[:n - 1] = main[:-1] - sigma
+        e = np.zeros(m - 1)
+        e[:n - 2] = off[:-1]
+        *self._lu, info = dgttrf(e, d, e)
+        if info > 0:
+            raise SolverFailure(f"A - sigma I at sigma={sigma!r}, n_grid={n}: "
+                                "singular tridiagonal block")
+        c = np.zeros(n - 1)
+        c[0] = corner
+        c[-1] = off[-1]
+        self._w = self._solve_block(c)
+        self.schur = (main[-1] - sigma) - (corner * self._w[0] + off[-1] * self._w[-1])
+        if self.schur == 0.0:
+            raise SolverFailure(f"A - sigma I at sigma={sigma!r}, n_grid={n}: "
+                                "singular, zero Schur complement")
+
+    def _solve_block(self, rhs: np.ndarray) -> np.ndarray:
+        """T^{-1} rhs, for rhs of length n - 1."""
+        x = np.zeros(self._lu[1].size)
+        x[:rhs.size] = rhs
+        return dgttrs(*self._lu, x, overwrite_b=1)[0][:rhs.size]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with (A - sigma I) x = b."""
+        b = np.ravel(b)
+        y = self._solve_block(b[:-1])
+        # c.y from the two nonzeros of c, not a length-n dot
+        last = (b[-1] - self._corner * y[0] - self._off[-1] * y[-1]) / self.schur
+        x = np.empty(self._n)  # y - last w, written in place: temporaries cost more here
+        np.multiply(self._w, -last, out=x[:-1])
+        x[:-1] += y
+        x[-1] = last
+        return x
+
+    def inverse(self) -> LinearOperator:
+        """(A - sigma I)^{-1} as an operator, the OPinv of shift-invert eigsh."""
+        return LinearOperator((self._n, self._n), matvec=self.solve, dtype=float)
+
+    def count_negative(self) -> int:
+        """Number of negative eigenvalues of A - sigma I: In(T) + In(s)."""
+        d, e = self._main[:-1], self._off[:-1]
+        spread = 2.0 * float(np.max(np.abs(e)))
+        low, high = float(d.min()) - spread, float(d.max()) + spread
+        # eigenvalues of T in (vl, sigma] with vl below T's Gershgorin interval;
+        # a tolerance wider than that interval leaves only the Sturm counts
+        vl = min(low, self.sigma) - 1.0
+        m, *_, info = dstebz(d, e, 1, vl, self.sigma, 0, 0, 2.0 * (high - low) + 1.0, "B")
+        if info:
+            raise SolverFailure(f"Sturm count at sigma={self.sigma!r}, "
+                                f"n_grid={self._n}: dstebz info={info}")
+        return int(m) + int(self.schur < 0.0)
+
+
+def _inertia(A: sp.spmatrix, sigma: float) -> int:
+    """Number of eigenvalues of the symmetric cyclic tridiagonal A strictly below sigma.
+
+    Bordered count (:class:`_ShiftedCyclic`): by Haynsworth's inertia
+    additivity, the number of negative eigenvalues of A - sigma I is that of
+    its tridiagonal leading block T plus one if the Schur complement s of
+    the border is negative.  The first term is the Sturm count of LAPACK's
+    bisection (``dstebz``), which is backward stable for tridiagonal
+    matrices (Kahan; LAPACK Users' Guide section 2.4.4).  The corner is the
+    second term, s from a partial-pivoting solve with T.  Its sign can be
+    lost only when T is nearly singular at sigma.  By interlacing, T has an
+    eigenvalue inside any close pair of eigenvalues of A, such as the l = 0
+    pair at 2, so this term is checked, not proven: against dense and
+    Lanczos counts and with the border moved to another row in the test
+    suite, and by the grid-doubling check of :func:`count_below`.  A shift
+    at which T or s is exactly singular raises :class:`SolverFailure`.
+    """
+    return _ShiftedCyclic(A, sigma).count_negative()
 
 
 def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
@@ -302,7 +408,7 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     truncation_confirmed = True
     for n in grids:
         finest = n == grids[-1]
-        problems = [assemble(torus, l, n) for l in range(l_max + 1)]
+        problems = _assemble_modes(torus, range(l_max + 1), n)
         matrices = [operator_matrix(problem) for problem in problems]
         l0_near = _eigenvalues_near(matrices[0], 2, threshold)
         l1_ground = float(eigen_low(problems[1], 1).eigenvalues[0])

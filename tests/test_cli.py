@@ -249,6 +249,11 @@ class TestVerifyFailurePaths:
         assert code == 3
         assert "ambiguous" in err
 
+    def test_thin_torus_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "50", "99")
+        assert code == 2
+        assert "samples" in err
+
 
 class TestToleranceOverrides:
     def test_loose_tolerances_still_solve(self, capsys):

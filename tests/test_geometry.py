@@ -1,4 +1,5 @@
 import math
+import time
 from math import pi
 
 import numpy as np
@@ -12,6 +13,7 @@ from otsuki.geometry import (
     OutOfRange,
     RotationNumber,
     arc_length_quarter,
+    build_torus,
     clairaut_momentum,
     embed,
     embedding_grid,
@@ -199,6 +201,15 @@ class TestTraceGeodesic:
     def test_sample_count_floor(self):
         with pytest.raises(DomainError):
             trace_geodesic(0.33787, RotationNumber(2, 3), n_samples=40)
+
+    def test_thin_torus_refused_before_allocation(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="181303549 samples"):
+            build_torus(RotationNumber(50, 99))
+        assert time.perf_counter() - start < 10.0
+
+    def test_sample_limit_admits_10_19(self):
+        assert build_torus(RotationNumber(10, 19)).profile.n_samples == 595481
 
     def test_first_integrals(self, torus_23):
         profile = torus_23.profile

@@ -316,11 +316,10 @@ class TestInertiaAgainstLanczos:
         with pytest.raises(spectral.SolverFailure, match="singular"):
             spectral._inertia(A, 2.0)
 
-    def test_pivoting_factorization_raises(self):
-        # A - I has a zero leading pivot, so SuperLU must swap rows
+    def test_zero_leading_pivot_is_counted(self):
+        # A - I has a zero leading pivot; eigenvalues -1, 3, 3
         A = sp.csc_matrix(np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]]))
-        with pytest.raises(spectral.SolverFailure, match="pivoted"):
-            spectral._inertia(A, 1.0)
+        assert spectral._inertia(A, 1.0) == 1
 
     @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
                              ids=lambda pq: f"{pq[0]}/{pq[1]}")
@@ -351,6 +350,57 @@ class TestInertiaAgainstLanczos:
         assert [(l, i) for l, i, _ in got] == [(l, i) for l, i, _ in expected]
         np.testing.assert_allclose([v for _, _, v in got], [v for _, _, v in expected],
                                    rtol=0.0, atol=1e-9)
+
+
+class TestBorderedFactorization:
+    """Edge cases of the bordered factorization and a dense cross-check."""
+
+    def test_zero_schur_complement_raises(self):
+        # the leading block diag(1, 3) - 2 is regular; the corner pivot is 0
+        A = sp.diags([1.0, 3.0, 2.0]).tocsc()
+        assert spectral._inertia(A, 2.5) == 2
+        with pytest.raises(spectral.SolverFailure, match="Schur"):
+            spectral._inertia(A, 2.0)
+
+    def test_entry_outside_the_pattern_rejected(self):
+        A = np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0, 1.0, 1.0], 1)
+        A += np.triu(A, 1).T
+        A[0, 3] = A[3, 0] = 0.5
+        assert spectral._inertia(sp.csc_matrix(A), 0.0) == 0
+        A[0, 2] = A[2, 0] = 0.25
+        with pytest.raises(ValueError, match="pattern"):
+            spectral._inertia(sp.csc_matrix(A), 0.0)
+
+    def test_asymmetric_matrix_rejected(self):
+        A = np.diag([4.0, 5.0, 6.0, 7.0]) + np.diag([1.0, 1.0, 1.0], 1)
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral._inertia(sp.csc_matrix(A), 0.0)
+
+    @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
+                             ids=lambda pq: f"{pq[0]}/{pq[1]}")
+    def test_inertia_matches_dense_count(self, tori, label):
+        torus = tori[label]
+        band = count_below(torus).tolerance_band
+        turn = np.roll(np.arange(256), 100)  # a cyclic relabelling moves the border row
+        for l in range(4):
+            A = operator_matrix(assemble(torus, l, 256))
+            vals = np.linalg.eigvalsh(A.toarray())
+            for sigma in (0.5, 2.0 - band, 2.0, 2.0 + band, 10.0):
+                expected = np.sum(vals < sigma)
+                assert spectral._inertia(A, sigma) == expected, (l, sigma)
+                assert spectral._inertia(A[turn][:, turn], sigma) == expected, (l, sigma)
+
+    @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
+                             ids=lambda pq: f"{pq[0]}/{pq[1]}")
+    def test_solve_residual(self, tori, label):
+        rng = np.random.default_rng(7)
+        for l in range(4):
+            A = operator_matrix(assemble(tori[label], l, 256))
+            for sigma in (-1.0, 2.0):
+                b = rng.standard_normal(256)
+                x = spectral._ShiftedCyclic(A, sigma).solve(b)
+                residual = A @ x - sigma * x - b
+                assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b), (l, sigma)
 
 
 def _valid_labels(q_max):
