@@ -4,7 +4,8 @@ Three reusable building blocks, each a pure function of its inputs:
 
 * :func:`integrate_singular` -- double-exponential (tanh-sinh) quadrature
   that converges geometrically for integrands with algebraic endpoint
-  singularities up to ``(x - a)**-0.5`` and ``(b - x)**-0.5``.
+  singularities up to ``(x - a)**-0.5`` and ``(b - x)**-0.5``; integrands
+  take ``f(x, dist_lo, dist_hi)``.
 * :func:`find_root_monotone` -- safeguarded bracketing root finder
   (bisection refined by inverse quadratic / secant interpolation).
 * :func:`integrate_ode` -- adaptive embedded Runge-Kutta 5(4) integration
@@ -16,7 +17,6 @@ frozen dataclasses so call sites stay declarative.
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -118,21 +118,6 @@ def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return sigma, weight
 
 
-def _accepts_distances(f: Callable) -> bool:
-    """True if the integrand takes (x, dist_lo, dist_hi) instead of just x."""
-    try:
-        sig = inspect.signature(f)
-    except (TypeError, ValueError):  # ufuncs and some builtins
-        return False
-    n_positional = 0
-    for p in sig.parameters.values():
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD):
-            n_positional += 1
-        elif p.kind == p.VAR_POSITIONAL:
-            return True
-    return n_positional >= 3
-
-
 def integrate_singular(f: Callable, a: float, b: float,
                        spec: QuadratureSpec = QuadratureSpec()) -> float:
     """Integrate ``f`` over ``(a, b)`` by adaptive tanh-sinh quadrature.
@@ -140,13 +125,14 @@ def integrate_singular(f: Callable, a: float, b: float,
     Parameters
     ----------
     f : callable
-        Vectorized integrand.  Either ``f(x)`` or the endpoint-aware form
-        ``f(x, dist_lo, dist_hi)`` where the extra arrays give the distance
-        of each node to ``a`` and to ``b`` in full relative precision.  Use
-        the three-argument form whenever the singular factor involves a
-        difference against an endpoint (for example ``1/sqrt(x - a)`` with
-        ``a != 0``); plain ``x - a`` in user code loses the digits that the
-        doubly-exponential nodes deliberately place within an ulp of ``a``.
+        Vectorized integrand, always called as ``f(x, dist_lo, dist_hi)``:
+        the extra arrays give the distance of each node to ``a`` and to
+        ``b`` in full relative precision.  Use them whenever the singular
+        factor involves a difference against an endpoint (for example
+        ``1/sqrt(x - a)`` with ``a != 0``); plain ``x - a`` in user code
+        loses the digits that the doubly-exponential nodes deliberately
+        place within an ulp of ``a``.  An integrand of ``x`` alone is
+        passed as ``lambda x, d_lo, d_hi: g(x)``.
     a, b : float
         Integration limits, ``a < b``.  Endpoint singularities no worse
         than an inverse square root are handled.
@@ -169,14 +155,11 @@ def integrate_singular(f: Callable, a: float, b: float,
     """
     if not a < b:
         raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
-    three_arg = _accepts_distances(f)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
 
     def evaluate(x, d_lo, d_hi):
-        if three_arg:
-            return np.asarray(f(x, d_lo, d_hi), dtype=float)
-        return np.asarray(f(x), dtype=float)
+        return np.asarray(f(x, d_lo, d_hi), dtype=float)
 
     half_arr = np.array([half])
     raw_sum = 0.5 * math.pi * float(evaluate(np.array([mid]), half_arr, half_arr)[0])

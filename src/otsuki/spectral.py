@@ -22,6 +22,10 @@ additivity their number is the Sturm count of T below sigma (LAPACK
 bisection, backward stable) plus one if s < 0 (see :func:`_inertia`).
 The same factorization is the solve of shift-invert Lanczos iteration,
 which is used only where eigenvalues or eigenvectors themselves are needed.
+Inside :func:`count_below` every Lanczos run is shifted to the threshold
+and asks for exactly as many eigenvalues as it must return; the count at
+the shift tells it how many that is (see :func:`_ground_eigenvalue`).
+Grids are capped at ``_MAX_GRID`` rows.
 """
 
 from __future__ import annotations
@@ -47,13 +51,17 @@ __all__ = [
 
 _EIGSH_SEED = 20120524  # fixed Lanczos start vector: identical runs bit for bit
 
+# Largest grid assembled, in rows: about 550 B per row at peak, so about 1.2 GB.
+# It admits the doubled resolving grid of 10/19 (2^20 -> 2^21).
+_MAX_GRID = 2 ** 21
+
 
 class GridTooCoarse(ValueError):
     """Requested discretization cannot resolve the requested modes."""
 
 
 class SolverFailure(RuntimeError):
-    """The sparse eigensolver failed, or a shifted matrix A - sigma I is singular.
+    """The eigensolver failed or contradicts an inertia count, or A - sigma I is singular.
 
     Singular means an exactly zero pivot in the LU of the tridiagonal block
     or an exactly zero Schur complement of the border: sigma is then an
@@ -114,7 +122,7 @@ def assemble(torus: OtsukiTorus, l: int, n_grid: int) -> SLProblem:
 
     Requires ``n_grid >= 64`` and ``n_grid >= 32 p`` so the grid can
     represent the 2p oscillations of the eigenfunctions near the counting
-    threshold.
+    threshold, and ``n_grid <= _MAX_GRID`` (ValueError otherwise).
     """
     return _assemble_modes(torus, [l], n_grid)[0]
 
@@ -127,6 +135,7 @@ def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
     p = torus.profile.theta_winding
     if n_grid < 64 or n_grid < 32 * p:
         raise GridTooCoarse(f"n_grid must be >= max(64, 32 p = {32 * p})")
+    _check_grid_size(n_grid)
     t0 = torus.t0
     h = t0 / n_grid
     grid = np.arange(n_grid) * h
@@ -138,6 +147,13 @@ def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
     return [SLProblem(l=l, period=t0, grid=grid, P=P, P_mid=P_mid,
                       Q=(l * l) / sin_sq if l else np.zeros(n_grid), n_grid=n_grid)
             for l in modes]
+
+
+def _check_grid_size(n_grid: int) -> None:
+    """Refuse a grid of more than ``_MAX_GRID`` rows before anything is allocated."""
+    if n_grid > _MAX_GRID:
+        raise ValueError(f"a grid of {n_grid} rows exceeds the limit of "
+                         f"{_MAX_GRID} rows (about 550 bytes per row)")
 
 
 def operator_matrix(problem: SLProblem) -> sp.csc_matrix:
@@ -178,8 +194,9 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     """The k smallest eigenpairs of the discretized problem.
 
     Shift-invert Lanczos about sigma = -1 (the operator is positive
-    semidefinite, so the k eigenvalues nearest -1 are the k smallest).
-    The start vector is fixed, making repeated runs identical.
+    semidefinite, so the k eigenvalues nearest -1 are the k smallest),
+    with ARPACK's default Krylov dimension ``max(2k + 1, 20)``.  The start
+    vector is fixed, making repeated runs identical.
     """
     n = problem.n_grid
     if k < 1 or k > n // 4:
@@ -187,8 +204,7 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     A = operator_matrix(problem)
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     try:
-        vals, vecs = eigsh(A, k=k, sigma=-1.0, which="LM", v0=v0,
-                           ncv=min(n, max(2 * k + 1, 40)), maxiter=10000,
+        vals, vecs = eigsh(A, k=k, sigma=-1.0, which="LM", v0=v0, maxiter=10000,
                            OPinv=_ShiftedCyclic(A, -1.0).inverse())
     except (ArpackNoConvergence, ArpackError) as exc:
         raise SolverFailure(f"eigensolver failed for l={problem.l}, "
@@ -201,18 +217,52 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
                       zero_counts=zero_counts, n_grid=n, period=problem.period)
 
 
-def _eigenvalues_near(A: sp.csc_matrix, k: int, sigma: float) -> np.ndarray:
-    """The k eigenvalues of A nearest sigma, ascending (shift-invert Lanczos)."""
+def _shift_invert_values(A: sp.spmatrix, shifted: _ShiftedCyclic, k: int,
+                         which: str) -> np.ndarray:
+    """k eigenvalues of A by shift-invert Lanczos about ``shifted.sigma``, ascending.
+
+    ``which`` selects among the transformed values 1 / (lambda - sigma):
+    "LM" the k eigenvalues nearest sigma, "SA" the k nearest below it when
+    at least k lie below.  The wanted values dominate the transformed
+    spectrum, so a Krylov space of ``2k + 1`` vectors suffices.
+    """
     n = A.shape[0]
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     try:
-        vals = eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
-                     return_eigenvectors=False,
-                     OPinv=_ShiftedCyclic(A, sigma).inverse())
+        vals = eigsh(A, k=k, sigma=shifted.sigma, which=which, v0=v0,
+                     ncv=min(n, 2 * k + 1), return_eigenvectors=False,
+                     OPinv=shifted.inverse())
     except (ArpackNoConvergence, ArpackError) as exc:
-        raise SolverFailure(f"eigensolver failed near sigma={sigma!r}, "
+        raise SolverFailure(f"eigensolver failed near sigma={shifted.sigma!r}, "
                             f"n_grid={n}: {exc}") from exc
     return np.sort(vals)
+
+
+def _eigenvalues_near(A: sp.csc_matrix, k: int, sigma: float) -> np.ndarray:
+    """The k eigenvalues of A nearest sigma, ascending (shift-invert Lanczos)."""
+    return _shift_invert_values(A, _ShiftedCyclic(A, sigma), k, "LM")
+
+
+def _ground_eigenvalue(A: sp.csc_matrix, sigma: float) -> float:
+    """The smallest eigenvalue of A, by shift-invert Lanczos about sigma.
+
+    The inertia of A - sigma I gives the number m of eigenvalues below
+    sigma (Sylvester).  Shift-invert maps exactly those to the m negative
+    values 1 / (lambda - sigma), so Lanczos asks for the m smallest
+    transformed values ("SA") and the ground is the least of them; with
+    m = 0 the eigenvalue nearest sigma is the ground.  Near sigma this
+    needs a few solves even when many eigenvalues cluster there, where the
+    eigenvalue nearest sigma need not be the ground (7/13 at 2048: m = 6).
+    Raises :class:`SolverFailure` unless the returned eigenvalues lie on the
+    side of sigma the count says: exactly m below it.
+    """
+    shifted = _ShiftedCyclic(A, sigma)
+    m = shifted.count_negative()
+    vals = _shift_invert_values(A, shifted, max(m, 1), "SA" if m else "LM")
+    if np.count_nonzero(vals < sigma) != m:
+        raise SolverFailure(f"Lanczos eigenvalues {vals} near sigma={sigma!r} "
+                            f"disagree with the inertia count {m} below it")
+    return float(vals[0])
 
 
 def _cyclic_bands(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, float]:
@@ -370,6 +420,14 @@ def _band_from_anchors(l0_near: np.ndarray, l1_ground: float, threshold: float) 
     residual is a poor proxy for this: inside the thin turning layers of
     small-``a`` tori it overestimates the eigenvalue error by orders of
     magnitude at practical grids.)
+
+    At resolving grids the displacements approach the rounding noise of
+    the shift-invert eigenvalues, so the band's trailing digits are noise
+    there: on 5/9 at 131072 rows the l = 0 pair lies 2e-8 below the
+    threshold and moves by 8e-10 when only the Lanczos shift moves from 2
+    to 2.001, and the band can change by 1e-4 relative when only the
+    solver or the Krylov dimension changes.  The counts do not depend on
+    those digits.
     """
     d0 = float(np.max(np.abs(l0_near - threshold)))
     return 10.0 * max(d0, abs(l1_ground - threshold)) + 1e-13 * threshold
@@ -385,14 +443,20 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     threshold analytically (see :func:`_band_from_anchors`).  Lanczos
     iteration computes only eigenvalues that are reported: the three
     anchors, the eigenvalues within the band of the threshold, and those
-    in the shoulder when the count is ambiguous.  The whole count is repeated
-    on a doubled grid and must not change.  That modes above l_max cannot
+    in the shoulder when the count is ambiguous.  Each run is shifted to
+    the threshold (the shoulder's to its middle) and asks for just the
+    number of eigenvalues an inertia count says it must return; the l = 1
+    ground anchor comes from :func:`_ground_eigenvalue`.  The whole count
+    is repeated on a doubled grid and must not change.  That modes above l_max cannot
     contribute is not assumed: the inertia at the threshold is checked to
     be zero for l = 2 .. l_max (lambda_0(l) increases strictly in l, so the
     scan terminates).
 
     Raises
     ------
+    ValueError
+        If the doubled grid ``2 n_grid`` exceeds ``_MAX_GRID`` rows; this
+        is checked before anything is assembled.
     AmbiguousCount
         If at the finest grid some eigenvalue falls in the shoulder
         ``[threshold - 2 band, threshold - band)``, where "below" versus
@@ -400,6 +464,7 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     """
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
+    _check_grid_size(2 * n_grid)
     claimed = torus.eigenvalue_index
     grids = [n_grid, 2 * n_grid]
     counts_by_grid: dict[int, int] = {}
@@ -411,7 +476,7 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
         problems = _assemble_modes(torus, range(l_max + 1), n)
         matrices = [operator_matrix(problem) for problem in problems]
         l0_near = _eigenvalues_near(matrices[0], 2, threshold)
-        l1_ground = float(eigen_low(problems[1], 1).eigenvalues[0])
+        l1_ground = _ground_eigenvalue(matrices[1], threshold)
         band = _band_from_anchors(l0_near, l1_ground, threshold)
         total = 0
         shoulder: list[tuple[int, float]] = []

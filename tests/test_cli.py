@@ -254,6 +254,11 @@ class TestVerifyFailurePaths:
         assert code == 2
         assert "samples" in err
 
+    def test_grid_above_the_cap_exits_2(self, capsys):
+        code, _, err = run(capsys, "verify", "2", "3", "--n-grid", "4194304")
+        assert code == 2
+        assert "8388608 rows" in err
+
 
 class TestToleranceOverrides:
     def test_loose_tolerances_still_solve(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from math import pi
 
 import numpy as np
@@ -70,6 +71,11 @@ class TestAssemble:
     def test_negative_mode_rejected(self, torus_23):
         with pytest.raises(ValueError):
             assemble(torus_23, -1, 256)
+
+    def test_grid_above_the_cap_rejected(self, torus_23):
+        n = spectral._MAX_GRID + 1
+        with pytest.raises(ValueError, match=f"{n} rows"):
+            assemble(torus_23, 0, n)
 
 
 class TestOperatorMatrix:
@@ -205,6 +211,12 @@ class TestCountBelow:
     def test_l_max_floor(self, torus_23):
         with pytest.raises(ValueError):
             count_below(torus_23, l_max=1)
+
+    def test_doubled_grid_above_the_cap_refused_before_assembly(self, torus_23):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{2 ** 22} rows"):
+            count_below(torus_23, n_grid=2 ** 21)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestCountBelowClassification:
@@ -350,6 +362,47 @@ class TestInertiaAgainstLanczos:
         assert [(l, i) for l, i, _ in got] == [(l, i) for l, i, _ in expected]
         np.testing.assert_allclose([v for _, _, v in got], [v for _, _, v in expected],
                                    rtol=0.0, atol=1e-9)
+
+
+class TestGroundEigenvalue:
+    """The l = 1 ground anchor: Lanczos at the threshold, sized by the inertia count."""
+
+    @staticmethod
+    def _diagonal(low, n=64):
+        return sp.diags(np.concatenate([low, 20.0 + np.arange(n - len(low))])).tocsc()
+
+    def test_several_below_the_shift(self):
+        A = self._diagonal([1.99, 1.9, 2.5, 1.95])
+        assert spectral._inertia(A, 2.0) == 3
+        assert abs(spectral._ground_eigenvalue(A, 2.0) - 1.9) <= 1e-12
+
+    def test_none_below_the_shift(self):
+        A = self._diagonal([2.5, 2.1])
+        assert spectral._inertia(A, 2.0) == 0
+        assert abs(spectral._ground_eigenvalue(A, 2.0) - 2.1) <= 1e-12
+
+    def test_lanczos_disagreeing_with_the_count_raises(self, monkeypatch):
+        A = self._diagonal([1.99, 1.9, 2.5, 1.95])
+        monkeypatch.setattr(spectral, "_shift_invert_values",
+                            lambda A, shifted, k, which: np.array([1.9, 1.95, 2.5]))
+        with pytest.raises(spectral.SolverFailure, match="inertia count 3"):
+            spectral._ground_eigenvalue(A, 2.0)
+
+    @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9), (6, 11), (7, 13)],
+                             ids=lambda pq: f"{pq[0]}/{pq[1]}")
+    def test_matches_eigen_low(self, tori, label):
+        torus = tori.get(label) or build_torus(RotationNumber(*label))
+        problem = assemble(torus, 1, 2048)
+        expected = eigen_low(problem, 1).eigenvalues[0]
+        got = spectral._ground_eigenvalue(operator_matrix(problem), 2.0)
+        assert abs(got - expected) <= 1e-10
+
+    def test_nearest_to_the_threshold_is_not_the_ground_on_7_13(self):
+        # six l = 1 eigenvalues lie below 2; the one nearest 2 is not the lowest
+        A = operator_matrix(assemble(build_torus(RotationNumber(7, 13)), 1, 2048))
+        assert spectral._inertia(A, 2.0) == 6
+        nearest = spectral._eigenvalues_near(A, 1, 2.0)[0]
+        assert nearest - spectral._ground_eigenvalue(A, 2.0) > 1e-3
 
 
 class TestBorderedFactorization:
