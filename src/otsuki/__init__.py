@@ -30,12 +30,9 @@ from .numerics import (
     MaxItersExceeded,
     NoBracket,
     NonConvergence,
-    OdeSpec,
     QuadratureSpec,
     RootSpec,
-    StepUnderflow,
     find_root_monotone,
-    integrate_ode,
     integrate_singular,
 )
 from .spectral import (

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from . import geometry, spectral
-from .numerics import OdeSpec, QuadratureSpec, RootSpec
+from .numerics import QuadratureSpec, RootSpec
 
 # Reference values for the five benchmark tori: rotation number, turning
 # value, eigenvalue index, functional value (4 significant digits).
@@ -70,8 +70,6 @@ class RunConfig:
     n_t: int = 256
     tol_quad: float = 1e-12
     tol_root: float = 1e-13
-    tol_ode_rel: float = 1e-10
-    tol_ode_abs: float = 1e-12
 
     def quad_spec(self) -> QuadratureSpec:
         return QuadratureSpec(target_rel_tol=self.tol_quad)
@@ -79,14 +77,11 @@ class RunConfig:
     def root_spec(self) -> RootSpec:
         return RootSpec(abs_tol_x=self.tol_root)
 
-    def ode_spec(self) -> OdeSpec:
-        return OdeSpec(rel_tol=self.tol_ode_rel, abs_tol=self.tol_ode_abs)
-
 
 _CONFIG_KEYS = {
     "format": str, "out": str, "n_grid": int, "n_samples": int, "l_max": int,
     "l": int, "k": int, "n_alpha": int, "n_t": int, "tol_quad": float,
-    "tol_root": float, "tol_ode_rel": float, "tol_ode_abs": float,
+    "tol_root": float,
 }
 
 
@@ -129,8 +124,7 @@ def _build_torus(cfg: RunConfig) -> geometry.OtsukiTorus:
     rotation = geometry.RotationNumber(cfg.p, cfg.q)
     return geometry.build_torus(rotation, n_samples=cfg.n_samples,
                                 quad_spec=cfg.quad_spec(),
-                                root_spec=cfg.root_spec(),
-                                ode_spec=cfg.ode_spec())
+                                root_spec=cfg.root_spec())
 
 
 # --------------------------------------------------------------------------
@@ -382,10 +376,6 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="quadrature relative tolerance (default 1e-12)")
     common.add_argument("--tol-root", type=float, default=None, dest="tol_root",
                         help="root-finder absolute tolerance (default 1e-13)")
-    common.add_argument("--tol-ode-rel", type=float, default=None, dest="tol_ode_rel",
-                        help="ODE relative tolerance (default 1e-10)")
-    common.add_argument("--tol-ode-abs", type=float, default=None, dest="tol_ode_abs",
-                        help="ODE absolute tolerance (default 1e-12)")
 
     parser = argparse.ArgumentParser(
         prog="otsuki",

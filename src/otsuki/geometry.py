@@ -13,11 +13,15 @@ geodesic, and packages the derived quantities: the period ``t0`` (the
 geodesic length), the torus area (equal to ``t0``), the spectral functional
 value ``2 t0``, and an embedding sampler into the unit sphere in R^4.
 
-One period of the closed geodesic consists of ``2q`` congruent arcs between
-``phi = a`` and ``phi = pi/2 - a``, each the time reflection of the one
-before it.  Only the first arc is integrated; the period is assembled from
-it by symmetry, and the samples are interpolated by a piecewise-quintic
-Hermite polynomial whose Bernstein coefficients are written in closed form.
+The geodesic is not integrated.  In the turning phase ``u``, defined by
+``phi = pi/4 - h cos u`` with ``h = pi/4 - a``, phi is exact and both
+``dt/du`` and ``dtheta/du`` are analytic and ``2 pi``-periodic (see
+:func:`_phase_rates`).  One ``u``-cycle covers two arcs, from ``phi = a``
+to ``pi/2 - a`` and back, and a period is ``q`` cycles.  Term-by-term
+integration of the Fourier series of the two rates gives ``t(u)`` and
+``theta(u)``; ``u(t)`` and ``theta(t)`` are then piecewise-quintic Hermite
+interpolants on the knots ``t(u_m)`` of a uniform ``u`` grid (see
+:class:`_PhaseCycle`).
 """
 
 from __future__ import annotations
@@ -28,15 +32,12 @@ from math import gcd, pi
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import BPoly
 
 from .numerics import (
     NoBracket,
-    OdeSpec,
     QuadratureSpec,
     RootSpec,
     find_root_monotone,
-    integrate_ode,
     integrate_singular,
 )
 
@@ -70,10 +71,20 @@ CLIFFORD_TURNING_VALUE = pi / 4
 # condition becomes numerically degenerate as the two turning circles merge.
 _NEAR_CLIFFORD_GAP = 1e-6
 
-# Most geodesic samples a profile may hold: at 2**22 the samples and the two
-# quintic interpolants take about 0.6 GB.  Thin tori need more (20/39:
-# 7.5 million, 50/99: 181 million) and are rejected before any allocation.
+# Most geodesic samples a profile may hold: at 2**22 the five sample arrays
+# take about 170 MB (the interpolant has a fixed size).  Thin tori need more
+# (20/39: 7.5 million, 50/99: 181 million) and are rejected before any
+# allocation; this cap decides which labels exit with code 2.
 _MAX_SAMPLES = 2 ** 22
+
+# Nodes per u-cycle of the Fourier series of dt/du and dtheta/du.  Their
+# coefficients decay geometrically, more slowly for thinner tori; on the
+# thinnest label under the sample cap (16/31) theta is within 1e-10 of a
+# series of four times as many nodes, and the period equal to rounding.
+_SERIES_NODES = 256
+
+# Knots per u-cycle of the quintic interpolants of u(t) and theta(t).
+_KNOTS = 2048
 
 
 class OrbitMetric:
@@ -153,19 +164,13 @@ class GeodesicProfile:
     """One period of the closed geodesic, sampled uniformly in arc length.
 
     Arrays hold ``n_samples + 1`` rows; the last row is the period closure
-    at ``t = t0``.  Continuous queries go through a piecewise-quintic
-    Hermite interpolant built from the sampled values together with the
-    first and second derivatives supplied by the geodesic equations, which
-    keeps interpolation error far below the integrator tolerance even
-    inside the thin turning layers of small-``a`` tori.  Its Bernstein
-    coefficients are computed in closed form (:func:`_quintic_hermite`).
-
-    The period is assembled from one traced arc of length
-    ``L = t0 / arcs_per_period`` (see :func:`trace_geodesic`), so the
-    closure errors are measured at the arc end, where the copies join:
+    at ``t = t0``.  The samples, their derivatives and the continuous
+    queries ``phi_at`` and ``theta_at`` all come from the phase interpolant
+    ``cycle`` (:class:`_PhaseCycle`); the speed and momentum errors measure
+    it against the first integrals of the geodesic.
     ``closure_phi_error`` is ``max(|phi(L) - (pi/2 - a)|, |dphi/dt(L)|)``
-    and ``closure_theta_error`` is ``|theta(t0) - 2 pi p|`` with
-    ``theta(t0) = arcs_per_period * theta(L)``.
+    at the end ``L = t0 / arcs_per_period`` of the first arc, and
+    ``closure_theta_error`` is ``|theta(t0) - 2 pi p|``.
     """
 
     rotation: Optional[RotationNumber]
@@ -182,13 +187,7 @@ class GeodesicProfile:
     momentum_error: float
     closure_phi_error: float
     closure_theta_error: float
-    _phi_ip: BPoly = field(init=False, repr=False)
-    _theta_ip: BPoly = field(init=False, repr=False)
-
-    def __post_init__(self):
-        phi_dd, theta_dd = _geodesic_accelerations(self.phi, self.phi_dot, self.theta_dot)
-        self._phi_ip = _quintic_hermite(self.t, self.phi, self.phi_dot, phi_dd)
-        self._theta_ip = _quintic_hermite(self.t, self.theta, self.theta_dot, theta_dd)
+    cycle: _PhaseCycle = field(repr=False)
 
     @property
     def n_samples(self) -> int:
@@ -200,15 +199,16 @@ class GeodesicProfile:
         return self.rotation.p if self.rotation is not None else 1
 
     def phi_at(self, t):
-        """phi along the geodesic, periodically extended."""
-        return self._phi_ip(np.mod(t, self.t0))
+        """phi along the geodesic, periodically extended; a float for scalar t."""
+        return _scalar_or_array(self.cycle.phi(t))
 
     def theta_at(self, t):
-        """theta along the geodesic; increases by 2 pi p every period."""
-        t = np.asarray(t, dtype=float)
-        wraps = np.floor_divide(t, self.t0)
-        val = self._theta_ip(t - wraps * self.t0) + 2.0 * pi * self.theta_winding * wraps
-        return val if val.ndim else float(val)
+        """theta along the geodesic, increasing by 2 pi p every period; a float for scalar t."""
+        return _scalar_or_array(self.cycle.theta(t))
+
+
+def _scalar_or_array(values: np.ndarray):
+    return values if values.ndim else float(values)
 
 
 @dataclass
@@ -338,36 +338,123 @@ def solve_turning_value(rotation: RotationNumber,
 # tracing the geodesic
 # --------------------------------------------------------------------------
 
-def _geodesic_accelerations(phi, phi_dot, theta_dot):
-    """Second derivatives of (phi, theta) from the geodesic equations."""
-    s = np.sin(phi)
-    phi_dd = (-(np.cos(phi) / s) * phi_dot ** 2
-              + (np.sin(4.0 * phi) / (4.0 * s * s)) * theta_dot ** 2)
-    theta_dd = -4.0 * (np.cos(2.0 * phi) / np.sin(2.0 * phi)) * phi_dot * theta_dot
-    return phi_dd, theta_dd
+def _phase_rates(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dt/du and dtheta/du of the geodesic turning at phi = a, at phase u.
 
+    With ``phi = pi/4 - h cos u``, ``h = pi/4 - a`` and ``S(x) = sin x / x``::
 
-def _quintic_hermite(t, f, df, ddf) -> BPoly:
-    """Piecewise quintic matching f, f' and f'' at every knot of ``t``.
+        dt/du     = 2 pi sin(phi)^2 cos(phi) / R
+        dtheta/du = sin(2a) / (2 cos(phi) R)
+        R         = sqrt(S(4h sin(u/2)^2) S(4h cos(u/2)^2))
 
-    On a knot interval of width h the Bernstein coefficients follow from the
-    end derivatives of the Bernstein basis: c0 = f0, c1 = f0 + h f0'/5,
-    c2 = f0 + 2h f0'/5 + h^2 f0''/20, and the mirror images at the right end.
+    These are the integrands of :func:`arc_length_quarter` and :func:`omega`
+    after the substitution phi -> u, which cancels their endpoint
+    singularities: both rates are analytic and ``2 pi``-periodic (``R > 0``
+    because ``4h < pi``).  ``h = 0`` gives the Clifford circle.
     """
-    h = np.diff(t)
-    h2 = h * h / 20.0
-    d0 = h * df[:-1] / 5.0
-    d1 = h * df[1:] / 5.0
-    f0, f1 = f[:-1], f[1:]
-    c = np.stack([f0, f0 + d0, f0 + 2.0 * d0 + h2 * ddf[:-1],
-                  f1 - 2.0 * d1 + h2 * ddf[1:], f1 - d1, f1])
-    return BPoly(c, t)
+    h = CLIFFORD_TURNING_VALUE - a
+    phi = CLIFFORD_TURNING_VALUE - h * np.cos(u)
+    # np.sinc(x) = sin(pi x) / (pi x)
+    R = np.sqrt(np.sinc((4.0 * h / pi) * np.sin(0.5 * u) ** 2)
+                * np.sinc((4.0 * h / pi) * np.cos(0.5 * u) ** 2))
+    cos_phi = np.cos(phi)
+    return (2.0 * pi * np.sin(phi) ** 2 * cos_phi / R,
+            math.sin(2.0 * a) / (2.0 * cos_phi * R))
 
 
-def _geodesic_rhs(t, y):
-    phi, phi_dot, _theta, theta_dot = y
-    phi_dd, theta_dd = _geodesic_accelerations(phi, phi_dot, theta_dot)
-    return (phi_dot, phi_dd, theta_dot, theta_dd)
+def _phase_knot_table(a: float):
+    """Knots ``tau_m = t(u_m)`` of one u-cycle, and u(t), theta(t) with two t-derivatives there.
+
+    The Fourier series of the rates of :func:`_phase_rates`, integrated term
+    by term and summed by a zero-padded inverse FFT, give ``t(u)``,
+    ``theta(u)``, ``J = dt/du``, ``dtheta/du`` and their u-derivatives at
+    ``_KNOTS + 1`` uniform ``u_m``; then ``du/dt = 1/J``,
+    ``d2u/dt2 = -J'/J^3``, and likewise for theta by the chain rule.
+    """
+    K, M = _SERIES_NODES, _KNOTS
+    # f(u) = sum_k c_k e^{iku}; the Nyquist term is dropped
+    rates = np.array(_phase_rates(a, (2.0 * pi / K) * np.arange(K)))
+    c = np.fft.rfft(rates)[:, :K // 2] / K
+    ik = 1j * np.arange(K // 2)
+    integral = np.zeros_like(c)
+    integral[:, 1:] = c[:, 1:] / ik[1:]
+    table = np.fft.irfft(np.concatenate([integral, c, ik * c]) * M, n=M)
+    table = table[:, np.r_[0:M, 0]]  # close the cycle at u = 2 pi
+    u = (2.0 * pi / M) * np.arange(M + 1)
+    t_of_u, theta_of_u = c[:, :1].real * u + table[:2] - table[:2, :1]
+    J, theta_u, J_u, theta_uu = table[2:]
+    inv_J = 1.0 / J
+    return (t_of_u, np.stack([u, theta_of_u]), np.stack([inv_J, theta_u * inv_J]),
+            np.stack([-J_u, theta_uu * J - theta_u * J_u]) * inv_J ** 3)
+
+
+def _quintic_power(knots, f, df, ddf) -> np.ndarray:
+    """Coefficients ``a_k[m]`` of the piecewise quintic matching f, f', f'' at the knots.
+
+    On interval m it is ``sum_k a_k[m] s^k``, s the offset from ``knots[m]``:
+    ``a_0..a_2`` are the left-end Taylor terms, and ``a_3..a_5`` solve the
+    3x3 system for the Taylor misfits ``d_j`` at the right end, in closed form.
+    """
+    w = np.diff(knots)
+    a0, a1, a2 = f[..., :-1], df[..., :-1], 0.5 * ddf[..., :-1]
+    d0 = f[..., 1:] - (a0 + w * (a1 + w * a2))
+    d1 = (df[..., 1:] - (a1 + 2.0 * w * a2)) * w
+    d2 = (ddf[..., 1:] - 2.0 * a2) * w * w
+    return np.stack([a0, a1, a2,
+                     (10.0 * d0 - 4.0 * d1 + 0.5 * d2) / w ** 3,
+                     (-15.0 * d0 + 7.0 * d1 - d2) / w ** 4,
+                     (6.0 * d0 - 3.0 * d1 + 0.5 * d2) / w ** 5], axis=-2)
+
+
+class _PhaseCycle:
+    """u(t) and theta(t) of the geodesic: one u-cycle, extended to all t.
+
+    Quintic Hermite interpolants on the knots of :func:`_phase_knot_table`
+    in power form, evaluated by Horner's rule.  A cycle (two arcs) lasts
+    ``period = 2 pi J_0`` in t and advances theta by ``advance``: ``2 L``
+    and ``2 omega(a)`` as trapezoid sums.
+    """
+
+    def __init__(self, a: float):
+        self.h = CLIFFORD_TURNING_VALUE - a
+        self.knots, f, df, ddf = _phase_knot_table(a)
+        self.period = float(self.knots[-1])
+        self.advance = float(f[1, -1])
+        self._coef = _quintic_power(self.knots, f, df, ddf)
+
+    def _evaluate(self, row: int, s, slope: bool = False):
+        """u (row 0) or theta (row 1) at offsets s in ``[0, period)`` into a cycle.
+
+        With ``slope`` the t-derivative is returned as well.
+        """
+        i = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, _KNOTS - 1)
+        s = s - self.knots[i]
+        coef = self._coef[row]
+        value, derivative = coef[5][i], 0.0
+        for k in range(4, -1, -1):
+            if slope:
+                derivative = derivative * s + value
+            value = value * s + coef[k][i]
+        return value, derivative
+
+    def phi(self, t):
+        """phi at arc length t."""
+        u, _ = self._evaluate(0, np.mod(t, self.period))
+        return CLIFFORD_TURNING_VALUE - self.h * np.cos(u)
+
+    def theta(self, t):
+        """theta at arc length t."""
+        wraps, s = np.divmod(t, self.period)
+        theta, _ = self._evaluate(1, s)
+        return theta + wraps * self.advance
+
+    def state(self, t):
+        """phi, theta, dphi/dt and dtheta/dt at arc length t."""
+        wraps, s = np.divmod(t, self.period)
+        u, u_dot = self._evaluate(0, s, slope=True)
+        theta, theta_dot = self._evaluate(1, s, slope=True)
+        return (CLIFFORD_TURNING_VALUE - self.h * np.cos(u), theta + wraps * self.advance,
+                self.h * np.sin(u) * u_dot, theta_dot)
 
 
 def default_sample_count(a: float, q: int, t0: float) -> int:
@@ -384,47 +471,40 @@ def default_sample_count(a: float, q: int, t0: float) -> int:
 
 
 def trace_geodesic(a: float, rotation: Optional[RotationNumber],
-                   n_samples: int | None = None,
-                   ode_spec: OdeSpec | None = None,
-                   quad_spec: QuadratureSpec | None = None) -> GeodesicProfile:
-    """Trace the closed geodesic turning at phi = a over one full period.
+                   n_samples: int | None = None) -> GeodesicProfile:
+    """The closed geodesic turning at phi = a, over one full period.
 
-    The second-order geodesic system is integrated (it is regular at the
-    turning points, unlike the first-order quadrature form) over a single
-    arc from the minimum phi = a.  The arc end ``L`` is located as the time
-    at which theta completes its ``(p/q) pi`` advance, and the period is
-    ``t0 = 2 q L``.  The other ``2q - 1`` arcs are copies of the first: on
-    arc ``k`` (``k = 0 .. 2q - 1``) even arcs run forward from
-    ``u = t - k L`` and odd arcs backward from ``u = (k + 1) L - t``, with
-    dphi/dt negated and theta shifted by whole arc advances.  The uniform
-    arc-length samples are filled from the one arc this way.
-
-    The conserved speed and Clairaut momentum are validated on the samples;
-    closure is measured at the joins, where phi must reach its maximum
-    ``pi/2 - a`` with dphi/dt = 0, and in theta (see
-    :class:`GeodesicProfile`).
+    Nothing is integrated step by step: the phase interpolant
+    (:class:`_PhaseCycle`) gives u(t) and theta(t) in closed form up to
+    its series and knots.  A period is ``q`` of its cycles, so
+    ``t0 = q * 2 pi J_0``, and the uniform arc-length samples and their
+    derivatives are evaluated from it.  The conserved speed and Clairaut
+    momentum are validated on the samples; closure is measured at the end
+    of the first arc, where phi must reach its maximum ``pi/2 - a`` with
+    dphi/dt = 0, and in theta (see :class:`GeodesicProfile`).
 
     ``a = pi/4`` is accepted with ``rotation=None`` and yields the constant
     solution, a Clifford circle of length 2 pi^2 that closes after a single
-    theta revolution; it takes the same path as a two-arc period.
+    theta revolution.  It runs through the same formulas with ``h = 0``;
+    only its period ``t0 = 2 pi^2`` is set explicitly, as no whole number
+    of u-cycles closes it.
 
     Raises
     ------
     DomainError
         If the sample count, given or by :func:`default_sample_count`, is
         below ``16 q`` or above ``2**22``; the thin tori that need more
-        are refused before anything is allocated.
+        are refused before the samples are allocated.
     ClosureFailure
-        If the traced geodesic misses closure by more than 1e-6 in phi or
-        theta, which signals a turning value inconsistent with the rotation
-        number or too-loose tolerances.
+        If the geodesic misses closure by more than 1e-6 in phi or theta,
+        which signals a turning value inconsistent with the rotation
+        number.
     """
     clifford = abs(a - CLIFFORD_TURNING_VALUE) <= 1e-12
     if clifford:
         if rotation is not None:
             raise DomainError("the constant solution a = pi/4 carries no rotation label")
         p_eff, q_eff = 1, 1
-        t0_estimate = 2.0 * pi ** 2
     else:
         if rotation is None:
             raise DomainError("a rotation number is required for a < pi/4")
@@ -432,10 +512,11 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
             raise DomainError(
                 f"turning value {a!r} outside (0, pi/4 - {_NEAR_CLIFFORD_GAP})")
         p_eff, q_eff = rotation.p, rotation.q
-        t0_estimate = period(a, q_eff, quad_spec)
 
+    cycle = _PhaseCycle(a)
+    t0 = 2.0 * pi ** 2 if clifford else q_eff * cycle.period
     if n_samples is None:
-        n_samples = default_sample_count(a, q_eff, t0_estimate)
+        n_samples = default_sample_count(a, q_eff, t0)
     if n_samples < 16 * q_eff:
         raise DomainError(f"n_samples must be at least 16 q = {16 * q_eff}")
     if n_samples > _MAX_SAMPLES:
@@ -443,36 +524,17 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
                           f"the limit of {_MAX_SAMPLES}")
 
     c = clairaut_momentum(a)
-    y0 = (a, 0.0, 0.0, c / OrbitMetric.G(a))
     arcs = 2 * q_eff
-    L_estimate = t0_estimate / arcs
-    arc = integrate_ode(_geodesic_rhs, y0, (0.0, 1.02 * L_estimate),
-                        ode_spec or OdeSpec())
-    theta_target = 2.0 * pi * p_eff
-    try:
-        L = find_root_monotone(lambda t: float(arc(t)[2]) - theta_target / arcs,
-                               0.98 * L_estimate, 1.02 * L_estimate,
-                               RootSpec(abs_tol_x=1e-12))
-    except NoBracket as exc:
-        raise ClosureFailure(
-            "theta did not complete its arc advance within 2% of the "
-            f"quadrature arc length ({exc})") from exc
-    t0 = arcs * L
-    phi_L, phi_dot_L, theta_L, _ = arc(L)
-
     ts = np.linspace(0.0, t0, n_samples + 1)
-    k = np.minimum(np.floor(ts / L), arcs - 1)
-    odd = k % 2 == 1
-    phi, phi_dot, theta_u, theta_dot = arc(np.where(odd, (k + 1) * L - ts, ts - k * L))
-    phi_dot = np.where(odd, -phi_dot, phi_dot)
-    theta = np.where(odd, (k + 1) * theta_L - theta_u, k * theta_L + theta_u)
+    phi, theta, phi_dot, theta_dot = cycle.state(ts)
 
     E = OrbitMetric.E(phi)
     G = OrbitMetric.G(phi)
     speed_error = float(np.max(np.abs(E * phi_dot ** 2 + G * theta_dot ** 2 - 1.0)))
     momentum_error = float(np.max(np.abs(G * theta_dot - c)))
+    phi_L, _, phi_dot_L, _ = cycle.state(t0 / arcs)
     closure_phi = max(abs(float(phi_L) - (pi / 2.0 - a)), abs(float(phi_dot_L)))
-    closure_theta = abs(float(theta[-1]) - theta_target)
+    closure_theta = abs(float(theta[-1]) - 2.0 * pi * p_eff)
     if closure_phi > 1e-6 or closure_theta > 1e-6:
         raise ClosureFailure(
             f"geodesic failed to close: |phi(L) - (pi/2 - a)| or |phi'(L)| = "
@@ -483,23 +545,24 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
         t=ts, phi=phi, theta=theta, phi_dot=phi_dot, theta_dot=theta_dot,
         arcs_per_period=arcs,
         speed_error=speed_error, momentum_error=momentum_error,
-        closure_phi_error=closure_phi, closure_theta_error=closure_theta)
+        closure_phi_error=closure_phi, closure_theta_error=closure_theta,
+        cycle=cycle)
 
 
 def build_torus(rotation: RotationNumber,
                 n_samples: int | None = None,
                 quad_spec: QuadratureSpec | None = None,
-                root_spec: RootSpec | None = None,
-                ode_spec: OdeSpec | None = None) -> OtsukiTorus:
+                root_spec: RootSpec | None = None) -> OtsukiTorus:
     """Construct the Otsuki torus labeled by ``rotation``.
 
-    Solves the closure condition for the turning value, traces the closed
-    geodesic, and cross-checks the ODE-measured period against the
-    quadrature arc length to 1e-6 relative before deriving the area and the
-    functional value ``2 t0`` attached to eigenvalue index ``2p - 1``.
+    Solves the closure condition for the turning value, builds the closed
+    geodesic, and cross-checks its period (a trapezoid sum in the phase u)
+    against the quadrature arc length (tanh-sinh in phi) to 1e-6 relative
+    before deriving the area and the functional value ``2 t0`` attached to
+    eigenvalue index ``2p - 1``.
     """
     a = solve_turning_value(rotation, root_spec, quad_spec)
-    profile = trace_geodesic(a, rotation, n_samples, ode_spec, quad_spec)
+    profile = trace_geodesic(a, rotation, n_samples)
     t0_quadrature = period(a, rotation.q, quad_spec)
     drift = abs(profile.t0 - t0_quadrature) / t0_quadrature
     if drift > 1e-6:
@@ -511,15 +574,14 @@ def build_torus(rotation: RotationNumber,
                        eigenvalue_index=2 * rotation.p - 1)
 
 
-def clifford_torus(n_samples: int = 4096,
-                   ode_spec: OdeSpec | None = None) -> OtsukiTorus:
+def clifford_torus(n_samples: int = 4096) -> OtsukiTorus:
     """The constant-phi = pi/4 solution, as a closed-form test fixture.
 
     Every derived quantity is known exactly: t0 = 2 pi^2, area 2 pi^2,
     functional value 4 pi^2, and constant spectral coefficients.  The
     spectral anchor sits at eigenvalue index 1.
     """
-    profile = trace_geodesic(CLIFFORD_TURNING_VALUE, None, n_samples, ode_spec)
+    profile = trace_geodesic(CLIFFORD_TURNING_VALUE, None, n_samples)
     return OtsukiTorus(profile=profile, area=profile.t0,
                        lambda_value=2.0 * profile.t0, eigenvalue_index=1)
 

@@ -1,6 +1,6 @@
 """Deterministic numerical kernels.
 
-Three reusable building blocks, each a pure function of its inputs:
+Two reusable building blocks, each a pure function of its inputs:
 
 * :func:`integrate_singular` -- double-exponential (tanh-sinh) quadrature
   that converges geometrically for integrands with algebraic endpoint
@@ -8,8 +8,6 @@ Three reusable building blocks, each a pure function of its inputs:
   take ``f(x, dist_lo, dist_hi)``.
 * :func:`find_root_monotone` -- safeguarded bracketing root finder
   (bisection refined by inverse quadratic / secant interpolation).
-* :func:`integrate_ode` -- adaptive embedded Runge-Kutta 5(4) integration
-  with dense output, backed by :func:`scipy.integrate.solve_ivp`.
 
 Everything runs in IEEE double precision; tolerances are carried by small
 frozen dataclasses so call sites stay declarative.
@@ -19,10 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 
 class InvalidInterval(ValueError):
@@ -39,10 +36,6 @@ class NoBracket(ValueError):
 
 class MaxItersExceeded(RuntimeError):
     """Root finder exhausted its iteration budget."""
-
-
-class StepUnderflow(RuntimeError):
-    """Adaptive ODE step collapsed below machine feasibility."""
 
 
 @dataclass(frozen=True)
@@ -71,19 +64,6 @@ class RootSpec:
             raise ValueError("abs_tol_x must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-
-
-@dataclass(frozen=True)
-class OdeSpec:
-    """Tolerances for :func:`integrate_ode`."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_step: float = math.inf
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0 and self.max_step > 0):
-            raise ValueError("all OdeSpec tolerances must be positive")
 
 
 # --------------------------------------------------------------------------
@@ -257,48 +237,3 @@ def find_root_monotone(f: Callable[[float], float], lo: float, hi: float,
             c, fc = a, fa
             e = d = b - a
     raise MaxItersExceeded(f"no convergence within {spec.max_iters} iterations")
-
-
-# --------------------------------------------------------------------------
-# adaptive ODE integration with dense output
-# --------------------------------------------------------------------------
-
-class Trajectory:
-    """Dense ODE solution, queryable at any time inside the integrated span."""
-
-    def __init__(self, solution):
-        self._dense = solution.sol
-        self.t_start = float(solution.t[0])
-        self.t_end = float(solution.t[-1])
-        self.n_steps = int(solution.t.size - 1)
-        self.y_end = np.array(solution.y[:, -1])
-
-    def __call__(self, t):
-        """State at time(s) ``t``; scalar in -> 1-d state, array in -> (dim, n)."""
-        return self._dense(t)
-
-
-def integrate_ode(rhs: Callable, y0: Sequence[float], t_span: tuple[float, float],
-                  spec: OdeSpec = OdeSpec()) -> Trajectory:
-    """Integrate ``y' = rhs(t, y)`` over ``t_span`` adaptively.
-
-    Embedded Runge-Kutta 5(4) with local error control at
-    ``(spec.rel_tol, spec.abs_tol)`` and quartic dense output between the
-    accepted steps.
-
-    Raises
-    ------
-    InvalidInterval
-        If the span is empty or reversed.
-    StepUnderflow
-        If the adaptive step collapses below machine feasibility.
-    """
-    t_start, t_end = float(t_span[0]), float(t_span[1])
-    if not t_start < t_end:
-        raise InvalidInterval(f"need t_start < t_end, got {t_span!r}")
-    solution = solve_ivp(rhs, (t_start, t_end), np.asarray(y0, dtype=float),
-                         method="RK45", rtol=spec.rel_tol, atol=spec.abs_tol,
-                         max_step=spec.max_step, dense_output=True)
-    if not solution.success:
-        raise StepUnderflow(solution.message)
-    return Trajectory(solution)

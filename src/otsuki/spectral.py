@@ -218,19 +218,20 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
 
 
 def _shift_invert_values(A: sp.spmatrix, shifted: _ShiftedCyclic, k: int,
-                         which: str) -> np.ndarray:
+                         which: str, ncv: int | None) -> np.ndarray:
     """k eigenvalues of A by shift-invert Lanczos about ``shifted.sigma``, ascending.
 
     ``which`` selects among the transformed values 1 / (lambda - sigma):
     "LM" the k eigenvalues nearest sigma, "SA" the k nearest below it when
-    at least k lie below.  The wanted values dominate the transformed
-    spectrum, so a Krylov space of ``2k + 1`` vectors suffices.
+    at least k lie below.  Where the wanted values dominate the transformed
+    spectrum, a Krylov space of ``ncv = 2k + 1`` vectors suffices;
+    ``ncv=None`` takes ARPACK's default ``max(2k + 1, 20)``.
     """
     n = A.shape[0]
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     try:
         vals = eigsh(A, k=k, sigma=shifted.sigma, which=which, v0=v0,
-                     ncv=min(n, 2 * k + 1), return_eigenvectors=False,
+                     ncv=None if ncv is None else min(n, ncv), return_eigenvectors=False,
                      OPinv=shifted.inverse())
     except (ArpackNoConvergence, ArpackError) as exc:
         raise SolverFailure(f"eigensolver failed near sigma={shifted.sigma!r}, "
@@ -240,7 +241,7 @@ def _shift_invert_values(A: sp.spmatrix, shifted: _ShiftedCyclic, k: int,
 
 def _eigenvalues_near(A: sp.csc_matrix, k: int, sigma: float) -> np.ndarray:
     """The k eigenvalues of A nearest sigma, ascending (shift-invert Lanczos)."""
-    return _shift_invert_values(A, _ShiftedCyclic(A, sigma), k, "LM")
+    return _shift_invert_values(A, _ShiftedCyclic(A, sigma), k, "LM", 2 * k + 1)
 
 
 def _ground_eigenvalue(A: sp.csc_matrix, sigma: float) -> float:
@@ -250,15 +251,22 @@ def _ground_eigenvalue(A: sp.csc_matrix, sigma: float) -> float:
     sigma (Sylvester).  Shift-invert maps exactly those to the m negative
     values 1 / (lambda - sigma), so Lanczos asks for the m smallest
     transformed values ("SA") and the ground is the least of them; with
-    m = 0 the eigenvalue nearest sigma is the ground.  Near sigma this
-    needs a few solves even when many eigenvalues cluster there, where the
-    eigenvalue nearest sigma need not be the ground (7/13 at 2048: m = 6).
+    m = 0 the eigenvalue nearest sigma is the ground.  This is exact for
+    any sigma, but fast and accurate only for sigma near the ground: then
+    the m values dominate the transformed spectrum and ``2m + 1`` Lanczos
+    vectors suffice, even in a cluster where the eigenvalue nearest sigma
+    is not the ground (7/13 at 2048: m = 6).  With m = 0 the ground need
+    not dominate (on 2/3, l = 2, it lies 0.009 below a pair), so ARPACK's
+    default Krylov dimension is kept.
     Raises :class:`SolverFailure` unless the returned eigenvalues lie on the
     side of sigma the count says: exactly m below it.
     """
     shifted = _ShiftedCyclic(A, sigma)
     m = shifted.count_negative()
-    vals = _shift_invert_values(A, shifted, max(m, 1), "SA" if m else "LM")
+    if m:
+        vals = _shift_invert_values(A, shifted, m, "SA", 2 * m + 1)
+    else:
+        vals = _shift_invert_values(A, shifted, 1, "LM", None)
     if np.count_nonzero(vals < sigma) != m:
         raise SolverFailure(f"Lanczos eigenvalues {vals} near sigma={sigma!r} "
                             f"disagree with the inertia count {m} below it")
@@ -519,12 +527,15 @@ def lambda0_monotone_check(torus: OtsukiTorus, l_values: Sequence[int],
 
     lambda_0 always has multiplicity one, so it increases strictly in l;
     a violation here indicates a broken discretization, not mathematics.
+    Each ground comes from :func:`_ground_eigenvalue` shifted near where it
+    lies analytically: -1 for l = 0 (ground 0, the constants, where A is
+    singular) and 2 for l >= 1 (the l = 1 ground, sin phi; l >= 2 above).
     """
     l_values = list(l_values)
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
         raise ValueError("l_values must be strictly increasing")
-    ground = [float(eigen_low(assemble(torus, l, n_grid), 1).eigenvalues[0])
-              for l in l_values]
+    ground = [_ground_eigenvalue(operator_matrix(problem), 2.0 if problem.l else -1.0)
+              for problem in _assemble_modes(torus, l_values, n_grid)]
     for (la, va), (lb, vb) in zip(zip(l_values, ground), zip(l_values[1:], ground[1:])):
         if not vb > va:
             raise RuntimeError(

@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import otsuki
 from otsuki.cli import main
 
 
@@ -263,10 +269,37 @@ class TestVerifyFailurePaths:
 class TestToleranceOverrides:
     def test_loose_tolerances_still_solve(self, capsys):
         code, out, _ = run(capsys, "solve", "2", "3", "--format", "json",
-                           "--tol-quad", "1e-9", "--tol-root", "1e-9",
-                           "--tol-ode-rel", "1e-9", "--tol-ode-abs", "1e-11")
+                           "--tol-quad", "1e-9", "--tol-root", "1e-9")
         assert code == 0
         assert abs(json.loads(out)["lambda"] - 79.91) <= 0.1
+
+    def test_ode_tolerance_flag_rejected(self, capsys):
+        # the geodesic is no longer integrated, so there is no ODE tolerance
+        with pytest.raises(SystemExit) as exit_info:
+            main(["solve", "2", "3", "--tol-ode-rel", "1e-9"])
+        assert exit_info.value.code == 2
+        assert "--tol-ode-rel" in capsys.readouterr().err
+
+    def test_ode_tolerance_config_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol_ode_abs = 1e-11\n")
+        code, _, err = run(capsys, "solve", "2", "3", "--config", str(cfg))
+        assert code == 2
+        assert "unknown key 'tol_ode_abs'" in err
+
+
+class TestColdStart:
+    def test_import_leaves_out_heavy_scipy_modules(self):
+        src = str(Path(otsuki.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = ("import sys, otsuki.cli; print(' '.join(sorted(m for m in sys.modules "
+                 "if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'interpolate'], "
+                 "['scipy', 'optimize'], ['scipy', 'special']))))")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""
 
 
 class TestDeterminism:

@@ -4,6 +4,7 @@ from math import pi
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.interpolate import BPoly
 
 from otsuki import geometry
@@ -23,9 +24,28 @@ from otsuki.geometry import (
     solve_turning_value,
     trace_geodesic,
 )
-from otsuki.numerics import OdeSpec, RootSpec, find_root_monotone, integrate_ode
+from otsuki.numerics import RootSpec, find_root_monotone
 
 from conftest import REFERENCE
+
+
+def geodesic_rhs(t, y):
+    """The second-order geodesic equations of the orbit metric, for RK45 references."""
+    phi, phi_dot, theta, theta_dot = y
+    E, G = OrbitMetric.E(phi), OrbitMetric.G(phi)
+    phi_dd = (-OrbitMetric.E_prime(phi) / (2.0 * E) * phi_dot ** 2
+              + OrbitMetric.G_prime(phi) / (2.0 * E) * theta_dot ** 2)
+    theta_dd = -OrbitMetric.G_prime(phi) / G * phi_dot * theta_dot
+    return (phi_dot, phi_dd, theta_dot, theta_dd)
+
+
+def reference_trace(a, t_end, rtol, atol):
+    """Dense RK45 solution from the minimum phi = a over [0, t_end]."""
+    c = clairaut_momentum(a)
+    solution = solve_ivp(geodesic_rhs, (0.0, t_end), [a, 0.0, 0.0, c / OrbitMetric.G(a)],
+                         method="RK45", rtol=rtol, atol=atol, dense_output=True)
+    assert solution.success
+    return solution.sol
 
 
 class TestRotationNumber:
@@ -152,18 +172,7 @@ class TestArcLength:
         # independently integrated geodesic reaches its first turning point
         a = 0.245
         L = arc_length_quarter(a)
-        c = clairaut_momentum(a)
-
-        def rhs(t, y):
-            phi, phi_dot, theta, theta_dot = y
-            E, G = OrbitMetric.E(phi), OrbitMetric.G(phi)
-            phi_dd = (-OrbitMetric.E_prime(phi) / (2.0 * E) * phi_dot ** 2
-                      + OrbitMetric.G_prime(phi) / (2.0 * E) * theta_dot ** 2)
-            theta_dd = -OrbitMetric.G_prime(phi) / G * phi_dot * theta_dot
-            return (phi_dot, phi_dd, theta_dot, theta_dd)
-
-        trajectory = integrate_ode(rhs, [a, 0.0, 0.0, c / OrbitMetric.G(a)],
-                                   (0.0, 1.3 * L))
+        trajectory = reference_trace(a, 1.3 * L, rtol=1e-10, atol=1e-12)
         t_turn = find_root_monotone(lambda t: float(trajectory(t)[1]),
                                     0.5 * L, 1.3 * L)
         assert abs(t_turn - L) <= 1e-6
@@ -267,6 +276,14 @@ class TestTraceGeodesic:
                                    profile.theta_at(s) + 2.0 * pi * p / q,
                                    atol=1e-8)
 
+    def test_scalar_queries_return_float(self, torus_23):
+        profile = torus_23.profile
+        for t in (0.0, 1.5, 2.5 * profile.t0):
+            assert type(profile.phi_at(t)) is float
+            assert type(profile.theta_at(t)) is float
+        ts = np.array([0.0, 1.5])
+        assert profile.phi_at(ts).shape == profile.theta_at(ts).shape == (2,)
+
     def test_default_sampling_is_resolution_aware(self, tori):
         for (p, q), torus in tori.items():
             profile = torus.profile
@@ -285,11 +302,7 @@ class TestOneArcConstruction:
         more than the agreement asserted against it.
         """
         t0_estimate = period(a, rotation.q)
-        c = clairaut_momentum(a)
-        trajectory = integrate_ode(geometry._geodesic_rhs,
-                                   (a, 0.0, 0.0, c / OrbitMetric.G(a)),
-                                   (0.0, 1.02 * t0_estimate),
-                                   OdeSpec(rel_tol=1e-12, abs_tol=1e-14))
+        trajectory = reference_trace(a, 1.02 * t0_estimate, rtol=1e-12, atol=1e-14)
         t0 = find_root_monotone(
             lambda t: float(trajectory(t)[2]) - 2.0 * pi * rotation.p,
             0.98 * t0_estimate, 1.02 * t0_estimate, RootSpec(abs_tol_x=1e-12))
@@ -306,24 +319,30 @@ class TestOneArcConstruction:
         np.testing.assert_allclose(profile.phi_at(ts), phi, rtol=0.0, atol=1e-7)
         np.testing.assert_allclose(profile.theta_at(ts), theta, rtol=0.0, atol=1e-7)
 
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9), (10, 19)])
+    def test_profile_matches_tight_reference(self, tori, p, q):
+        # one u-cycle (two arcs): over a whole period the reference's own
+        # error reaches 1.4e-10 in theta on 5/9 at these tolerances
+        profile = (tori.get((p, q)) or build_torus(RotationNumber(p, q))).profile
+        span = profile.t0 / q
+        trajectory = reference_trace(profile.a, span, rtol=1e-13, atol=1e-15)
+        ts = np.linspace(0.0, span, 4001)
+        phi, _, theta, _ = trajectory(ts)
+        np.testing.assert_allclose(profile.phi_at(ts), phi, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(profile.theta_at(ts), theta, rtol=0.0, atol=1e-10)
+
     def test_closed_form_interpolant_matches_from_derivatives(self, torus_23):
-        profile = torus_23.profile
-        phi_dd, theta_dd = geometry._geodesic_accelerations(
-            profile.phi, profile.phi_dot, profile.theta_dot)
-        ts = np.linspace(0.0, profile.t0, 100_000)
-        h = profile.t0 / profile.n_samples
-        for data in ((profile.phi, profile.phi_dot, phi_dd),
-                     (profile.theta, profile.theta_dot, theta_dd)):
-            closed = geometry._quintic_hermite(profile.t, *data)
-            looped = BPoly.from_derivatives(profile.t, np.column_stack(data))
-            np.testing.assert_allclose(closed(ts), looped(ts), rtol=0.0, atol=1e-13)
-            # the k-th derivative differences coefficients of size |f| over h^k,
-            # so it is exact at the knots only up to that rounding
-            scale = np.max(np.abs(data[0]))
-            for order, values in enumerate(data):
-                np.testing.assert_allclose(
-                    closed(profile.t, order), values, rtol=0.0,
-                    atol=100.0 * np.finfo(float).eps * scale / h ** order)
+        cycle = torus_23.profile.cycle
+        knots, f, df, ddf = geometry._phase_knot_table(torus_23.profile.a)
+        ts = np.linspace(0.0, cycle.period, 100_000, endpoint=False)
+        for row in (0, 1):
+            looped = BPoly.from_derivatives(knots, np.column_stack([f[row], df[row], ddf[row]]))
+            value, slope = cycle._evaluate(row, ts, slope=True)
+            np.testing.assert_allclose(value, looped(ts), rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(slope, looped(ts, 1), rtol=1e-11, atol=0.0)
+            value, slope = cycle._evaluate(row, knots[:-1], slope=True)
+            np.testing.assert_allclose(value, f[row, :-1], rtol=0.0, atol=1e-15)
+            np.testing.assert_allclose(slope, df[row, :-1], rtol=1e-15, atol=0.0)
 
 
 class TestBuildTorus:

@@ -9,12 +9,9 @@ from otsuki.numerics import (
     MaxItersExceeded,
     NoBracket,
     NonConvergence,
-    OdeSpec,
     QuadratureSpec,
     RootSpec,
-    StepUnderflow,
     find_root_monotone,
-    integrate_ode,
     integrate_singular,
 )
 
@@ -116,59 +113,3 @@ class TestFindRootMonotone:
         with pytest.raises(MaxItersExceeded):
             find_root_monotone(math.cos, 1.0, 2.0,
                                RootSpec(abs_tol_x=1e-13, max_iters=3))
-
-
-class TestIntegrateOde:
-    def test_exponential(self):
-        trajectory = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0))
-        assert abs(trajectory(1.0)[0] - math.e) <= 1e-9
-
-    def test_dense_output_mid_span(self):
-        trajectory = integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0))
-        for t in (0.1, 0.37, 0.5, 0.93):
-            assert abs(trajectory(t)[0] - math.exp(t)) <= 1e-9
-
-    def test_harmonic_oscillator_returns(self):
-        rhs = lambda t, y: (y[1], -y[0])
-        trajectory = integrate_ode(rhs, [1.0, 0.0], (0.0, 2.0 * math.pi))
-        final = trajectory(2.0 * math.pi)
-        assert abs(final[0] - 1.0) <= 1e-8
-        assert abs(final[1]) <= 1e-8
-
-    def test_energy_drift_below_100x_rel_tol(self):
-        spec = OdeSpec()
-        rhs = lambda t, y: (y[1], -y[0])
-        trajectory = integrate_ode(rhs, [1.0, 0.0], (0.0, 2.0 * math.pi), spec)
-        ts = np.linspace(0.0, 2.0 * math.pi, 257)
-        y = trajectory(ts)
-        energy = y[0] ** 2 + y[1] ** 2
-        assert np.max(np.abs(energy - 1.0)) < 100.0 * spec.rel_tol
-
-    def test_constant_turning_value_stays_put(self):
-        # the constant-phi = pi/4 solution of the orbit-space geodesic system
-        from otsuki.geometry import OrbitMetric, clairaut_momentum
-
-        a = math.pi / 4.0
-        c = clairaut_momentum(a)
-
-        def rhs(t, y):
-            phi, phi_dot, theta, theta_dot = y
-            s = math.sin(phi)
-            phi_dd = (-(math.cos(phi) / s) * phi_dot ** 2
-                      + (math.sin(4.0 * phi) / (4.0 * s * s)) * theta_dot ** 2)
-            theta_dd = (-4.0 * (math.cos(2.0 * phi) / math.sin(2.0 * phi))
-                        * phi_dot * theta_dot)
-            return (phi_dot, phi_dd, theta_dot, theta_dd)
-
-        trajectory = integrate_ode(rhs, [a, 0.0, 0.0, c / OrbitMetric.G(a)],
-                                   (0.0, 2.0 * math.pi ** 2))
-        ts = np.linspace(0.0, 2.0 * math.pi ** 2, 513)
-        assert np.max(np.abs(trajectory(ts)[0] - a)) < 1e-9
-
-    def test_invalid_span(self):
-        with pytest.raises(InvalidInterval):
-            integrate_ode(lambda t, y: y, [1.0], (1.0, 1.0))
-
-    def test_step_underflow_on_blowup(self):
-        with pytest.raises(StepUnderflow):
-            integrate_ode(lambda t, y: y ** 2, [1.0], (0.0, 2.0))

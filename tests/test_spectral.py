@@ -384,7 +384,7 @@ class TestGroundEigenvalue:
     def test_lanczos_disagreeing_with_the_count_raises(self, monkeypatch):
         A = self._diagonal([1.99, 1.9, 2.5, 1.95])
         monkeypatch.setattr(spectral, "_shift_invert_values",
-                            lambda A, shifted, k, which: np.array([1.9, 1.95, 2.5]))
+                            lambda A, shifted, k, which, ncv: np.array([1.9, 1.95, 2.5]))
         with pytest.raises(spectral.SolverFailure, match="inertia count 3"):
             spectral._ground_eigenvalue(A, 2.0)
 
@@ -509,6 +509,13 @@ class TestLambda0Monotone:
     def test_requires_increasing_modes(self, torus_23):
         with pytest.raises(ValueError):
             lambda0_monotone_check(torus_23, [2, 1])
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)])
+    def test_matches_eigen_low(self, tori, p, q):
+        torus = tori[(p, q)]
+        ground = lambda0_monotone_check(torus, [0, 1, 2, 3], n_grid=2048)
+        expected = [eigen_low(assemble(torus, l, 2048), 1).eigenvalues[0] for l in range(4)]
+        np.testing.assert_allclose(ground, expected, rtol=0.0, atol=1e-10)
 
 
 class TestResolvingGrid:
