@@ -14,6 +14,10 @@ is 2p - 1; :func:`count_below` computes it and checks it.
 
 The discretization is second-order symmetric finite differences on a
 uniform periodic grid, giving a cyclic tridiagonal symmetric matrix A.
+A is never formed: each mode is held as two band arrays of length n,
+the diagonal ``main`` and the coupling ``off``, where ``off[j]`` couples
+rows j and j + 1 mod n (:func:`operator_bands`); one array holds both
+triangles, so A is symmetric by construction.
 Every shifted matrix A - sigma I is factored one way, by bordering: the
 last row and column are split off, the tridiagonal rest T gets LAPACK's
 partial-pivoting LU, and the border leaves one scalar Schur complement s.
@@ -21,7 +25,8 @@ Eigenvalues below sigma are counted, not computed: by Haynsworth's inertia
 additivity their number is the Sturm count of T below sigma (LAPACK
 bisection, backward stable) plus one if s < 0 (see :func:`_inertia`).
 The same factorization is the solve of shift-invert Lanczos iteration,
-which is used only where eigenvalues or eigenvectors themselves are needed.
+which is used only where eigenvalues or eigenvectors themselves are needed;
+Lanczos then never multiplies by A itself (see :func:`_shift_invert`).
 Inside :func:`count_below` every Lanczos run is shifted to the threshold
 and asks for exactly as many eigenvalues as it must return; the count at
 the shift tells it how many that is (see :func:`_ground_eigenvalue`).
@@ -35,7 +40,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
@@ -44,14 +48,16 @@ from .geometry import OtsukiTorus, turning_layer_scale
 __all__ = [
     "GridTooCoarse", "SolverFailure", "AmbiguousCount",
     "SLProblem", "SLSpectrum", "VerificationReport",
-    "assemble", "operator_matrix", "eigen_low",
+    "assemble", "operator_bands", "eigen_low",
     "known_eigenfunction_residuals", "count_below", "lambda0_monotone_check",
     "count_sign_changes", "resolving_grid",
 ]
 
 _EIGSH_SEED = 20120524  # fixed Lanczos start vector: identical runs bit for bit
 
-# Largest grid assembled, in rows: about 550 B per row at peak, so about 1.2 GB.
+# Largest grid assembled, in rows: about 300 B per row at peak, so about 0.6 GB
+# (tracemalloc peak of count_below on 2/3 over the rows of its doubled grid:
+# 292 B at n_grid 2^16 and 2^18).
 # It admits the doubled resolving grid of 10/19 (2^20 -> 2^21).
 _MAX_GRID = 2 ** 21
 
@@ -153,25 +159,20 @@ def _check_grid_size(n_grid: int) -> None:
     """Refuse a grid of more than ``_MAX_GRID`` rows before anything is allocated."""
     if n_grid > _MAX_GRID:
         raise ValueError(f"a grid of {n_grid} rows exceeds the limit of "
-                         f"{_MAX_GRID} rows (about 550 bytes per row)")
+                         f"{_MAX_GRID} rows (about 300 bytes per row)")
 
 
-def operator_matrix(problem: SLProblem) -> sp.csc_matrix:
-    """Cyclic tridiagonal symmetric matrix of h -> -(P h')' + Q h.
+def operator_bands(problem: SLProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Bands ``(main, off)`` of the cyclic tridiagonal symmetric matrix of h -> -(P h')' + Q h.
 
-    Second-order central fluxes: the coupling between neighbours j and j+1
-    (cyclically) is -P(t_{j+1/2}) / h^2, entered identically in both
-    triangles, so the matrix equals its transpose exactly.
+    Second-order central fluxes: ``off[j] = -P(t_{j+1/2}) / h^2`` couples
+    neighbours j and j + 1 mod n, so ``off[n-1]`` is the corner coupling
+    rows n - 1 and 0; ``main[j]`` is the diagonal entry of row j.
     """
-    n = problem.n_grid
     h = problem.h
     off = -problem.P_mid / h ** 2
     main = (problem.P_mid + np.roll(problem.P_mid, 1)) / h ** 2 + problem.Q
-    j = np.arange(n)
-    rows = np.concatenate([j, j, (j + 1) % n])
-    cols = np.concatenate([j, (j + 1) % n, j])
-    vals = np.concatenate([main, off, off])
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsc()
+    return main, off
 
 
 def count_sign_changes(values: np.ndarray, rel_floor: float = 1e-10) -> int:
@@ -195,20 +196,13 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
 
     Shift-invert Lanczos about sigma = -1 (the operator is positive
     semidefinite, so the k eigenvalues nearest -1 are the k smallest),
-    with ARPACK's default Krylov dimension ``max(2k + 1, 20)``.  The start
-    vector is fixed, making repeated runs identical.
+    with ARPACK's default Krylov dimension ``max(2k + 1, 20)``.
     """
     n = problem.n_grid
     if k < 1 or k > n // 4:
         raise ValueError(f"k must lie in [1, n_grid / 4 = {n // 4}]")
-    A = operator_matrix(problem)
-    v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
-    try:
-        vals, vecs = eigsh(A, k=k, sigma=-1.0, which="LM", v0=v0, maxiter=10000,
-                           OPinv=_ShiftedCyclic(A, -1.0).inverse())
-    except (ArpackNoConvergence, ArpackError) as exc:
-        raise SolverFailure(f"eigensolver failed for l={problem.l}, "
-                            f"n_grid={n}: {exc}") from exc
+    vals, vecs = _shift_invert(_ShiftedCyclic(*operator_bands(problem), -1.0), k, "LM",
+                               maxiter=10000, vectors=True)
     order = np.argsort(vals)
     vals = vals[order]
     vecs = vecs[:, order]
@@ -217,35 +211,46 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
                       zero_counts=zero_counts, n_grid=n, period=problem.period)
 
 
-def _shift_invert_values(A: sp.spmatrix, shifted: _ShiftedCyclic, k: int,
-                         which: str, ncv: int | None) -> np.ndarray:
-    """k eigenvalues of A by shift-invert Lanczos about ``shifted.sigma``, ascending.
+def _shift_invert(shifted: _ShiftedCyclic, k: int, which: str, ncv: int | None = None,
+                  maxiter: int | None = None, vectors: bool = False
+                  ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """k eigenvalues (eigenpairs with ``vectors``) by shift-invert Lanczos about ``shifted.sigma``.
 
     ``which`` selects among the transformed values 1 / (lambda - sigma):
     "LM" the k eigenvalues nearest sigma, "SA" the k nearest below it when
     at least k lie below.  Where the wanted values dominate the transformed
     spectrum, a Krylov space of ``ncv = 2k + 1`` vectors suffices;
-    ``ncv=None`` takes ARPACK's default ``max(2k + 1, 20)``.
+    ``ncv=None`` takes ARPACK's default ``max(2k + 1, 20)``.  Returned as
+    eigsh returns them, unsorted.
+
+    In shift-invert mode eigsh applies only ``OPinv``, the bordered solve;
+    it never multiplies by A.  So A is passed as a shape-only operator
+    whose product raises.  The start vector is fixed, making repeated runs
+    identical.
     """
-    n = A.shape[0]
+    n = shifted.n
+
+    def no_product(x):
+        raise RuntimeError("shift-invert Lanczos multiplied by the operator itself")
+
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     try:
-        vals = eigsh(A, k=k, sigma=shifted.sigma, which=which, v0=v0,
-                     ncv=None if ncv is None else min(n, ncv), return_eigenvectors=False,
-                     OPinv=shifted.inverse())
+        return eigsh(LinearOperator((n, n), matvec=no_product, dtype=float), k=k,
+                     sigma=shifted.sigma, which=which, v0=v0,
+                     ncv=None if ncv is None else min(n, ncv), maxiter=maxiter,
+                     return_eigenvectors=vectors, OPinv=shifted.inverse())
     except (ArpackNoConvergence, ArpackError) as exc:
         raise SolverFailure(f"eigensolver failed near sigma={shifted.sigma!r}, "
                             f"n_grid={n}: {exc}") from exc
-    return np.sort(vals)
 
 
-def _eigenvalues_near(A: sp.csc_matrix, k: int, sigma: float) -> np.ndarray:
-    """The k eigenvalues of A nearest sigma, ascending (shift-invert Lanczos)."""
-    return _shift_invert_values(A, _ShiftedCyclic(A, sigma), k, "LM", 2 * k + 1)
+def _eigenvalues_near(main: np.ndarray, off: np.ndarray, k: int, sigma: float) -> np.ndarray:
+    """The k eigenvalues nearest sigma, ascending (shift-invert Lanczos)."""
+    return np.sort(_shift_invert(_ShiftedCyclic(main, off, sigma), k, "LM", 2 * k + 1))
 
 
-def _ground_eigenvalue(A: sp.csc_matrix, sigma: float) -> float:
-    """The smallest eigenvalue of A, by shift-invert Lanczos about sigma.
+def _ground_eigenvalue(main: np.ndarray, off: np.ndarray, sigma: float) -> float:
+    """The smallest eigenvalue of the A with bands ``(main, off)``, by Lanczos about sigma.
 
     The inertia of A - sigma I gives the number m of eigenvalues below
     sigma (Sylvester).  Shift-invert maps exactly those to the m negative
@@ -261,75 +266,56 @@ def _ground_eigenvalue(A: sp.csc_matrix, sigma: float) -> float:
     Raises :class:`SolverFailure` unless the returned eigenvalues lie on the
     side of sigma the count says: exactly m below it.
     """
-    shifted = _ShiftedCyclic(A, sigma)
+    shifted = _ShiftedCyclic(main, off, sigma)
     m = shifted.count_negative()
     if m:
-        vals = _shift_invert_values(A, shifted, m, "SA", 2 * m + 1)
+        vals = np.sort(_shift_invert(shifted, m, "SA", 2 * m + 1))
     else:
-        vals = _shift_invert_values(A, shifted, 1, "LM", None)
+        vals = np.sort(_shift_invert(shifted, 1, "LM"))
     if np.count_nonzero(vals < sigma) != m:
         raise SolverFailure(f"Lanczos eigenvalues {vals} near sigma={sigma!r} "
                             f"disagree with the inertia count {m} below it")
     return float(vals[0])
 
 
-def _cyclic_bands(A: sp.spmatrix) -> tuple[np.ndarray, np.ndarray, float]:
-    """Diagonal, superdiagonal and corner ``A[0, n-1]`` of a symmetric cyclic tridiagonal A.
-
-    Raises ValueError unless A is square of order 3 or more, symmetric,
-    and zero outside the cyclic tridiagonal pattern.
-    """
-    n = A.shape[0]
-    if A.shape != (n, n) or n < 3:
-        raise ValueError(f"need a square matrix of order >= 3, got shape {A.shape}")
-    main = A.diagonal()
-    off = A.diagonal(1)
-    corner = float(A[0, n - 1])
-    if not (np.array_equal(A.diagonal(-1), off) and A[n - 1, 0] == corner):
-        raise ValueError("matrix is not symmetric")
-    in_pattern = (np.count_nonzero(main) + 2 * np.count_nonzero(off)
-                  + 2 * (corner != 0.0))
-    if A.count_nonzero() != in_pattern:
-        raise ValueError("matrix has entries outside the cyclic tridiagonal pattern")
-    return main, off, corner
-
-
 class _ShiftedCyclic:
-    """A - sigma I for a symmetric cyclic tridiagonal A, factored by bordering.
+    """A - sigma I for the cyclic tridiagonal A with bands ``(main, off)``, factored by bordering.
 
-    The last row and column are split off::
+    ``main`` is the diagonal and ``off[j]`` couples rows j and j + 1 mod n,
+    so ``off[n-1]`` is the corner; both have length n >= 3.  The last row
+    and column are split off::
 
         A - sigma I = [[T, c], [c^T, d]]
 
-    with T tridiagonal of order n - 1 and c zero but for ``c[0] = A[0, n-1]``
-    (the corner) and ``c[n-2] = A[n-2, n-1]``.  T gets LAPACK's
-    partial-pivoting LU (``dgttrf``); the border is eliminated through
-    ``w = T^{-1} c`` and the scalar Schur complement ``s = d - c.w``.
+    with T tridiagonal of order n - 1 (diagonal ``main[:n-1] - sigma``,
+    couplings ``off[:n-2]``), ``d = main[n-1] - sigma``, and c zero but for
+    ``c[0] = off[n-1]`` (the corner) and ``c[n-2] = off[n-2]``.  T gets
+    LAPACK's partial-pivoting LU (``dgttrf``); the border is eliminated
+    through ``w = T^{-1} c`` and the scalar Schur complement ``s = d - c.w``.
     Raises :class:`SolverFailure` if T has an exactly zero pivot or s is
     exactly zero.
     """
 
-    def __init__(self, A: sp.spmatrix, sigma: float):
-        main, off, corner = _cyclic_bands(A)
+    def __init__(self, main: np.ndarray, off: np.ndarray, sigma: float):
         n = main.size
         self.sigma = sigma
-        self._n = n
-        self._main, self._off, self._corner = main, off, corner
+        self.n = n
+        self._main, self._off = main, off
         # the dgttrf wrapper needs order >= 3: pad T with identity rows
         m = max(n - 1, 3)
         d = np.ones(m)
         d[:n - 1] = main[:-1] - sigma
         e = np.zeros(m - 1)
-        e[:n - 2] = off[:-1]
+        e[:n - 2] = off[:n - 2]
         *self._lu, info = dgttrf(e, d, e)
         if info > 0:
             raise SolverFailure(f"A - sigma I at sigma={sigma!r}, n_grid={n}: "
                                 "singular tridiagonal block")
         c = np.zeros(n - 1)
-        c[0] = corner
-        c[-1] = off[-1]
+        c[0] = off[-1]
+        c[-1] = off[-2]
         self._w = self._solve_block(c)
-        self.schur = (main[-1] - sigma) - (corner * self._w[0] + off[-1] * self._w[-1])
+        self.schur = (main[-1] - sigma) - (off[-1] * self._w[0] + off[-2] * self._w[-1])
         if self.schur == 0.0:
             raise SolverFailure(f"A - sigma I at sigma={sigma!r}, n_grid={n}: "
                                 "singular, zero Schur complement")
@@ -345,8 +331,8 @@ class _ShiftedCyclic:
         b = np.ravel(b)
         y = self._solve_block(b[:-1])
         # c.y from the two nonzeros of c, not a length-n dot
-        last = (b[-1] - self._corner * y[0] - self._off[-1] * y[-1]) / self.schur
-        x = np.empty(self._n)  # y - last w, written in place: temporaries cost more here
+        last = (b[-1] - self._off[-1] * y[0] - self._off[-2] * y[-1]) / self.schur
+        x = np.empty(self.n)  # y - last w, written in place: temporaries cost more here
         np.multiply(self._w, -last, out=x[:-1])
         x[:-1] += y
         x[-1] = last
@@ -354,11 +340,11 @@ class _ShiftedCyclic:
 
     def inverse(self) -> LinearOperator:
         """(A - sigma I)^{-1} as an operator, the OPinv of shift-invert eigsh."""
-        return LinearOperator((self._n, self._n), matvec=self.solve, dtype=float)
+        return LinearOperator((self.n, self.n), matvec=self.solve, dtype=float)
 
     def count_negative(self) -> int:
         """Number of negative eigenvalues of A - sigma I: In(T) + In(s)."""
-        d, e = self._main[:-1], self._off[:-1]
+        d, e = self._main[:-1], self._off[:-2]
         spread = 2.0 * float(np.max(np.abs(e)))
         low, high = float(d.min()) - spread, float(d.max()) + spread
         # eigenvalues of T in (vl, sigma] with vl below T's Gershgorin interval;
@@ -367,13 +353,14 @@ class _ShiftedCyclic:
         m, *_, info = dstebz(d, e, 1, vl, self.sigma, 0, 0, 2.0 * (high - low) + 1.0, "B")
         if info:
             raise SolverFailure(f"Sturm count at sigma={self.sigma!r}, "
-                                f"n_grid={self._n}: dstebz info={info}")
+                                f"n_grid={self.n}: dstebz info={info}")
         return int(m) + int(self.schur < 0.0)
 
 
-def _inertia(A: sp.spmatrix, sigma: float) -> int:
-    """Number of eigenvalues of the symmetric cyclic tridiagonal A strictly below sigma.
+def _inertia(main: np.ndarray, off: np.ndarray, sigma: float) -> int:
+    """Number of eigenvalues strictly below sigma of the A with bands ``(main, off)``.
 
+    A is the symmetric cyclic tridiagonal matrix of :func:`operator_bands`.
     Bordered count (:class:`_ShiftedCyclic`): by Haynsworth's inertia
     additivity, the number of negative eigenvalues of A - sigma I is that of
     its tridiagonal leading block T plus one if the Schur complement s of
@@ -388,7 +375,7 @@ def _inertia(A: sp.spmatrix, sigma: float) -> int:
     suite, and by the grid-doubling check of :func:`count_below`.  A shift
     at which T or s is exactly singular raises :class:`SolverFailure`.
     """
-    return _ShiftedCyclic(A, sigma).count_negative()
+    return _ShiftedCyclic(main, off, sigma).count_negative()
 
 
 def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
@@ -403,17 +390,16 @@ def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
     vanishes at the order of the discretization, so the triple measures the
     spectral accuracy of the grid.
     """
-    problem_l1 = assemble(torus, 1, n_grid)
-    problem_l0 = assemble(torus, 0, n_grid)
-    A1 = operator_matrix(problem_l1)
-    A0 = operator_matrix(problem_l0)
-    phi = torus.profile.phi_at(problem_l0.grid)
-    theta = torus.profile.theta_at(problem_l0.grid)
+    problems = _assemble_modes(torus, (0, 1), n_grid)
+    bands_l0, bands_l1 = (operator_bands(problem) for problem in problems)
+    phi = torus.profile.phi_at(problems[0].grid)
+    theta = torus.profile.theta_at(problems[0].grid)
     residuals = []
-    for A, v in ((A1, np.sin(phi)),
-                 (A0, np.cos(phi) * np.cos(theta)),
-                 (A0, np.cos(phi) * np.sin(theta))):
-        residuals.append(float(np.linalg.norm(A @ v - 2.0 * v) / np.linalg.norm(v)))
+    for (main, off), v in ((bands_l1, np.sin(phi)),
+                           (bands_l0, np.cos(phi) * np.cos(theta)),
+                           (bands_l0, np.cos(phi) * np.sin(theta))):
+        Av = main * v + off * np.roll(v, -1) + np.roll(off * v, 1)
+        residuals.append(float(np.linalg.norm(Av - 2.0 * v) / np.linalg.norm(v)))
     return tuple(residuals)
 
 
@@ -482,29 +468,29 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     for n in grids:
         finest = n == grids[-1]
         problems = _assemble_modes(torus, range(l_max + 1), n)
-        matrices = [operator_matrix(problem) for problem in problems]
-        l0_near = _eigenvalues_near(matrices[0], 2, threshold)
-        l1_ground = _ground_eigenvalue(matrices[1], threshold)
+        bands = [operator_bands(problem) for problem in problems]
+        l0_near = _eigenvalues_near(*bands[0], 2, threshold)
+        l1_ground = _ground_eigenvalue(*bands[1], threshold)
         band = _band_from_anchors(l0_near, l1_ground, threshold)
         total = 0
         shoulder: list[tuple[int, float]] = []
-        for l, A in enumerate(matrices):
+        for l, (main, off) in enumerate(bands):
             # for l >= 2, lambda_0(l) normally clears the band: one inertia settles the mode
-            if l >= 2 and _inertia(A, threshold + band) == 0:
+            if l >= 2 and _inertia(main, off, threshold + band) == 0:
                 continue
-            below = _inertia(A, threshold - band)
+            below = _inertia(main, off, threshold - band)
             total += (1 if l == 0 else 2) * below
-            if l >= 2 and _inertia(A, threshold) > 0:
+            if l >= 2 and _inertia(main, off, threshold) > 0:
                 truncation_confirmed = False
             if not finest:
                 continue
-            n_window = _inertia(A, threshold + band) - below
+            n_window = _inertia(main, off, threshold + band) - below
             if n_window:
-                window = _eigenvalues_near(A, n_window, threshold)
+                window = _eigenvalues_near(main, off, n_window, threshold)
                 near += [(l, below + rank, float(v)) for rank, v in enumerate(window)]
-            n_shoulder = below - _inertia(A, threshold - 2.0 * band)
+            n_shoulder = below - _inertia(main, off, threshold - 2.0 * band)
             if n_shoulder:
-                values = _eigenvalues_near(A, n_shoulder, threshold - 1.5 * band)
+                values = _eigenvalues_near(main, off, n_shoulder, threshold - 1.5 * band)
                 shoulder += [(l, round(float(v), 12)) for v in values]
         counts_by_grid[n] = total
         if shoulder:
@@ -534,7 +520,7 @@ def lambda0_monotone_check(torus: OtsukiTorus, l_values: Sequence[int],
     l_values = list(l_values)
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
         raise ValueError("l_values must be strictly increasing")
-    ground = [_ground_eigenvalue(operator_matrix(problem), 2.0 if problem.l else -1.0)
+    ground = [_ground_eigenvalue(*operator_bands(problem), 2.0 if problem.l else -1.0)
               for problem in _assemble_modes(torus, l_values, n_grid)]
     for (la, va), (lb, vb) in zip(zip(l_values, ground), zip(l_values[1:], ground[1:])):
         if not vb > va:
