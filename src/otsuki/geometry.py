@@ -594,23 +594,18 @@ def embed(torus: OtsukiTorus, alpha: float, t: float) -> AmbientPoint:
     """Ambient coordinates of the surface point (alpha, t).
 
     The orbit coordinate alpha runs over [0, 2 pi), the arc-length
-    coordinate t over [0, t0).
+    coordinate t over [0, t0); the point is one entry of :func:`embedding_grid`.
     """
     if not 0.0 <= alpha < 2.0 * pi:
         raise OutOfRange(f"alpha must lie in [0, 2 pi), got {alpha!r}")
     if not 0.0 <= t < torus.t0:
         raise OutOfRange(f"t must lie in [0, t0 = {torus.t0!r}), got {t!r}")
-    phi = float(torus.profile.phi_at(t))
-    theta = float(torus.profile.theta_at(t))
-    sin_phi, cos_phi = math.sin(phi), math.cos(phi)
-    return AmbientPoint(x=math.cos(alpha) * sin_phi,
-                        y=math.sin(alpha) * sin_phi,
-                        z=cos_phi * math.cos(theta),
-                        t=cos_phi * math.sin(theta))
+    point = embedding_grid(torus, np.array([alpha]), np.array([t]))[0, 0]
+    return AmbientPoint(*point.tolist())
 
 
 def embedding_grid(torus: OtsukiTorus, alphas: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`embed` over an outer grid; returns (len(alphas), len(ts), 4)."""
+    """Ambient coordinates over the outer grid alphas x ts; returns (len(alphas), len(ts), 4)."""
     phi = torus.profile.phi_at(ts)
     theta = torus.profile.theta_at(ts)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)

@@ -486,7 +486,9 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
                 continue
             n_window = _inertia(main, off, threshold + band) - below
             if n_window:
-                window = _eigenvalues_near(main, off, n_window, threshold)
+                # the l = 0 pair at the threshold is the anchor run above
+                window = (l0_near if l == 0 and n_window == 2
+                          else _eigenvalues_near(main, off, n_window, threshold))
                 near += [(l, below + rank, float(v)) for rank, v in enumerate(window)]
             n_shoulder = below - _inertia(main, off, threshold - 2.0 * band)
             if n_shoulder:

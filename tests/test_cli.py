@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import otsuki
+from otsuki import cli
 from otsuki.cli import main
 
 
@@ -225,6 +227,96 @@ class TestConfigPrecedence:
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "solve", "2", "3", "--config", "/nonexistent.cfg")
         assert code == 2
+
+
+# A config value and a flag value for every option, each unlike its default.
+_OPTION_VALUES = {
+    "format": ("json", "text"), "out": ("a.txt", "b.txt"),
+    "n_grid": ("1024", "4096"), "n_samples": ("5000", "6000"),
+    "l_max": ("4", "5"), "tol_quad": ("1e-09", "1e-10"),
+    "tol_root": ("1e-09", "1e-10"), "l": ("1", "2"), "k": ("3", "4"),
+    "n_alpha": ("10", "12"), "n_t": ("20", "24"),
+}
+
+
+class TestOptionTable:
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """Replace every handler by one that records the resolved options."""
+        seen = {}
+
+        def record(args):
+            seen.update(vars(args))
+            return 0
+
+        for name in cli._HANDLERS:
+            monkeypatch.setitem(cli._HANDLERS, name, record)
+        return seen
+
+    def test_values_cover_the_table(self):
+        assert set(_OPTION_VALUES) == set(cli._OPTIONS)
+
+    @pytest.mark.parametrize("key", sorted(cli._OPTIONS))
+    def test_config_key_and_flag_override(self, key, seen, tmp_path):
+        kind, default, _, subcommands = cli._OPTIONS[key]
+        sub = subcommands[0]
+        argv = [sub] + ([] if sub == "table" else ["2", "3"])
+        from_file, from_flag = _OPTION_VALUES[key]
+        cfg = tmp_path / "run.cfg"
+        for spelling in (key, key.replace("_", "-")):
+            cfg.write_text(f"{spelling} = {from_file}\n")
+            assert main(argv + ["--config", str(cfg)]) == 0
+            assert seen[key] == kind(from_file) != default
+        flag = "--" + key.replace("_", "-")
+        assert main(argv + ["--config", str(cfg), flag, from_flag]) == 0
+        assert seen[key] == kind(from_flag)
+
+    def test_defaults_without_flag_or_config(self, seen):
+        assert main(["spectrum", "2", "3"]) == 0
+        assert {key: seen[key] for key in cli._OPTIONS} == {
+            "format": "text", "out": None, "n_grid": 2048, "n_samples": None,
+            "l_max": 3, "tol_quad": 1e-12, "tol_root": 1e-13, "l": 0, "k": 8,
+            "n_alpha": 64, "n_t": 256}
+
+    def test_each_subcommand_keeps_its_flags_and_help(self):
+        shared = {
+            "--format": "output format (subcommand-dependent)",
+            "--out": "write output to this file",
+            "--config": "key=value config file",
+            "--n-grid": "spectral grid size (default 2048)",
+            "--n-samples": "geodesic samples per period (default: resolution-aware)",
+            "--l-max": "highest angular mode scanned by verify (default 3)",
+            "--tol-quad": "quadrature relative tolerance (default 1e-12)",
+            "--tol-root": "root-finder absolute tolerance (default 1e-13)",
+        }
+        extra = {
+            "spectrum": {"--l": "angular mode (default 0)",
+                         "--k": "number of eigenvalues (default 8)"},
+            "mesh": {"--n-alpha": "vertices around the orbit direction (default 64)",
+                     "--n-t": "vertices along the geodesic (default 256)"},
+        }
+        subparsers = next(action for action in cli._make_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert sorted(subparsers.choices) == sorted(
+            ["solve", "table", "geodesic", "spectrum", "verify", "mesh"])
+        for name, parser in subparsers.choices.items():
+            flags = {action.option_strings[-1]: action.help for action in parser._actions
+                     if action.option_strings and action.dest != "help"}
+            assert flags == {**shared, **extra.get(name, {})}, name
+
+
+class TestUnwritableOutput:
+    def test_missing_directory_exits_2(self, capsys, tmp_path):
+        code, out, err = run(capsys, "solve", "2", "3",
+                             "--out", str(tmp_path / "missing" / "x"))
+        assert code == 2
+        assert out == ""
+        assert "cannot write output" in err
+
+    def test_directory_as_output_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "solve", "2", "3", "--out", str(tmp_path))
+        assert code == 2
+        assert "cannot write output" in err
 
 
 class TestVerifyFailurePaths:
