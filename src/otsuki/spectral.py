@@ -18,19 +18,22 @@ A is never formed: each mode is held as two band arrays of length n,
 the diagonal ``main`` and the coupling ``off``, where ``off[j]`` couples
 rows j and j + 1 mod n (:func:`operator_bands`); one array holds both
 triangles, so A is symmetric by construction.
-Every shifted matrix A - sigma I is factored one way, by bordering: the
-last row and column are split off, the tridiagonal rest T gets LAPACK's
-partial-pivoting LU, and the border leaves one scalar Schur complement s.
-Eigenvalues below sigma are counted, not computed: by Haynsworth's inertia
-additivity their number is the Sturm count of T below sigma (LAPACK
-bisection, backward stable) plus one if s < 0 (see :func:`_inertia`).
-The same factorization is the solve of shift-invert Lanczos iteration,
-which is used only where eigenvalues or eigenvectors themselves are needed;
-Lanczos then never multiplies by A itself (see :func:`_shift_invert`).
+The geodesic is symmetric about its turning point t = 0: phi is even in t.
+So the grid t_j = j h is sampled on one half and mirrored (node j to n - j),
+and A commutes with that reflection.  In an orthonormal basis of even and
+odd grid functions A is the direct sum of two plain symmetric tridiagonals
+of about n / 2 rows each, the even and the odd half of the mode
+(:func:`_halves`); every count and every solve works on one half.
+Eigenvalues below sigma are counted, not computed: their number is the sum
+of the two halves' Sturm counts (LAPACK bisection, backward stable; see
+:func:`_inertia`).  Shift-invert Lanczos iteration on a half, with LAPACK's
+partial-pivoting tridiagonal LU as its solve, is used only where
+eigenvalues or eigenvectors themselves are needed; Lanczos then never
+multiplies by A itself (see :func:`_shift_invert`).
 Inside :func:`count_below` every Lanczos run is shifted to the threshold
-and asks for exactly as many eigenvalues as it must return; the count at
-the shift tells it how many that is (see :func:`_ground_eigenvalue`).
-Grids are capped at ``_MAX_GRID`` rows.
+and asks for exactly as many eigenvalues of its half as it must return; a
+Sturm count at the shift tells it how many that is (see
+:func:`_ground_eigenvalue`).  Grids are capped at ``_MAX_GRID`` rows.
 """
 
 from __future__ import annotations
@@ -54,10 +57,12 @@ __all__ = [
 ]
 
 _EIGSH_SEED = 20120524  # fixed Lanczos start vector: identical runs bit for bit
+_SQRT2 = math.sqrt(2.0)
 
-# Largest grid assembled, in rows: about 300 B per row at peak, so about 0.6 GB
-# (tracemalloc peak of count_below on 2/3 over the rows of its doubled grid:
-# 292 B at n_grid 2^16 and 2^18).
+# Largest grid assembled, in rows: up to about 270 B per row at peak, so about
+# 0.57 GB (tracemalloc peak of count_below on 2/3 over the rows of its doubled
+# grid: 168 B at n_grid 2^16; 270 B at 2^18, where the even l = 1 half has no
+# eigenvalue below 2 and its ground run keeps ARPACK's 20 Lanczos vectors).
 # It admits the doubled resolving grid of 10/19 (2^20 -> 2^21).
 _MAX_GRID = 2 ** 21
 
@@ -67,11 +72,11 @@ class GridTooCoarse(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """The eigensolver failed or contradicts an inertia count, or A - sigma I is singular.
+    """The eigensolver failed or contradicts a Sturm count, or a shifted half is singular.
 
-    Singular means an exactly zero pivot in the LU of the tridiagonal block
-    or an exactly zero Schur complement of the border: sigma is then an
-    eigenvalue in floating point, and no count below it is defined.
+    Singular means an exactly zero pivot in the LU of a half's T - sigma I:
+    sigma is then an eigenvalue in floating point, and no shift-invert run
+    about it is defined.
     """
 
 
@@ -145,8 +150,12 @@ def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
     t0 = torus.t0
     h = t0 / n_grid
     grid = np.arange(n_grid) * h
-    phi = torus.profile.phi_at(grid)
-    phi_mid = torus.profile.phi_at(grid + 0.5 * h)
+    # phi is even about the turning point t = 0: node j mirrors to node n - j
+    # and midpoint j to midpoint n - 1 - j, so half of each is sampled
+    phi = torus.profile.phi_at(grid[:n_grid // 2 + 1])
+    phi = np.concatenate([phi, phi[(n_grid - 1) // 2:0:-1]])
+    phi_mid = torus.profile.phi_at(grid[:(n_grid + 1) // 2] + 0.5 * h)
+    phi_mid = np.concatenate([phi_mid, phi_mid[n_grid // 2 - 1::-1]])
     sin_sq = np.sin(phi) ** 2
     P = 4.0 * math.pi ** 2 * sin_sq
     P_mid = 4.0 * math.pi ** 2 * np.sin(phi_mid) ** 2
@@ -159,7 +168,7 @@ def _check_grid_size(n_grid: int) -> None:
     """Refuse a grid of more than ``_MAX_GRID`` rows before anything is allocated."""
     if n_grid > _MAX_GRID:
         raise ValueError(f"a grid of {n_grid} rows exceeds the limit of "
-                         f"{_MAX_GRID} rows (about 300 bytes per row)")
+                         f"{_MAX_GRID} rows (about 270 bytes per row)")
 
 
 def operator_bands(problem: SLProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +176,9 @@ def operator_bands(problem: SLProblem) -> tuple[np.ndarray, np.ndarray]:
 
     Second-order central fluxes: ``off[j] = -P(t_{j+1/2}) / h^2`` couples
     neighbours j and j + 1 mod n, so ``off[n-1]`` is the corner coupling
-    rows n - 1 and 0; ``main[j]`` is the diagonal entry of row j.
+    rows n - 1 and 0; ``main[j]`` is the diagonal entry of row j.  For an
+    assembled problem the bands are mirror-symmetric bit for bit:
+    ``main[n-j] == main[j]`` and ``off[n-1-j] == off[j]``.
     """
     h = problem.h
     off = -problem.P_mid / h ** 2
@@ -191,44 +202,96 @@ def count_sign_changes(values: np.ndarray, rel_floor: float = 1e-10) -> int:
     return int(np.sum(signs != np.roll(signs, 1)))
 
 
+def _halves(main: np.ndarray, off: np.ndarray
+            ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Even and odd tridiagonals ``(d, e)`` of the mirror-symmetric cyclic bands ``(main, off)``.
+
+    The reflection R maps row j to row n - j mod n; the bands commute with
+    it when ``main[n-j] == main[j]`` and ``off[n-1-j] == off[j]``.  With
+    r = n // 2, the even grid functions have the orthonormal basis e_0,
+    (e_j + e_{n-j}) / sqrt 2 for 0 < j < n / 2 and, for even n, e_r; the
+    odd ones (e_j - e_{n-j}) / sqrt 2.  In these bases A is the direct sum
+    of a plain symmetric tridiagonal on each, the diagonal d and the
+    couplings e:
+
+    * even half, rows 0 .. r: d = main[0 .. r], e = off[0 .. r-1], with
+      the coupling into each fixed point (row 0, and row r for even n)
+      times sqrt 2;
+    * odd half, rows 1 .. r - 1 (even n) or 1 .. r (odd n): d = main and
+      e = off on those rows.
+
+    For odd n the rows r and r + 1 are mirror partners coupled by off[r],
+    so the last diagonal is ``main[r] + off[r]`` (even) and
+    ``main[r] - off[r]`` (odd).  Requires n >= 8, so both halves have at
+    least three rows.  Raises ValueError for bands that are not mirror
+    symmetric bit for bit (a hand-built :class:`SLProblem`).
+    """
+    n = main.size
+    if n < 8:
+        raise ValueError(f"a mode needs at least 8 rows, got {n}")
+    if not (np.array_equal(main[1:], main[:0:-1]) and np.array_equal(off, off[::-1])):
+        raise ValueError("the bands are not symmetric under the reflection t -> -t")
+    r = n // 2
+    d_even, e_even = main[:r + 1].copy(), off[:r].copy()
+    d_odd, e_odd = main[1:(n + 1) // 2].copy(), off[1:(n - 1) // 2].copy()
+    e_even[0] *= _SQRT2
+    if n % 2:
+        d_even[r] += off[r]
+        d_odd[-1] -= off[r]
+    else:
+        e_even[-1] *= _SQRT2
+    return (d_even, e_even), (d_odd, e_odd)
+
+
 def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     """The k smallest eigenpairs of the discretized problem.
 
-    Shift-invert Lanczos about sigma = -1 (the operator is positive
-    semidefinite, so the k eigenvalues nearest -1 are the k smallest),
-    with ARPACK's default Krylov dimension ``max(2k + 1, 20)``.
+    Shift-invert Lanczos about sigma = -1 on each half of the mode (the
+    operator is positive semidefinite, so the k eigenvalues nearest -1 are
+    the k smallest), with ARPACK's default Krylov dimension
+    ``max(2k + 1, 20)``; the k smallest of the 2k are kept, and only their
+    eigenvectors are unfolded onto the grid.
     """
     n = problem.n_grid
     if k < 1 or k > n // 4:
         raise ValueError(f"k must lie in [1, n_grid / 4 = {n // 4}]")
-    vals, vecs = _shift_invert(_ShiftedCyclic(*operator_bands(problem), -1.0), k, "LM",
-                               maxiter=10000, vectors=True)
-    order = np.argsort(vals)
+    runs = [_shift_invert(d, e, -1.0, k, "LM", maxiter=10000, vectors=True)
+            for d, e in _halves(*operator_bands(problem))]
+    vals = np.concatenate([run[0] for run in runs])
+    order = np.argsort(vals, kind="stable")[:k]
+    parity, column = np.divmod(order, k)
+    # unfold: half rows to grid nodes (the odd half starts at node 1), then
+    # 1 / sqrt 2 on paired nodes and the mirror image, negated for odd columns
+    vecs = np.zeros((n, k))
+    for side, (_, half_vecs) in enumerate(runs):
+        kept = np.flatnonzero(parity == side)
+        vecs[side:side + half_vecs.shape[0], kept] = half_vecs[:, column[kept]]
+    paired = vecs[1:(n + 1) // 2]
+    paired /= _SQRT2
+    np.multiply(paired[::-1], np.where(parity, -1.0, 1.0), out=vecs[n // 2 + 1:])
     vals = vals[order]
-    vecs = vecs[:, order]
     zero_counts = [count_sign_changes(vecs[:, i]) for i in range(k)]
     return SLSpectrum(l=problem.l, eigenvalues=vals, eigenvectors=vecs,
                       zero_counts=zero_counts, n_grid=n, period=problem.period)
 
 
-def _shift_invert(shifted: _ShiftedCyclic, k: int, which: str, ncv: int | None = None,
-                  maxiter: int | None = None, vectors: bool = False
-                  ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """k eigenvalues (eigenpairs with ``vectors``) by shift-invert Lanczos about ``shifted.sigma``.
+def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str,
+                  ncv: int | None = None, maxiter: int | None = None,
+                  vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """k eigenvalues (eigenpairs with ``vectors``) of the tridiagonal ``(d, e)`` about sigma.
 
-    ``which`` selects among the transformed values 1 / (lambda - sigma):
-    "LM" the k eigenvalues nearest sigma, "SA" the k nearest below it when
-    at least k lie below.  Where the wanted values dominate the transformed
-    spectrum, a Krylov space of ``ncv = 2k + 1`` vectors suffices;
-    ``ncv=None`` takes ARPACK's default ``max(2k + 1, 20)``.  Returned as
-    eigsh returns them, unsorted.
+    Shift-invert Lanczos: ``which`` selects among the transformed values
+    1 / (lambda - sigma), "LM" the k eigenvalues nearest sigma, "SA" the k
+    nearest below it when at least k lie below.  Where the wanted values
+    dominate the transformed spectrum, a Krylov space of ``ncv = 2k + 1``
+    vectors suffices; ``ncv=None`` takes ARPACK's default
+    ``max(2k + 1, 20)``.  Returned as eigsh returns them, unsorted.
 
-    In shift-invert mode eigsh applies only ``OPinv``, the bordered solve;
-    it never multiplies by A.  So A is passed as a shape-only operator
-    whose product raises.  The start vector is fixed, making repeated runs
-    identical.
+    eigsh applies only ``OPinv`` (:func:`_inverse`); it never multiplies
+    by T.  So T is passed as a shape-only operator whose product raises.
+    The start vector is fixed, making repeated runs identical.
     """
-    n = shifted.n
+    n = d.size
 
     def no_product(x):
         raise RuntimeError("shift-invert Lanczos multiplied by the operator itself")
@@ -236,146 +299,85 @@ def _shift_invert(shifted: _ShiftedCyclic, k: int, which: str, ncv: int | None =
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     try:
         return eigsh(LinearOperator((n, n), matvec=no_product, dtype=float), k=k,
-                     sigma=shifted.sigma, which=which, v0=v0,
+                     sigma=sigma, which=which, v0=v0,
                      ncv=None if ncv is None else min(n, ncv), maxiter=maxiter,
-                     return_eigenvectors=vectors, OPinv=shifted.inverse())
+                     return_eigenvectors=vectors, OPinv=_inverse(d, e, sigma))
     except (ArpackNoConvergence, ArpackError) as exc:
-        raise SolverFailure(f"eigensolver failed near sigma={shifted.sigma!r}, "
-                            f"n_grid={n}: {exc}") from exc
+        raise SolverFailure(f"eigensolver failed near sigma={sigma!r}, "
+                            f"order {n}: {exc}") from exc
 
 
-def _eigenvalues_near(main: np.ndarray, off: np.ndarray, k: int, sigma: float) -> np.ndarray:
-    """The k eigenvalues nearest sigma, ascending (shift-invert Lanczos)."""
-    return np.sort(_shift_invert(_ShiftedCyclic(main, off, sigma), k, "LM", 2 * k + 1))
+def _inverse(d: np.ndarray, e: np.ndarray, sigma: float) -> LinearOperator:
+    """(T - sigma I)^{-1} for the tridiagonal T = ``(d, e)``, the OPinv of shift-invert eigsh.
+
+    LAPACK's partial-pivoting LU (``dgttrf``) and its solve (``dgttrs``).
+    Raises :class:`SolverFailure` if the LU has an exactly zero pivot.
+    """
+    n = d.size
+    *lu, info = dgttrf(e, d - sigma, e)
+    if info > 0:
+        raise SolverFailure(f"T - sigma I at sigma={sigma!r}, order {n}: singular")
+    return LinearOperator((n, n), matvec=lambda b: dgttrs(*lu, b)[0], dtype=float)
 
 
-def _ground_eigenvalue(main: np.ndarray, off: np.ndarray, sigma: float) -> float:
-    """The smallest eigenvalue of the A with bands ``(main, off)``, by Lanczos about sigma.
+def _eigenvalues_near(d: np.ndarray, e: np.ndarray, k: int, sigma: float) -> np.ndarray:
+    """The k eigenvalues of the tridiagonal ``(d, e)`` nearest sigma, ascending (shift-invert Lanczos)."""
+    return np.sort(_shift_invert(d, e, sigma, k, "LM", 2 * k + 1))
 
-    The inertia of A - sigma I gives the number m of eigenvalues below
-    sigma (Sylvester).  Shift-invert maps exactly those to the m negative
-    values 1 / (lambda - sigma), so Lanczos asks for the m smallest
-    transformed values ("SA") and the ground is the least of them; with
-    m = 0 the eigenvalue nearest sigma is the ground.  This is exact for
-    any sigma, but fast and accurate only for sigma near the ground: then
-    the m values dominate the transformed spectrum and ``2m + 1`` Lanczos
-    vectors suffice, even in a cluster where the eigenvalue nearest sigma
-    is not the ground (7/13 at 2048: m = 6).  With m = 0 the ground need
-    not dominate (on 2/3, l = 2, it lies 0.009 below a pair), so ARPACK's
-    default Krylov dimension is kept.
+
+def _ground_eigenvalue(d: np.ndarray, e: np.ndarray, sigma: float) -> float:
+    """The smallest eigenvalue of the tridiagonal ``(d, e)``, by Lanczos about sigma.
+
+    The Sturm count gives the number m of eigenvalues below sigma.
+    Shift-invert maps exactly those to the m negative values
+    1 / (lambda - sigma), so Lanczos asks for the m smallest transformed
+    values ("SA") and the ground is the least of them; with m = 0 the
+    eigenvalue nearest sigma is the ground.  This is exact for any sigma,
+    but fast and accurate only for sigma near the ground: then the m values
+    dominate the transformed spectrum and ``2m + 1`` Lanczos vectors
+    suffice, even in a cluster where the eigenvalue nearest sigma is not
+    the ground (the even half of l = 1 on 7/13 at 2048: m = 4).  With
+    m = 0 the ground need not dominate (on 2/3, l = 2, it lies 0.009 below
+    a pair), so ARPACK's default Krylov dimension is kept.
+    The ground state of a periodic problem is even, so for a mode this is
+    called on its even half.
     Raises :class:`SolverFailure` unless the returned eigenvalues lie on the
     side of sigma the count says: exactly m below it.
     """
-    shifted = _ShiftedCyclic(main, off, sigma)
-    m = shifted.count_negative()
+    m = _inertia(d, e, sigma)
     if m:
-        vals = np.sort(_shift_invert(shifted, m, "SA", 2 * m + 1))
+        vals = np.sort(_shift_invert(d, e, sigma, m, "SA", 2 * m + 1))
     else:
-        vals = np.sort(_shift_invert(shifted, 1, "LM"))
+        vals = np.sort(_shift_invert(d, e, sigma, 1, "LM"))
     if np.count_nonzero(vals < sigma) != m:
         raise SolverFailure(f"Lanczos eigenvalues {vals} near sigma={sigma!r} "
-                            f"disagree with the inertia count {m} below it")
+                            f"disagree with the Sturm count {m} below it")
     return float(vals[0])
 
 
-class _ShiftedCyclic:
-    """A - sigma I for the cyclic tridiagonal A with bands ``(main, off)``, factored by bordering.
+def _inertia(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
+    """Number of eigenvalues strictly below sigma of the symmetric tridiagonal ``(d, e)``.
 
-    ``main`` is the diagonal and ``off[j]`` couples rows j and j + 1 mod n,
-    so ``off[n-1]`` is the corner; both have length n >= 3.  The last row
-    and column are split off::
-
-        A - sigma I = [[T, c], [c^T, d]]
-
-    with T tridiagonal of order n - 1 (diagonal ``main[:n-1] - sigma``,
-    couplings ``off[:n-2]``), ``d = main[n-1] - sigma``, and c zero but for
-    ``c[0] = off[n-1]`` (the corner) and ``c[n-2] = off[n-2]``.  T gets
-    LAPACK's partial-pivoting LU (``dgttrf``); the border is eliminated
-    through ``w = T^{-1} c`` and the scalar Schur complement ``s = d - c.w``.
-    Raises :class:`SolverFailure` if T has an exactly zero pivot or s is
-    exactly zero.
+    The Sturm count of LAPACK's bisection (``dstebz``): the number of
+    negative pivots of T - sigma I, which is backward stable for
+    tridiagonal matrices (Kahan; LAPACK Users' Guide section 2.4.4).  A
+    mode's count is the sum of this count over its two halves
+    (:func:`_halves`), since A is their orthogonal direct sum; unlike a
+    factorization, the count needs no regular T - sigma I.  LAPACK counts
+    an eigenvalue equal to its bound as below it, so the bound is the
+    floating-point number just below sigma.
     """
-
-    def __init__(self, main: np.ndarray, off: np.ndarray, sigma: float):
-        n = main.size
-        self.sigma = sigma
-        self.n = n
-        self._main, self._off = main, off
-        # the dgttrf wrapper needs order >= 3: pad T with identity rows
-        m = max(n - 1, 3)
-        d = np.ones(m)
-        d[:n - 1] = main[:-1] - sigma
-        e = np.zeros(m - 1)
-        e[:n - 2] = off[:n - 2]
-        *self._lu, info = dgttrf(e, d, e)
-        if info > 0:
-            raise SolverFailure(f"A - sigma I at sigma={sigma!r}, n_grid={n}: "
-                                "singular tridiagonal block")
-        c = np.zeros(n - 1)
-        c[0] = off[-1]
-        c[-1] = off[-2]
-        self._w = self._solve_block(c)
-        self.schur = (main[-1] - sigma) - (off[-1] * self._w[0] + off[-2] * self._w[-1])
-        if self.schur == 0.0:
-            raise SolverFailure(f"A - sigma I at sigma={sigma!r}, n_grid={n}: "
-                                "singular, zero Schur complement")
-
-    def _solve_block(self, rhs: np.ndarray) -> np.ndarray:
-        """T^{-1} rhs, for rhs of length n - 1."""
-        x = np.zeros(self._lu[1].size)
-        x[:rhs.size] = rhs
-        return dgttrs(*self._lu, x, overwrite_b=1)[0][:rhs.size]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with (A - sigma I) x = b."""
-        b = np.ravel(b)
-        y = self._solve_block(b[:-1])
-        # c.y from the two nonzeros of c, not a length-n dot
-        last = (b[-1] - self._off[-1] * y[0] - self._off[-2] * y[-1]) / self.schur
-        x = np.empty(self.n)  # y - last w, written in place: temporaries cost more here
-        np.multiply(self._w, -last, out=x[:-1])
-        x[:-1] += y
-        x[-1] = last
-        return x
-
-    def inverse(self) -> LinearOperator:
-        """(A - sigma I)^{-1} as an operator, the OPinv of shift-invert eigsh."""
-        return LinearOperator((self.n, self.n), matvec=self.solve, dtype=float)
-
-    def count_negative(self) -> int:
-        """Number of negative eigenvalues of A - sigma I: In(T) + In(s)."""
-        d, e = self._main[:-1], self._off[:-2]
-        spread = 2.0 * float(np.max(np.abs(e)))
-        low, high = float(d.min()) - spread, float(d.max()) + spread
-        # eigenvalues of T in (vl, sigma] with vl below T's Gershgorin interval;
-        # a tolerance wider than that interval leaves only the Sturm counts
-        vl = min(low, self.sigma) - 1.0
-        m, *_, info = dstebz(d, e, 1, vl, self.sigma, 0, 0, 2.0 * (high - low) + 1.0, "B")
-        if info:
-            raise SolverFailure(f"Sturm count at sigma={self.sigma!r}, "
-                                f"n_grid={self.n}: dstebz info={info}")
-        return int(m) + int(self.schur < 0.0)
-
-
-def _inertia(main: np.ndarray, off: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues strictly below sigma of the A with bands ``(main, off)``.
-
-    A is the symmetric cyclic tridiagonal matrix of :func:`operator_bands`.
-    Bordered count (:class:`_ShiftedCyclic`): by Haynsworth's inertia
-    additivity, the number of negative eigenvalues of A - sigma I is that of
-    its tridiagonal leading block T plus one if the Schur complement s of
-    the border is negative.  The first term is the Sturm count of LAPACK's
-    bisection (``dstebz``), which is backward stable for tridiagonal
-    matrices (Kahan; LAPACK Users' Guide section 2.4.4).  The corner is the
-    second term, s from a partial-pivoting solve with T.  Its sign can be
-    lost only when T is nearly singular at sigma.  By interlacing, T has an
-    eigenvalue inside any close pair of eigenvalues of A, such as the l = 0
-    pair at 2, so this term is checked, not proven: against dense and
-    Lanczos counts and with the border moved to another row in the test
-    suite, and by the grid-doubling check of :func:`count_below`.  A shift
-    at which T or s is exactly singular raises :class:`SolverFailure`.
-    """
-    return _ShiftedCyclic(main, off, sigma).count_negative()
+    spread = 2.0 * float(np.max(np.abs(e)))
+    low, high = float(d.min()) - spread, float(d.max()) + spread
+    # eigenvalues in (vl, sigma) with vl below the Gershgorin interval;
+    # a tolerance wider than that interval leaves only the Sturm counts
+    vl = min(low, sigma) - 1.0
+    m, *_, info = dstebz(d, e, 1, vl, np.nextafter(sigma, -np.inf), 0, 0,
+                         2.0 * (high - low) + 1.0, "B")
+    if info:
+        raise SolverFailure(f"Sturm count at sigma={sigma!r}, order {d.size}: "
+                            f"dstebz info={info}")
+    return int(m)
 
 
 def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
@@ -432,19 +434,22 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     """Count surface eigenvalues strictly below ``threshold`` and verify 2p - 1.
 
     For each mode l = 0 .. l_max the eigenvalues below ``threshold - band``
-    are counted exactly by inertia (:func:`_inertia`) and weighted 1 (l = 0)
-    or 2 (l > 0), where the band absorbs the eigenvalues that equal the
+    are counted exactly, as two Sturm counts, one per half of the mode
+    (:func:`_halves`, :func:`_inertia`), and weighted 1 (l = 0) or 2
+    (l > 0), where the band absorbs the eigenvalues that equal the
     threshold analytically (see :func:`_band_from_anchors`).  Lanczos
     iteration computes only eigenvalues that are reported: the three
     anchors, the eigenvalues within the band of the threshold, and those
-    in the shoulder when the count is ambiguous.  Each run is shifted to
-    the threshold (the shoulder's to its middle) and asks for just the
-    number of eigenvalues an inertia count says it must return; the l = 1
-    ground anchor comes from :func:`_ground_eigenvalue`.  The whole count
-    is repeated on a doubled grid and must not change.  That modes above l_max cannot
-    contribute is not assumed: the inertia at the threshold is checked to
-    be zero for l = 2 .. l_max (lambda_0(l) increases strictly in l, so the
-    scan terminates).
+    in the shoulder when the count is ambiguous.  Each run works on one
+    half, is shifted to the threshold (the shoulder's to its middle) and
+    asks for just the number of eigenvalues that half's counts say it must
+    return; the l = 1 ground anchor comes from :func:`_ground_eigenvalue`.
+    A half whose window holds just its anchor reuses the anchor run, so no
+    run is made twice.  The whole count is repeated on a doubled grid and
+    must not change.  That modes above l_max cannot contribute is not
+    assumed: the count below the threshold is checked to be zero for
+    l = 2 .. l_max (lambda_0(l) increases strictly in l, so the scan
+    terminates).
 
     Raises
     ------
@@ -465,35 +470,48 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     band = 0.0
     near: list[tuple[int, int, float]] = []
     truncation_confirmed = True
+
+    def counts(halves, sigma):
+        return np.array([_inertia(d, e, sigma) for d, e in halves])
+
     for n in grids:
         finest = n == grids[-1]
-        problems = _assemble_modes(torus, range(l_max + 1), n)
-        bands = [operator_bands(problem) for problem in problems]
-        l0_near = _eigenvalues_near(*bands[0], 2, threshold)
-        l1_ground = _ground_eigenvalue(*bands[1], threshold)
+        modes = [_halves(*operator_bands(problem))
+                 for problem in _assemble_modes(torus, range(l_max + 1), n)]
+        # the anchors: in each l = 0 half the eigenvalue nearest the threshold
+        # (cos phi cos theta is even, cos phi sin theta odd), and the l = 1
+        # ground, which is even
+        l0_near = np.array([_eigenvalues_near(d, e, 1, threshold)[0] for d, e in modes[0]])
+        l1_ground = _ground_eigenvalue(*modes[1][0], threshold)
         band = _band_from_anchors(l0_near, l1_ground, threshold)
+        anchors = {(0, 0): l0_near[0], (0, 1): l0_near[1], (1, 0): l1_ground}
         total = 0
         shoulder: list[tuple[int, float]] = []
-        for l, (main, off) in enumerate(bands):
-            # for l >= 2, lambda_0(l) normally clears the band: one inertia settles the mode
-            if l >= 2 and _inertia(main, off, threshold + band) == 0:
+        for l, halves in enumerate(modes):
+            # for l >= 2, lambda_0(l) normally clears the band: one count settles the mode
+            if l >= 2 and not counts(halves, threshold + band).any():
                 continue
-            below = _inertia(main, off, threshold - band)
-            total += (1 if l == 0 else 2) * below
-            if l >= 2 and _inertia(main, off, threshold) > 0:
+            below = counts(halves, threshold - band)
+            total += (1 if l == 0 else 2) * int(below.sum())
+            if l >= 2 and counts(halves, threshold).any():
                 truncation_confirmed = False
             if not finest:
                 continue
-            n_window = _inertia(main, off, threshold + band) - below
-            if n_window:
-                # the l = 0 pair at the threshold is the anchor run above
-                window = (l0_near if l == 0 and n_window == 2
-                          else _eigenvalues_near(main, off, n_window, threshold))
-                near += [(l, below + rank, float(v)) for rank, v in enumerate(window)]
-            n_shoulder = below - _inertia(main, off, threshold - 2.0 * band)
-            if n_shoulder:
-                values = _eigenvalues_near(main, off, n_shoulder, threshold - 1.5 * band)
-                shoulder += [(l, round(float(v), 12)) for v in values]
+            window, in_shoulder = [], []
+            for side, ((d, e), n_window, n_shoulder) in enumerate(zip(
+                    halves, counts(halves, threshold + band) - below,
+                    below - counts(halves, threshold - 2.0 * band))):
+                anchor = anchors.get((l, side), math.nan)
+                if n_window == 1 and threshold - band <= anchor < threshold + band:
+                    window.append(anchor)  # the anchor run above found it
+                elif n_window:
+                    window.extend(_eigenvalues_near(d, e, n_window, threshold))
+                if n_shoulder:
+                    in_shoulder.extend(_eigenvalues_near(d, e, n_shoulder,
+                                                         threshold - 1.5 * band))
+            near += [(l, int(below.sum()) + rank, float(v))
+                     for rank, v in enumerate(sorted(window))]
+            shoulder += [(l, round(float(v), 12)) for v in sorted(in_shoulder)]
         counts_by_grid[n] = total
         if shoulder:
             raise AmbiguousCount(
@@ -515,14 +533,16 @@ def lambda0_monotone_check(torus: OtsukiTorus, l_values: Sequence[int],
 
     lambda_0 always has multiplicity one, so it increases strictly in l;
     a violation here indicates a broken discretization, not mathematics.
-    Each ground comes from :func:`_ground_eigenvalue` shifted near where it
-    lies analytically: -1 for l = 0 (ground 0, the constants, where A is
-    singular) and 2 for l >= 1 (the l = 1 ground, sin phi; l >= 2 above).
+    Each ground comes from :func:`_ground_eigenvalue` on the even half of
+    the mode, shifted near where it lies analytically: -1 for l = 0
+    (ground 0, the constants, where A is singular) and 2 for l >= 1 (the
+    l = 1 ground, sin phi; l >= 2 above).
     """
     l_values = list(l_values)
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
         raise ValueError("l_values must be strictly increasing")
-    ground = [_ground_eigenvalue(*operator_bands(problem), 2.0 if problem.l else -1.0)
+    ground = [_ground_eigenvalue(*_halves(*operator_bands(problem))[0],
+                                 2.0 if problem.l else -1.0)
               for problem in _assemble_modes(torus, l_values, n_grid)]
     for (la, va), (lb, vb) in zip(zip(l_values, ground), zip(l_values[1:], ground[1:])):
         if not vb > va:

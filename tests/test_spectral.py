@@ -29,6 +29,11 @@ def _dense(main, off):
     return A
 
 
+def _count(main, off, sigma):
+    """Eigenvalues below sigma of the cyclic bands: the Sturm counts of both halves."""
+    return sum(spectral._inertia(d, e, sigma) for d, e in spectral._halves(main, off))
+
+
 class TestCountSignChanges:
     def test_two_blocks(self):
         assert count_sign_changes(np.array([1.0, 1.0, -1.0, -1.0])) == 2
@@ -92,6 +97,22 @@ class TestOperatorMatrix:
         assert main.shape == off.shape == (n,)
         assert np.all(off < 0.0)
 
+    @pytest.mark.parametrize("n", [256, 255])
+    def test_bands_mirror_symmetric_bit_for_bit(self, torus_23, n):
+        main, off = operator_bands(assemble(torus_23, 2, n))
+        np.testing.assert_array_equal(main[1:], main[:0:-1])
+        np.testing.assert_array_equal(off, off[::-1])
+
+    def test_problem_not_even_in_t_refused(self):
+        # hand-built: P(t) = 1 + sin(2 pi t) / 2 on [0, 1) is not even in t
+        n = 64
+        grid = np.arange(n) / n
+        problem = spectral.SLProblem(
+            l=0, period=1.0, grid=grid, P=1.0 + 0.5 * np.sin(2.0 * pi * grid),
+            P_mid=1.0 + 0.5 * np.sin(2.0 * pi * (grid + 0.5 / n)), Q=np.zeros(n), n_grid=n)
+        with pytest.raises(ValueError, match="reflection"):
+            eigen_low(problem, 2)
+
     def test_constants_in_kernel_for_l0(self, torus_23):
         A = _dense(*operator_bands(assemble(torus_23, 0, 512)))
         assert np.max(np.abs(A @ np.ones(512))) <= 1e-9
@@ -100,11 +121,21 @@ class TestOperatorMatrix:
 class TestEigenLow:
     def test_against_dense_solver(self, torus_23):
         # independent oracle: full dense symmetric eigensolve at small n
-        problem = assemble(torus_23, 0, 1024)
-        sparse_vals = eigen_low(problem, 8).eigenvalues
-        dense_vals = np.sort(scipy.linalg.eigh(
-            _dense(*operator_bands(problem)), eigvals_only=True))[:8]
-        np.testing.assert_allclose(sparse_vals, dense_vals, atol=1e-8)
+        for n in (1024, 1023, 255):
+            problem = assemble(torus_23, 0, n)
+            spectrum = eigen_low(problem, 8)
+            A = _dense(*operator_bands(problem))
+            dense_vals = np.sort(scipy.linalg.eigh(A, eigvals_only=True))[:8]
+            np.testing.assert_allclose(spectrum.eigenvalues, dense_vals, atol=1e-8)
+            # unit eigenvectors of the full cyclic matrix, even and odd in t
+            vecs = spectrum.eigenvectors
+            residual = A @ vecs - vecs * spectrum.eigenvalues
+            assert np.linalg.norm(residual, axis=0).max() <= 1e-12 * np.abs(A).sum(1).max(), n
+            np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=1e-12)
+            mirrored = vecs[-np.arange(n) % n]
+            even = np.all(mirrored == vecs, axis=0)
+            odd = np.all(mirrored == -vecs, axis=0)
+            assert np.all(even ^ odd) and even.any() and odd.any(), n
 
     def test_k_bounds(self, torus_23):
         problem = assemble(torus_23, 0, 256)
@@ -222,18 +253,21 @@ class TestCountBelow:
 class TestCountBelowClassification:
     """White-box checks of the guard-band logic against doctored spectra.
 
-    ``operator_bands`` is replaced by the bands of a diagonal matrix whose
-    low entries are the doctored eigenvalues of the mode; the rest of the
-    diagonal is padded with values far above the threshold.
+    ``_halves`` is replaced by two diagonal halves: the doctored eigenvalues
+    of the mode, padded with values far above the threshold, alternate
+    between the even and the odd half, so each l = 0 anchor at the
+    threshold has a half of its own and the l = 1 ground is even.
+    ``operator_bands`` hands the problem itself to the fake.
     """
 
     @staticmethod
     def _doctor(monkeypatch, spectrum_of):
-        def fake(problem):
+        def fake(problem, _):
             low = np.array(spectrum_of(problem), dtype=float)
-            pad = 20.0 + np.arange(problem.n_grid - low.size)
-            return np.concatenate([low, pad]), np.zeros(problem.n_grid)
-        monkeypatch.setattr(spectral, "operator_bands", fake)
+            diagonal = np.concatenate([low, 20.0 + np.arange(problem.n_grid - low.size)])
+            return tuple((d, np.zeros(d.size - 1)) for d in (diagonal[0::2], diagonal[1::2]))
+        monkeypatch.setattr(spectral, "operator_bands", lambda problem: (problem, None))
+        monkeypatch.setattr(spectral, "_halves", fake)
 
     def test_shoulder_value_raises_ambiguous(self, torus_23, monkeypatch):
         # anchors displaced by 1e-6 set a 1e-5 band; 1.999985 sits in the
@@ -323,17 +357,11 @@ class TestInertiaAgainstLanczos:
     """The inertia count against an independent count of Lanczos eigenvalues."""
 
     def test_shift_at_an_eigenvalue_raises(self):
-        bands = np.array([1.0, 2.0, 3.0]), np.zeros(3)
-        assert spectral._inertia(*bands, 2.5) == 2
+        half = np.array([1.0, 2.0, 3.0]), np.zeros(2)
+        assert spectral._inertia(*half, 2.5) == 2
+        assert spectral._inertia(*half, 2.0) == 1  # strictly below
         with pytest.raises(spectral.SolverFailure, match="singular"):
-            spectral._inertia(*bands, 2.0)
-
-    def test_zero_leading_pivot_is_counted(self):
-        # A - I has a zero leading pivot; eigenvalues -1, 3, 3
-        main, off = np.array([1.0, 1.0, 3.0]), np.array([2.0, 0.0, 0.0])
-        np.testing.assert_array_equal(
-            _dense(main, off), [[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
-        assert spectral._inertia(main, off, 1.0) == 1
+            spectral._eigenvalues_near(*half, 1, 2.0)
 
     @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
                              ids=lambda pq: f"{pq[0]}/{pq[1]}")
@@ -348,7 +376,7 @@ class TestInertiaAgainstLanczos:
                 bands = operator_bands(problem)
                 for sigma in sigmas:
                     expected = np.sum(vals < sigma)
-                    assert spectral._inertia(*bands, sigma) == expected, (n, l, sigma)
+                    assert _count(*bands, sigma) == expected, (n, l, sigma)
 
     def test_near_threshold_list_matches_lanczos_on_6_11(self):
         torus = build_torus(RotationNumber(6, 11))
@@ -367,28 +395,28 @@ class TestInertiaAgainstLanczos:
 
 
 class TestGroundEigenvalue:
-    """The l = 1 ground anchor: Lanczos at the threshold, sized by the inertia count."""
+    """The l = 1 ground anchor: Lanczos at the threshold on the even half, sized by its count."""
 
     @staticmethod
     def _diagonal(low, n=64):
-        return np.concatenate([low, 20.0 + np.arange(n - len(low))]), np.zeros(n)
+        return np.concatenate([low, 20.0 + np.arange(n - len(low))]), np.zeros(n - 1)
 
     def test_several_below_the_shift(self):
-        bands = self._diagonal([1.99, 1.9, 2.5, 1.95])
-        assert spectral._inertia(*bands, 2.0) == 3
-        assert abs(spectral._ground_eigenvalue(*bands, 2.0) - 1.9) <= 1e-12
+        half = self._diagonal([1.99, 1.9, 2.5, 1.95])
+        assert spectral._inertia(*half, 2.0) == 3
+        assert abs(spectral._ground_eigenvalue(*half, 2.0) - 1.9) <= 1e-12
 
     def test_none_below_the_shift(self):
-        bands = self._diagonal([2.5, 2.1])
-        assert spectral._inertia(*bands, 2.0) == 0
-        assert abs(spectral._ground_eigenvalue(*bands, 2.0) - 2.1) <= 1e-12
+        half = self._diagonal([2.5, 2.1])
+        assert spectral._inertia(*half, 2.0) == 0
+        assert abs(spectral._ground_eigenvalue(*half, 2.0) - 2.1) <= 1e-12
 
     def test_lanczos_disagreeing_with_the_count_raises(self, monkeypatch):
-        bands = self._diagonal([1.99, 1.9, 2.5, 1.95])
+        half = self._diagonal([1.99, 1.9, 2.5, 1.95])
         monkeypatch.setattr(spectral, "_shift_invert",
-                            lambda shifted, k, which, ncv: np.array([1.9, 1.95, 2.5]))
-        with pytest.raises(spectral.SolverFailure, match="inertia count 3"):
-            spectral._ground_eigenvalue(*bands, 2.0)
+                            lambda d, e, sigma, k, which, ncv: np.array([1.9, 1.95, 2.5]))
+        with pytest.raises(spectral.SolverFailure, match="Sturm count 3"):
+            spectral._ground_eigenvalue(*half, 2.0)
 
     @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9), (6, 11), (7, 13)],
                              ids=lambda pq: f"{pq[0]}/{pq[1]}")
@@ -396,54 +424,48 @@ class TestGroundEigenvalue:
         torus = tori.get(label) or build_torus(RotationNumber(*label))
         problem = assemble(torus, 1, 2048)
         expected = eigen_low(problem, 1).eigenvalues[0]
-        got = spectral._ground_eigenvalue(*operator_bands(problem), 2.0)
+        even, _ = spectral._halves(*operator_bands(problem))
+        got = spectral._ground_eigenvalue(*even, 2.0)
         assert abs(got - expected) <= 1e-10
 
     def test_nearest_to_the_threshold_is_not_the_ground_on_7_13(self):
-        # six l = 1 eigenvalues lie below 2; the one nearest 2 is not the lowest
+        # six l = 1 eigenvalues lie below 2; the one of the even half nearest 2
+        # is not the lowest
         bands = operator_bands(assemble(build_torus(RotationNumber(7, 13)), 1, 2048))
-        assert spectral._inertia(*bands, 2.0) == 6
-        nearest = spectral._eigenvalues_near(*bands, 1, 2.0)[0]
-        assert nearest - spectral._ground_eigenvalue(*bands, 2.0) > 1e-3
+        even, _ = spectral._halves(*bands)
+        assert _count(*bands, 2.0) == 6
+        nearest = spectral._eigenvalues_near(*even, 1, 2.0)[0]
+        assert nearest - spectral._ground_eigenvalue(*even, 2.0) > 1e-3
 
 
 class TestBorderedFactorization:
-    """Edge cases of the bordered factorization and a dense cross-check."""
-
-    def test_zero_schur_complement_raises(self):
-        # the leading block diag(1, 3) - 2 is regular; the corner pivot is 0
-        bands = np.array([1.0, 3.0, 2.0]), np.zeros(3)
-        assert spectral._inertia(*bands, 2.5) == 2
-        with pytest.raises(spectral.SolverFailure, match="Schur"):
-            spectral._inertia(*bands, 2.0)
+    """The counts and solves of the reflection halves against a dense oracle."""
 
     @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
                              ids=lambda pq: f"{pq[0]}/{pq[1]}")
     def test_inertia_matches_dense_count(self, tori, label):
         torus = tori[label]
         band = count_below(torus).tolerance_band
-        for l in range(4):
-            main, off = operator_bands(assemble(torus, l, 256))
-            vals = np.linalg.eigvalsh(_dense(main, off))
-            # a cyclic relabelling moves the border row
-            turned = np.roll(main, 100), np.roll(off, 100)
-            for sigma in (0.5, 2.0 - band, 2.0, 2.0 + band, 10.0):
-                expected = np.sum(vals < sigma)
-                assert spectral._inertia(main, off, sigma) == expected, (l, sigma)
-                assert spectral._inertia(*turned, sigma) == expected, (l, sigma)
+        for n in (256, 255, 1023):
+            for l in range(4):
+                main, off = operator_bands(assemble(torus, l, n))
+                vals = np.linalg.eigvalsh(_dense(main, off))
+                for sigma in (0.5, 2.0 - band, 2.0, 2.0 + band, 10.0):
+                    expected = np.sum(vals < sigma)
+                    assert _count(main, off, sigma) == expected, (n, l, sigma)
 
     @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
                              ids=lambda pq: f"{pq[0]}/{pq[1]}")
     def test_solve_residual(self, tori, label):
         rng = np.random.default_rng(7)
         for l in range(4):
-            main, off = operator_bands(assemble(tori[label], l, 256))
-            A = _dense(main, off)
-            for sigma in (-1.0, 2.0):
-                b = rng.standard_normal(256)
-                x = spectral._ShiftedCyclic(main, off, sigma).solve(b)
-                residual = A @ x - sigma * x - b
-                assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b), (l, sigma)
+            for d, e in spectral._halves(*operator_bands(assemble(tori[label], l, 256))):
+                T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+                for sigma in (-1.0, 2.0):
+                    b = rng.standard_normal(d.size)
+                    x = spectral._inverse(d, e, sigma).matvec(b)
+                    residual = T @ x - sigma * x - b
+                    assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b), (l, sigma)
 
 
 def _valid_labels(q_max):
