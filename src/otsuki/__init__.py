@@ -30,8 +30,6 @@ from .numerics import (
     MaxItersExceeded,
     NoBracket,
     NonConvergence,
-    QuadratureSpec,
-    RootSpec,
     find_root_monotone,
     integrate_singular,
 )

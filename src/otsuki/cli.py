@@ -9,11 +9,13 @@ spectrum  p q     low Sturm-Liouville eigenvalues for one angular mode
 verify    p q     eigenvalue count N(2) against the predicted index 2p - 1
 mesh      p q     stereographic projection of the torus as a wavefront obj
 
-Every subcommand takes --format, --out, --config, --n-grid, --n-samples,
---l-max, --tol-quad and --tol-root; spectrum also takes --l and --k, mesh
---n-alpha and --n-t.  Every flag but --config is also a key of the config
-file (underscores or dashes); a flag overrides the file, which overrides
-the default.
+Every subcommand takes --format, --out and --config.  Each other flag is
+taken only by the subcommands that read it: geodesic --n-samples; spectrum
+--n-grid, --l and --k; verify --n-grid and --l-max; mesh --n-alpha and
+--n-t.  Every flag but --config is also a key of the config file
+(underscores or dashes); a flag overrides the file, which overrides the
+default.  One file may serve every subcommand: each reads the keys of its
+own flags and ignores the others, but an unknown key is refused.
 
 Exit codes: 0 success (and verification passed), 1 verification failed,
 2 invalid input or an output file that cannot be written, 3 ambiguous
@@ -30,7 +32,6 @@ from math import pi
 import numpy as np
 
 from . import geometry, spectral
-from .numerics import QuadratureSpec, RootSpec
 
 # Reference values for the five benchmark tori: rotation number, turning
 # value, eigenvalue index, functional value (4 significant digits).
@@ -55,16 +56,19 @@ _VALID_FORMATS = {
 
 _ALL = tuple(_VALID_FORMATS)
 
+# Most vertices a mesh may have: at 64 x 16384 = 2**20 vertices a run
+# reaches about 0.5 GB peak RSS and takes several seconds.
+_MAX_MESH_VERTICES = 2 ** 20
+
 # The one declaration of every option: name -> (type, default, help, the
-# subcommands that take the flag --name).  A config file may set any of them.
+# subcommands that take the flag --name and read the config key name).
 _OPTIONS = {
     "format": (str, None, "output format (subcommand-dependent)", _ALL),
     "out": (str, None, "write output to this file", _ALL),
-    "n_grid": (int, 2048, "spectral grid size", _ALL),
-    "n_samples": (int, None, "geodesic samples per period (default: resolution-aware)", _ALL),
-    "l_max": (int, 3, "highest angular mode scanned by verify", _ALL),
-    "tol_quad": (float, 1e-12, "quadrature relative tolerance", _ALL),
-    "tol_root": (float, 1e-13, "root-finder absolute tolerance", _ALL),
+    "n_grid": (int, 2048, "spectral grid size", ("spectrum", "verify")),
+    "n_samples": (int, None, "geodesic samples per period (default: resolution-aware)",
+                  ("geodesic",)),
+    "l_max": (int, 3, "highest angular mode scanned by verify", ("verify",)),
     "l": (int, 0, "angular mode", ("spectrum",)),
     "k": (int, 8, "number of eigenvalues", ("spectrum",)),
     "n_alpha": (int, 64, "vertices around the orbit direction", ("mesh",)),
@@ -116,18 +120,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _build_torus(args: argparse.Namespace, p: int, q: int) -> geometry.OtsukiTorus:
-    return geometry.build_torus(geometry.RotationNumber(p, q), n_samples=args.n_samples,
-                                quad_spec=QuadratureSpec(target_rel_tol=args.tol_quad),
-                                root_spec=RootSpec(abs_tol_x=args.tol_root))
-
-
 # --------------------------------------------------------------------------
 # subcommand handlers
 # --------------------------------------------------------------------------
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    torus = _build_torus(args, args.p, args.q)
+    torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     profile = torus.profile
     record = {
         "p": args.p, "q": args.q,
@@ -155,7 +153,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_table(args: argparse.Namespace) -> int:
     rows = []
     for p, q, a_ref, index, lam_ref in REFERENCE_ROWS:
-        torus = _build_torus(args, p, q)
+        torus = geometry.build_torus(geometry.RotationNumber(p, q))
         rows.append({
             "p": p, "q": q,
             "a": torus.profile.a,
@@ -205,7 +203,7 @@ def _geodesic_svg(profile: geometry.GeodesicProfile) -> str:
 
 
 def cmd_geodesic(args: argparse.Namespace) -> int:
-    torus = _build_torus(args, args.p, args.q)
+    torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q), args.n_samples)
     profile = torus.profile
     n = profile.n_samples
     if args.format == "svg":
@@ -238,7 +236,7 @@ def _cluster_ids(values: np.ndarray, tol: float = 1e-5) -> list[int]:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    torus = _build_torus(args, args.p, args.q)
+    torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     coarse = spectral.eigen_low(spectral.assemble(torus, args.l, args.n_grid), args.k)
     fine = spectral.eigen_low(spectral.assemble(torus, args.l, 2 * args.n_grid), args.k)
     # Richardson extrapolation of the second-order discretization
@@ -268,7 +266,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    torus = _build_torus(args, args.p, args.q)
+    torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     try:
         report = spectral.count_below(torus, threshold=2.0, l_max=args.l_max,
                                       n_grid=args.n_grid)
@@ -310,7 +308,11 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     if args.n_alpha < 3 or args.n_t < 3:
         print("mesh sizes must be at least 3 in each direction", file=sys.stderr)
         return 2
-    torus = _build_torus(args, args.p, args.q)
+    if args.n_alpha * args.n_t > _MAX_MESH_VERTICES:
+        print(f"a mesh of {args.n_alpha * args.n_t} vertices exceeds the limit of "
+              f"{_MAX_MESH_VERTICES}", file=sys.stderr)
+        return 2
+    torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     alphas = np.arange(args.n_alpha) * (2.0 * pi / args.n_alpha)
     ts = np.arange(args.n_t) * (torus.t0 / args.n_t)
     points = geometry.embedding_grid(torus, alphas, ts)
@@ -370,10 +372,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_options(args: argparse.Namespace) -> None:
-    """Fill every option a flag left unset: config file, then table default."""
+    """Fill every option of the subcommand a flag left unset: config file, then table default."""
     file_values = _read_config(args.config) if args.config else {}
-    for key, (_, default, _, _) in _OPTIONS.items():
-        if getattr(args, key, None) is None:
+    for key, (_, default, _, subcommands) in _OPTIONS.items():
+        if args.subcommand in subcommands and getattr(args, key) is None:
             setattr(args, key, file_values.get(key, default))
     if args.format is None:
         args.format = _VALID_FORMATS[args.subcommand][0]

@@ -33,13 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .numerics import (
-    NoBracket,
-    QuadratureSpec,
-    RootSpec,
-    find_root_monotone,
-    integrate_singular,
-)
+from .numerics import NoBracket, find_root_monotone, integrate_singular
 
 __all__ = [
     "DomainError", "ClosureFailure", "OutOfRange",
@@ -251,7 +245,7 @@ class AmbientPoint:
 # the closure condition
 # --------------------------------------------------------------------------
 
-def omega(a: float, quad_spec: QuadratureSpec | None = None) -> float:
+def omega(a: float) -> float:
     """Theta-advance between a minimum phi = a and the next maximum pi/2 - a.
 
     Evaluates the turning-angle integral
@@ -275,11 +269,10 @@ def omega(a: float, quad_spec: QuadratureSpec | None = None) -> float:
     def integrand(phi, d_lo, d_hi):
         return sin_2a / (np.cos(phi) * np.sqrt(np.sin(2.0 * d_lo) * np.sin(2.0 * d_hi)))
 
-    return integrate_singular(integrand, a, pi / 2.0 - a,
-                              quad_spec or QuadratureSpec())
+    return integrate_singular(integrand, a, pi / 2.0 - a)
 
 
-def arc_length_quarter(a: float, quad_spec: QuadratureSpec | None = None) -> float:
+def arc_length_quarter(a: float) -> float:
     """Length of one monotone arc of phi from a to pi/2 - a.
 
     Integrates dt/dphi = sqrt(E G / (G - c^2)) with c the Clairaut momentum
@@ -294,20 +287,17 @@ def arc_length_quarter(a: float, quad_spec: QuadratureSpec | None = None) -> flo
         return (2.0 * pi * np.sin(phi) * np.sin(2.0 * phi)
                 / np.sqrt(np.sin(2.0 * d_lo) * np.sin(2.0 * d_hi)))
 
-    return integrate_singular(integrand, a, pi / 2.0 - a,
-                              quad_spec or QuadratureSpec())
+    return integrate_singular(integrand, a, pi / 2.0 - a)
 
 
-def period(a: float, q: int, quad_spec: QuadratureSpec | None = None) -> float:
+def period(a: float, q: int) -> float:
     """Geodesic period t0 = 2 q L(a) from the quadrature arc length."""
     if q < 1:
         raise DomainError("q must be a positive integer")
-    return 2.0 * q * arc_length_quarter(a, quad_spec)
+    return 2.0 * q * arc_length_quarter(a)
 
 
-def solve_turning_value(rotation: RotationNumber,
-                        root_spec: RootSpec | None = None,
-                        quad_spec: QuadratureSpec | None = None) -> float:
+def solve_turning_value(rotation: RotationNumber) -> float:
     """Unique turning value a with omega(a) = (p/q) pi.
 
     Existence and uniqueness follow from strict monotonicity of omega and
@@ -318,14 +308,12 @@ def solve_turning_value(rotation: RotationNumber,
     target = rotation.closure_angle
     lo = 0.01
     for _ in range(200):
-        if omega(lo, quad_spec) < target:
+        if omega(lo) < target:
             break
         lo *= 0.5
     else:  # pragma: no cover - unreachable for a valid rotation number
         raise NoBracket("could not undershoot the closure angle near a = 0")
-    root = find_root_monotone(lambda x: omega(x, quad_spec) - target,
-                              lo, CLIFFORD_TURNING_VALUE,
-                              root_spec or RootSpec())
+    root = find_root_monotone(lambda x: omega(x) - target, lo, CLIFFORD_TURNING_VALUE)
     if root > CLIFFORD_TURNING_VALUE - _NEAR_CLIFFORD_GAP:
         raise DomainError(
             f"turning value {root!r} is within {_NEAR_CLIFFORD_GAP} of pi/4: "
@@ -549,10 +537,7 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
         cycle=cycle)
 
 
-def build_torus(rotation: RotationNumber,
-                n_samples: int | None = None,
-                quad_spec: QuadratureSpec | None = None,
-                root_spec: RootSpec | None = None) -> OtsukiTorus:
+def build_torus(rotation: RotationNumber, n_samples: int | None = None) -> OtsukiTorus:
     """Construct the Otsuki torus labeled by ``rotation``.
 
     Solves the closure condition for the turning value, builds the closed
@@ -561,9 +546,9 @@ def build_torus(rotation: RotationNumber,
     before deriving the area and the functional value ``2 t0`` attached to
     eigenvalue index ``2p - 1``.
     """
-    a = solve_turning_value(rotation, root_spec, quad_spec)
+    a = solve_turning_value(rotation)
     profile = trace_geodesic(a, rotation, n_samples)
-    t0_quadrature = period(a, rotation.q, quad_spec)
+    t0_quadrature = period(a, rotation.q)
     drift = abs(profile.t0 - t0_quadrature) / t0_quadrature
     if drift > 1e-6:
         raise ClosureFailure(
@@ -574,14 +559,15 @@ def build_torus(rotation: RotationNumber,
                        eigenvalue_index=2 * rotation.p - 1)
 
 
-def clifford_torus(n_samples: int = 4096) -> OtsukiTorus:
+def clifford_torus() -> OtsukiTorus:
     """The constant-phi = pi/4 solution, as a closed-form test fixture.
 
     Every derived quantity is known exactly: t0 = 2 pi^2, area 2 pi^2,
     functional value 4 pi^2, and constant spectral coefficients.  The
-    spectral anchor sits at eigenvalue index 1.
+    spectral anchor sits at eigenvalue index 1.  The geodesic holds the
+    default 4096 samples.
     """
-    profile = trace_geodesic(CLIFFORD_TURNING_VALUE, None, n_samples)
+    profile = trace_geodesic(CLIFFORD_TURNING_VALUE, None)
     return OtsukiTorus(profile=profile, area=profile.t0,
                        lambda_value=2.0 * profile.t0, eigenvalue_index=1)
 

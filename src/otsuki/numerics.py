@@ -9,14 +9,13 @@ Two reusable building blocks, each a pure function of its inputs:
 * :func:`find_root_monotone` -- safeguarded bracketing root finder
   (bisection refined by inverse quadratic / secant interpolation).
 
-Everything runs in IEEE double precision; tolerances are carried by small
-frozen dataclasses so call sites stay declarative.
+Everything runs in IEEE double precision.  Each kernel has one fixed
+accuracy setting, a tolerance and a budget held in module constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,37 +37,14 @@ class MaxItersExceeded(RuntimeError):
     """Root finder exhausted its iteration budget."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for :func:`integrate_singular`."""
-
-    target_rel_tol: float = 1e-12
-    max_levels: int = 12
-
-    def __post_init__(self):
-        if not self.target_rel_tol > 0:
-            raise ValueError("target_rel_tol must be positive")
-        if self.max_levels < 1:
-            raise ValueError("max_levels must be at least 1")
-
-
-@dataclass(frozen=True)
-class RootSpec:
-    """Tolerances for :func:`find_root_monotone`."""
-
-    abs_tol_x: float = 1e-13
-    max_iters: int = 200
-
-    def __post_init__(self):
-        if not self.abs_tol_x > 0:
-            raise ValueError("abs_tol_x must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
-
-
 # --------------------------------------------------------------------------
 # tanh-sinh quadrature
 # --------------------------------------------------------------------------
+
+# Two successive levels must agree to this relative tolerance, within at
+# most this many levels.
+_QUAD_REL_TOL = 1e-12
+_QUAD_MAX_LEVELS = 12
 
 # Beyond |u| = 4 the transformed weights are ~1e-36 even against an
 # inverse-square-root singularity, far below double-precision relevance.
@@ -98,8 +74,7 @@ def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return sigma, weight
 
 
-def integrate_singular(f: Callable, a: float, b: float,
-                       spec: QuadratureSpec = QuadratureSpec()) -> float:
+def integrate_singular(f: Callable, a: float, b: float) -> float:
     """Integrate ``f`` over ``(a, b)`` by adaptive tanh-sinh quadrature.
 
     Parameters
@@ -116,14 +91,12 @@ def integrate_singular(f: Callable, a: float, b: float,
     a, b : float
         Integration limits, ``a < b``.  Endpoint singularities no worse
         than an inverse square root are handled.
-    spec : QuadratureSpec
-        Relative tolerance and the refinement budget.
 
     Returns
     -------
     float
         The integral, once two successive trapezoidal refinements agree to
-        ``spec.target_rel_tol``.
+        ``_QUAD_REL_TOL`` (1e-12).
 
     Raises
     ------
@@ -131,7 +104,7 @@ def integrate_singular(f: Callable, a: float, b: float,
         If ``a >= b``.
     NonConvergence
         If the level-to-level estimate has not settled within
-        ``spec.max_levels`` refinements.
+        ``_QUAD_MAX_LEVELS`` (12) refinements.
     """
     if not a < b:
         raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
@@ -145,7 +118,7 @@ def integrate_singular(f: Callable, a: float, b: float,
     raw_sum = 0.5 * math.pi * float(evaluate(np.array([mid]), half_arr, half_arr)[0])
     estimate = raw_sum * half  # h = 1 at level 0
     previous = None
-    for level in range(spec.max_levels):
+    for level in range(_QUAD_MAX_LEVELS):
         sigma, weight = _tanh_sinh_nodes(level)
         d = half * sigma
         d_far = half * (2.0 - sigma)
@@ -156,11 +129,11 @@ def integrate_singular(f: Callable, a: float, b: float,
         estimate = h * half * raw_sum
         if previous is not None and level >= 2:
             scale = max(abs(estimate), abs(previous), np.finfo(float).tiny)
-            if abs(estimate - previous) <= spec.target_rel_tol * scale:
+            if abs(estimate - previous) <= _QUAD_REL_TOL * scale:
                 return estimate
         previous = estimate
     raise NonConvergence(
-        f"tanh-sinh estimate still moving after {spec.max_levels} levels "
+        f"tanh-sinh estimate still moving after {_QUAD_MAX_LEVELS} levels "
         f"(last change {abs(estimate - previous):.3e})")
 
 
@@ -170,22 +143,25 @@ def integrate_singular(f: Callable, a: float, b: float,
 
 _EPS = float(np.finfo(float).eps)
 
+# Terminal bracket width and iteration budget of find_root_monotone.
+_ROOT_ABS_TOL = 1e-13
+_ROOT_MAX_ITERS = 200
 
-def find_root_monotone(f: Callable[[float], float], lo: float, hi: float,
-                       spec: RootSpec = RootSpec()) -> float:
+
+def find_root_monotone(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Locate the root of a continuous function bracketed by ``[lo, hi]``.
 
     Bisection refined by inverse quadratic / secant interpolation with
     bracket safeguarding (Brent's scheme); the iterate never leaves the
     initial interval and the terminal bracket width is at most
-    ``spec.abs_tol_x`` (plus an unavoidable few-ulp floor).
+    ``_ROOT_ABS_TOL`` (1e-13, plus an unavoidable few-ulp floor).
 
     Raises
     ------
     NoBracket
         If ``f(lo)`` and ``f(hi)`` do not have opposite signs.
     MaxItersExceeded
-        If the bracket has not collapsed after ``spec.max_iters`` steps.
+        If the bracket has not collapsed after ``_ROOT_MAX_ITERS`` (200) steps.
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
@@ -198,11 +174,11 @@ def find_root_monotone(f: Callable[[float], float], lo: float, hi: float,
 
     c, fc = a, fa
     e = d = b - a
-    for _ in range(spec.max_iters):
+    for _ in range(_ROOT_MAX_ITERS):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 0.5 * spec.abs_tol_x + 2.0 * _EPS * abs(b)
+        tol = 0.5 * _ROOT_ABS_TOL + 2.0 * _EPS * abs(b)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b
@@ -236,4 +212,4 @@ def find_root_monotone(f: Callable[[float], float], lo: float, hi: float,
         if (fb > 0) == (fc > 0):
             c, fc = a, fa
             e = d = b - a
-    raise MaxItersExceeded(f"no convergence within {spec.max_iters} iterations")
+    raise MaxItersExceeded(f"no convergence within {_ROOT_MAX_ITERS} iterations")

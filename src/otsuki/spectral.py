@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dstebz
@@ -61,8 +62,9 @@ _SQRT2 = math.sqrt(2.0)
 
 # Largest grid assembled, in rows: up to about 270 B per row at peak, so about
 # 0.57 GB (tracemalloc peak of count_below on 2/3 over the rows of its doubled
-# grid: 168 B at n_grid 2^16; 270 B at 2^18, where the even l = 1 half has no
-# eigenvalue below 2 and its ground run keeps ARPACK's 20 Lanczos vectors).
+# grid: 134 B at n_grid 2^16; 270 B at 2^18, where the even l = 1 half has no
+# eigenvalue below 2 and its ground run keeps ARPACK's 20 Lanczos vectors;
+# the same at any l_max, as the modes above l = 1 are held one at a time).
 # It admits the doubled resolving grid of 10/19 (2^20 -> 2^21).
 _MAX_GRID = 2 ** 21
 
@@ -135,12 +137,16 @@ def assemble(torus: OtsukiTorus, l: int, n_grid: int) -> SLProblem:
     represent the 2p oscillations of the eigenfunctions near the counting
     threshold, and ``n_grid <= _MAX_GRID`` (ValueError otherwise).
     """
-    return _assemble_modes(torus, [l], n_grid)[0]
+    return next(_assemble_modes(torus, [l], n_grid))
 
 
 def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
-                    ) -> list[SLProblem]:
-    """:func:`assemble` for each listed mode, sampling the profile once."""
+                    ) -> Iterator[SLProblem]:
+    """:func:`assemble` for each listed mode, sampling the profile once.
+
+    The problems are made one at a time, as they are asked for, so a caller
+    that keeps none of them holds one mode's potential at a time.
+    """
     if any(l < 0 for l in modes):
         raise ValueError("angular mode l must be non-negative")
     p = torus.profile.theta_winding
@@ -159,9 +165,10 @@ def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
     sin_sq = np.sin(phi) ** 2
     P = 4.0 * math.pi ** 2 * sin_sq
     P_mid = 4.0 * math.pi ** 2 * np.sin(phi_mid) ** 2
-    return [SLProblem(l=l, period=t0, grid=grid, P=P, P_mid=P_mid,
-                      Q=(l * l) / sin_sq if l else np.zeros(n_grid), n_grid=n_grid)
-            for l in modes]
+    del phi, phi_mid  # not held while the generator waits
+    for l in modes:
+        yield SLProblem(l=l, period=t0, grid=grid, P=P, P_mid=P_mid,
+                        Q=(l * l) / sin_sq if l else np.zeros(n_grid), n_grid=n_grid)
 
 
 def _check_grid_size(n_grid: int) -> None:
@@ -186,17 +193,17 @@ def operator_bands(problem: SLProblem) -> tuple[np.ndarray, np.ndarray]:
     return main, off
 
 
-def count_sign_changes(values: np.ndarray, rel_floor: float = 1e-10) -> int:
+def count_sign_changes(values: np.ndarray) -> int:
     """Sign changes of a periodic grid function over one period.
 
-    Entries below ``rel_floor`` times the max magnitude are ignored so that
+    Entries below 1e-10 times the max magnitude are ignored so that
     discretization noise at a genuine zero is not double counted.
     """
     v = np.asarray(values, dtype=float)
     peak = np.max(np.abs(v))
     if peak == 0.0:
         return 0
-    signs = np.sign(v[np.abs(v) >= rel_floor * peak])
+    signs = np.sign(v[np.abs(v) >= 1e-10 * peak])
     if signs.size < 2:
         return 0
     return int(np.sum(signs != np.roll(signs, 1)))
@@ -392,7 +399,7 @@ def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
     vanishes at the order of the discretization, so the triple measures the
     spectral accuracy of the grid.
     """
-    problems = _assemble_modes(torus, (0, 1), n_grid)
+    problems = list(_assemble_modes(torus, (0, 1), n_grid))
     bands_l0, bands_l1 = (operator_bands(problem) for problem in problems)
     phi = torus.profile.phi_at(problems[0].grid)
     theta = torus.profile.theta_at(problems[0].grid)
@@ -476,18 +483,21 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
 
     for n in grids:
         finest = n == grids[-1]
-        modes = [_halves(*operator_bands(problem))
-                 for problem in _assemble_modes(torus, range(l_max + 1), n)]
+        # the modes one at a time: only l = 0 and l = 1 are held throughout
+        # (map, unlike a generator expression, holds no finished problem)
+        modes = map(lambda problem: _halves(*operator_bands(problem)),
+                    _assemble_modes(torus, range(l_max + 1), n))
+        l0, l1 = next(modes), next(modes)
         # the anchors: in each l = 0 half the eigenvalue nearest the threshold
         # (cos phi cos theta is even, cos phi sin theta odd), and the l = 1
         # ground, which is even
-        l0_near = np.array([_eigenvalues_near(d, e, 1, threshold)[0] for d, e in modes[0]])
-        l1_ground = _ground_eigenvalue(*modes[1][0], threshold)
+        l0_near = np.array([_eigenvalues_near(d, e, 1, threshold)[0] for d, e in l0])
+        l1_ground = _ground_eigenvalue(*l1[0], threshold)
         band = _band_from_anchors(l0_near, l1_ground, threshold)
         anchors = {(0, 0): l0_near[0], (0, 1): l0_near[1], (1, 0): l1_ground}
         total = 0
         shoulder: list[tuple[int, float]] = []
-        for l, halves in enumerate(modes):
+        for l, halves in enumerate(chain((l0, l1), modes)):
             # for l >= 2, lambda_0(l) normally clears the band: one count settles the mode
             if l >= 2 and not counts(halves, threshold + band).any():
                 continue
@@ -552,9 +562,8 @@ def lambda0_monotone_check(torus: OtsukiTorus, l_values: Sequence[int],
     return ground
 
 
-def resolving_grid(torus: OtsukiTorus, points_per_layer: float = 8.0,
-                   floor: int = 2048) -> int:
-    """Power-of-two grid size that places the given number of nodes per turning layer.
+def resolving_grid(torus: OtsukiTorus) -> int:
+    """Power-of-two grid size, at least 2048, that places 8 nodes per turning layer.
 
     Convergence of the discretization is second order only once the grid
     resolves the turning layers; use this to pick grids for convergence-rate
@@ -562,6 +571,6 @@ def resolving_grid(torus: OtsukiTorus, points_per_layer: float = 8.0,
     """
     layer = turning_layer_scale(torus.profile.a)
     if not math.isfinite(layer):
-        return floor
-    needed = points_per_layer * torus.t0 / layer
-    return max(floor, 1 << int(math.ceil(math.log2(needed))))
+        return 2048
+    needed = 8.0 * torus.t0 / layer
+    return max(2048, 1 << int(math.ceil(math.log2(needed))))

@@ -194,6 +194,16 @@ class TestMesh:
         code, _, err = run(capsys, "mesh", "2", "3", "--n-alpha", "2")
         assert code == 2
 
+    def test_too_many_vertices_refused_before_the_torus_is_built(self, capsys, monkeypatch):
+        def no_build(*args, **kwargs):
+            raise AssertionError("the torus was built")
+
+        monkeypatch.setattr(cli.geometry, "build_torus", no_build)
+        code, out, err = run(capsys, "mesh", "2", "3", "--n-alpha", "1024", "--n-t", "1025")
+        assert code == 2
+        assert out == ""
+        assert f"{1024 * 1025} vertices exceeds the limit of {2 ** 20}" in err
+
     def test_deterministic_output(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.obj", tmp_path / "b.obj"
         run(capsys, "mesh", "2", "3", "--n-alpha", "8", "--n-t", "32", "--out", str(p1))
@@ -228,13 +238,35 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, "solve", "2", "3", "--config", "/nonexistent.cfg")
         assert code == 2
 
+    def test_key_of_another_subcommand_ignored(self, capsys, tmp_path):
+        # n_samples is read by geodesic only: it does not lift verify's sample cap
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n_samples = 5000\n")
+        code, _, err = run(capsys, "verify", "17", "33", "--config", str(cfg))
+        assert code == 2
+        assert "samples" in err
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "2", "3", "--n-grid", "7"],
+        ["table", "--l-max", "0"],
+        ["spectrum", "2", "3", "--n-samples", "5000"],
+        ["verify", "17", "33", "--n-samples", "5000"],
+        ["solve", "2", "3", "--tol-quad", "1e-9"],
+    ], ids=" ".join)
+    def test_flag_the_subcommand_does_not_read_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
 
 # A config value and a flag value for every option, each unlike its default.
 _OPTION_VALUES = {
     "format": ("json", "text"), "out": ("a.txt", "b.txt"),
     "n_grid": ("1024", "4096"), "n_samples": ("5000", "6000"),
-    "l_max": ("4", "5"), "tol_quad": ("1e-09", "1e-10"),
-    "tol_root": ("1e-09", "1e-10"), "l": ("1", "2"), "k": ("3", "4"),
+    "l_max": ("4", "5"), "l": ("1", "2"), "k": ("3", "4"),
     "n_alpha": ("10", "12"), "n_t": ("20", "24"),
 }
 
@@ -272,25 +304,33 @@ class TestOptionTable:
         assert seen[key] == kind(from_flag)
 
     def test_defaults_without_flag_or_config(self, seen):
-        assert main(["spectrum", "2", "3"]) == 0
-        assert {key: seen[key] for key in cli._OPTIONS} == {
-            "format": "text", "out": None, "n_grid": 2048, "n_samples": None,
-            "l_max": 3, "tol_quad": 1e-12, "tol_root": 1e-13, "l": 0, "k": 8,
-            "n_alpha": 64, "n_t": 256}
+        # each subcommand resolves its own options and no others
+        expected = {
+            "solve": {"format": "text", "out": None},
+            "table": {"format": "text", "out": None},
+            "geodesic": {"format": "csv", "out": None, "n_samples": None},
+            "spectrum": {"format": "text", "out": None, "n_grid": 2048, "l": 0, "k": 8},
+            "verify": {"format": "text", "out": None, "n_grid": 2048, "l_max": 3},
+            "mesh": {"format": "obj", "out": None, "n_alpha": 64, "n_t": 256},
+        }
+        for name, options in expected.items():
+            seen.clear()
+            assert main([name] + ([] if name == "table" else ["2", "3"])) == 0
+            assert {key: seen[key] for key in cli._OPTIONS if key in seen} == options, name
 
     def test_each_subcommand_keeps_its_flags_and_help(self):
         shared = {
             "--format": "output format (subcommand-dependent)",
             "--out": "write output to this file",
             "--config": "key=value config file",
-            "--n-grid": "spectral grid size (default 2048)",
-            "--n-samples": "geodesic samples per period (default: resolution-aware)",
-            "--l-max": "highest angular mode scanned by verify (default 3)",
-            "--tol-quad": "quadrature relative tolerance (default 1e-12)",
-            "--tol-root": "root-finder absolute tolerance (default 1e-13)",
         }
+        n_grid = {"--n-grid": "spectral grid size (default 2048)"}
         extra = {
-            "spectrum": {"--l": "angular mode (default 0)",
+            "geodesic": {"--n-samples":
+                         "geodesic samples per period (default: resolution-aware)"},
+            "verify": {**n_grid,
+                       "--l-max": "highest angular mode scanned by verify (default 3)"},
+            "spectrum": {**n_grid, "--l": "angular mode (default 0)",
                          "--k": "number of eigenvalues (default 8)"},
             "mesh": {"--n-alpha": "vertices around the orbit direction (default 64)",
                      "--n-t": "vertices along the geodesic (default 256)"},
@@ -359,11 +399,13 @@ class TestVerifyFailurePaths:
 
 
 class TestToleranceOverrides:
-    def test_loose_tolerances_still_solve(self, capsys):
-        code, out, _ = run(capsys, "solve", "2", "3", "--format", "json",
-                           "--tol-quad", "1e-9", "--tol-root", "1e-9")
-        assert code == 0
-        assert abs(json.loads(out)["lambda"] - 79.91) <= 0.1
+    def test_tolerance_config_key_rejected(self, capsys, tmp_path):
+        # quadrature and root finder run at one fixed accuracy
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tol_quad = 1e-9\n")
+        code, _, err = run(capsys, "solve", "2", "3", "--config", str(cfg))
+        assert code == 2
+        assert "unknown key 'tol_quad'" in err
 
     def test_ode_tolerance_flag_rejected(self, capsys):
         # the geodesic is no longer integrated, so there is no ODE tolerance

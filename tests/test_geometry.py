@@ -24,7 +24,7 @@ from otsuki.geometry import (
     solve_turning_value,
     trace_geodesic,
 )
-from otsuki.numerics import RootSpec, find_root_monotone
+from otsuki.numerics import find_root_monotone
 
 from conftest import REFERENCE
 
@@ -305,7 +305,7 @@ class TestOneArcConstruction:
         trajectory = reference_trace(a, 1.02 * t0_estimate, rtol=1e-12, atol=1e-14)
         t0 = find_root_monotone(
             lambda t: float(trajectory(t)[2]) - 2.0 * pi * rotation.p,
-            0.98 * t0_estimate, 1.02 * t0_estimate, RootSpec(abs_tol_x=1e-12))
+            0.98 * t0_estimate, 1.02 * t0_estimate)
         return t0, trajectory
 
     @pytest.mark.parametrize("p,q", [(2, 3), (5, 9)])

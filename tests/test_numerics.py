@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+from otsuki import numerics
 from otsuki.numerics import (
     InvalidInterval,
     MaxItersExceeded,
     NoBracket,
     NonConvergence,
-    QuadratureSpec,
-    RootSpec,
     find_root_monotone,
     integrate_singular,
 )
@@ -45,12 +44,11 @@ class TestIntegrateSingular:
         assert abs(value - exact) <= 1e-12 * max(1.0, abs(exact))
 
     def test_additivity_for_smooth_integrand(self):
-        spec = QuadratureSpec()
         f = lambda x, d_lo, d_hi: np.exp(x)
-        left = integrate_singular(f, 0.0, 0.7, spec)
-        right = integrate_singular(f, 0.7, 2.0, spec)
-        whole = integrate_singular(f, 0.0, 2.0, spec)
-        assert abs(left + right - whole) <= 10.0 * spec.target_rel_tol * abs(whole)
+        left = integrate_singular(f, 0.0, 0.7)
+        right = integrate_singular(f, 0.7, 2.0)
+        whole = integrate_singular(f, 0.0, 2.0)
+        assert abs(left + right - whole) <= 10.0 * numerics._QUAD_REL_TOL * abs(whole)
 
     def test_tiny_interval(self):
         # omega evaluation close to the constant solution integrates over
@@ -66,17 +64,11 @@ class TestIntegrateSingular:
         with pytest.raises(InvalidInterval):
             integrate_singular(lambda x, d_lo, d_hi: np.sin(x), 2.0, 1.0)
 
-    def test_nonconvergence_on_exhausted_levels(self):
-        spec = QuadratureSpec(target_rel_tol=1e-12, max_levels=3)
+    def test_nonconvergence_on_exhausted_levels(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_QUAD_MAX_LEVELS", 3)
         with pytest.raises(NonConvergence):
             integrate_singular(lambda x, d_lo, d_hi: 1.0 / np.sqrt(d_lo * d_hi),
-                               0.0, 1.0, spec)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(target_rel_tol=0.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_levels=0)
+                               0.0, 1.0)
 
 
 class TestFindRootMonotone:
@@ -87,9 +79,9 @@ class TestFindRootMonotone:
         root = find_root_monotone(math.cos, 1.0, 2.0)
         assert abs(root - math.pi / 2.0) <= 1e-13
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+    @pytest.mark.parametrize("tol", [numerics._ROOT_ABS_TOL])
     def test_tolerance_is_respected(self, tol):
-        root = find_root_monotone(math.cos, 1.0, 2.0, RootSpec(abs_tol_x=tol))
+        root = find_root_monotone(math.cos, 1.0, 2.0)
         assert abs(root - math.pi / 2.0) <= tol
 
     def test_stays_inside_bracket(self):
@@ -109,7 +101,7 @@ class TestFindRootMonotone:
     def test_endpoint_root_returned_directly(self):
         assert find_root_monotone(lambda x: x, 0.0, 1.0) == 0.0
 
-    def test_max_iters(self):
+    def test_max_iters(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_ROOT_MAX_ITERS", 3)
         with pytest.raises(MaxItersExceeded):
-            find_root_monotone(math.cos, 1.0, 2.0,
-                               RootSpec(abs_tol_x=1e-13, max_iters=3))
+            find_root_monotone(math.cos, 1.0, 2.0)

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -248,6 +249,19 @@ class TestCountBelow:
         with pytest.raises(ValueError, match=f"{2 ** 22} rows"):
             count_below(torus_23, n_grid=2 ** 21)
         assert time.perf_counter() - start < 1.0
+
+    def test_memory_does_not_grow_with_l_max(self, torus_23):
+        # the modes are assembled one at a time, so l_max adds time, not memory
+        def peak(l_max):
+            tracemalloc.start()
+            try:
+                count_below(torus_23, l_max=l_max, n_grid=256)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(3)  # first call: caches and lazy imports
+        assert peak(200) <= 2.0 * peak(3)
 
 
 class TestCountBelowClassification:
