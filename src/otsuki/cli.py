@@ -18,8 +18,9 @@ default.  One file may serve every subcommand: each reads the keys of its
 own flags and ignores the others, but an unknown key is refused.
 
 Exit codes: 0 success (and verification passed), 1 verification failed,
-2 invalid input or an output file that cannot be written, 3 ambiguous
-eigenvalue count.
+2 invalid input, an output file that cannot be written, or a computation
+that failed (SolverFailure, ClosureFailure, NonConvergence: "computation
+failed" on stderr), 3 ambiguous eigenvalue count.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import json
 import sys
 from math import pi
+from typing import Iterable
 
 import numpy as np
 
@@ -112,12 +114,14 @@ def _json(record) -> str:
     return json.dumps(rounded(record), indent=2) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str | Iterable[str], out: str | None) -> None:
+    """Write ``text``, a string or strings written one by one, to ``out`` or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # --------------------------------------------------------------------------
@@ -321,24 +325,23 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     if w_max >= 1.0 - 1e-9:  # cannot happen: |w| = cos(phi) |sin(theta)| < cos(a)
         print(f"projection pole approached (max |w| = {w_max})", file=sys.stderr)
         return 2
-    denom = 1.0 - w
-    projected = points[:, :, :3] / denom[:, :, None]
-    lines = [f"# torus {args.p}/{args.q}, stereographic projection from (0, 0, 0, 1)",
-             f"# {args.n_alpha} x {args.n_t} vertices, quad faces"]
-    for i in range(args.n_alpha):
-        for j in range(args.n_t):
-            x, y, z = projected[i, j]
-            lines.append(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}")
-    for i in range(args.n_alpha):
-        for j in range(args.n_t):
-            i2 = (i + 1) % args.n_alpha
-            j2 = (j + 1) % args.n_t
-            a = i * args.n_t + j + 1
-            b = i2 * args.n_t + j + 1
-            c = i2 * args.n_t + j2 + 1
-            d = i * args.n_t + j2 + 1
-            lines.append(f"f {a} {b} {c} {d}")
-    _emit("\n".join(lines) + "\n", args.out)
+    projected = points[:, :, :3] / (1.0 - w)[:, :, None]
+    del points, w
+
+    def blocks():
+        """The obj text, one block per orbit circle: the header, the vertices, the faces."""
+        yield (f"# torus {args.p}/{args.q}, stereographic projection from (0, 0, 0, 1)\n"
+               f"# {args.n_alpha} x {args.n_t} vertices, quad faces\n")
+        for row in projected:
+            yield "".join(f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}\n" for x, y, z in row)
+        n_t = args.n_t
+        for i in range(args.n_alpha):
+            # 1-based index of vertex 0 of this circle and of the next one
+            this, nxt = i * n_t + 1, (i + 1) % args.n_alpha * n_t + 1
+            yield "".join(f"f {this + j} {nxt + j} {nxt + (j + 1) % n_t} "
+                          f"{this + (j + 1) % n_t}\n" for j in range(n_t))
+
+    _emit(blocks(), args.out)
     return 0
 
 

@@ -71,11 +71,14 @@ _NEAR_CLIFFORD_GAP = 1e-6
 # allocation; this cap decides which labels exit with code 2.
 _MAX_SAMPLES = 2 ** 22
 
-# Nodes per u-cycle of the Fourier series of dt/du and dtheta/du.  Their
-# coefficients decay geometrically, more slowly for thinner tori; on the
-# thinnest label under the sample cap (16/31) theta is within 1e-10 of a
-# series of four times as many nodes, and the period equal to rounding.
+# Nodes per u-cycle of the Fourier series of dt/du and dtheta/du, at first
+# and at most.  Their coefficients decay geometrically, more slowly for
+# thinner tori, dtheta/du the slowest (it peaks at u = pi, where cos phi
+# falls to about a); the nodes double until its last 8 coefficients are
+# within 1e-13 of its mean.  The five benchmark tori stop at 256 (tails
+# 2e-16 or below), 10/19 and 16/31 at 512, 48/95 and 50/99 at 1024.
 _SERIES_NODES = 256
+_MAX_SERIES_NODES = 2 ** 14
 
 # Knots per u-cycle of the quintic interpolants of u(t) and theta(t).
 _KNOTS = 2048
@@ -358,11 +361,21 @@ def _phase_knot_table(a: float):
     ``theta(u)``, ``J = dt/du``, ``dtheta/du`` and their u-derivatives at
     ``_KNOTS + 1`` uniform ``u_m``; then ``du/dt = 1/J``,
     ``d2u/dt2 = -J'/J^3``, and likewise for theta by the chain rule.
+    The series has as many nodes as its tail needs (see ``_SERIES_NODES``);
+    raises :class:`ClosureFailure` if ``_MAX_SERIES_NODES`` are not enough.
     """
     K, M = _SERIES_NODES, _KNOTS
-    # f(u) = sum_k c_k e^{iku}; the Nyquist term is dropped
-    rates = np.array(_phase_rates(a, (2.0 * pi / K) * np.arange(K)))
-    c = np.fft.rfft(rates)[:, :K // 2] / K
+    while True:
+        # f(u) = sum_k c_k e^{iku}; the Nyquist term is dropped
+        rates = np.array(_phase_rates(a, (2.0 * pi / K) * np.arange(K)))
+        c = np.fft.rfft(rates)[:, :K // 2] / K
+        tail = float(np.max(np.abs(c[1, -8:])) / c[1, 0].real)
+        if tail <= 1e-13:
+            break
+        if K == _MAX_SERIES_NODES:
+            raise ClosureFailure(f"the phase series of dtheta/du at a = {a!r} has a "
+                                 f"tail of {tail:.3e} at {K} nodes")
+        K *= 2
     ik = 1j * np.arange(K // 2)
     integral = np.zeros_like(c)
     integral[:, 1:] = c[:, 1:] / ik[1:]

@@ -383,6 +383,26 @@ class TestWindowEdges:
             trace_geodesic(0.2, RotationNumber(2, 3))
 
 
+class TestPhaseSeries:
+    def test_thin_tori_close_with_a_longer_series(self):
+        # the theta rate of 48/95 has a tail of 1.4e-4 of its mean at 256
+        # nodes, which left theta(t0) 1e-6 from 2 pi p
+        for p, q in ((48, 95), (50, 99)):
+            profile = trace_geodesic(solve_turning_value(RotationNumber(p, q)),
+                                     RotationNumber(p, q), n_samples=4096)
+            assert profile.closure_theta_error <= 1e-9, (p, q)
+
+    def test_benchmark_tori_keep_the_first_series(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_SERIES_NODES", geometry._SERIES_NODES)
+        for p, q in REFERENCE:
+            geometry._phase_knot_table(solve_turning_value(RotationNumber(p, q)))
+
+    def test_node_cap_raises_closure_failure(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_MAX_SERIES_NODES", 512)
+        with pytest.raises(geometry.ClosureFailure, match="tail"):
+            geometry._phase_knot_table(solve_turning_value(RotationNumber(48, 95)))
+
+
 class TestEmbedding:
     def test_initial_point(self, torus_23):
         a = torus_23.profile.a

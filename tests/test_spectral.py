@@ -119,24 +119,72 @@ class TestOperatorMatrix:
         assert np.max(np.abs(A @ np.ones(512))) <= 1e-9
 
 
+class TestInverse:
+    def test_ldlt_exactly_where_the_shift_is_definite(self, torus_23, monkeypatch):
+        used = []
+
+        def recording(name):
+            solve = getattr(spectral, name)
+
+            def wrapped(*args):
+                used.append(name)
+                return solve(*args)
+            return wrapped
+
+        for name in ("dpttrs", "dgttrs"):
+            monkeypatch.setattr(spectral, name, recording(name))
+        lapack = scipy.linalg.lapack
+        b = np.random.default_rng(3).standard_normal(513)
+        definite_seen = set()
+        # l = 0 at 2 is indefinite, at -1 definite; l = 2 lies above 2
+        for l in (0, 2):
+            (d, e), _ = spectral._halves(*operator_bands(assemble(torus_23, l, 1024)))
+            for sigma in (-1.0, 2.0):
+                definite = spectral._inertia(d, e, sigma) == 0
+                definite_seen.add(definite)
+                used.clear()
+                x = spectral._inverse(d, e, sigma).matvec(b)
+                assert used == ["dpttrs" if definite else "dgttrs"], (l, sigma)
+                *lu, _ = lapack.dgttrf(e, d - sigma, e)
+                reference = lapack.dgttrs(*lu, b)[0]
+                assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+        assert definite_seen == {True, False}
+
+
 class TestEigenLow:
     def test_against_dense_solver(self, torus_23):
-        # independent oracle: full dense symmetric eigensolve at small n
+        # independent oracle: full dense symmetric eigensolve at small n; the
+        # k cover the even half alone (1) and the shares k // 2 + 1 and k // 2
         for n in (1024, 1023, 255):
             problem = assemble(torus_23, 0, n)
-            spectrum = eigen_low(problem, 8)
             A = _dense(*operator_bands(problem))
-            dense_vals = np.sort(scipy.linalg.eigh(A, eigvals_only=True))[:8]
-            np.testing.assert_allclose(spectrum.eigenvalues, dense_vals, atol=1e-8)
-            # unit eigenvectors of the full cyclic matrix, even and odd in t
-            vecs = spectrum.eigenvectors
-            residual = A @ vecs - vecs * spectrum.eigenvalues
-            assert np.linalg.norm(residual, axis=0).max() <= 1e-12 * np.abs(A).sum(1).max(), n
-            np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=1e-12)
-            mirrored = vecs[-np.arange(n) % n]
-            even = np.all(mirrored == vecs, axis=0)
-            odd = np.all(mirrored == -vecs, axis=0)
-            assert np.all(even ^ odd) and even.any() and odd.any(), n
+            dense_vals = np.sort(scipy.linalg.eigh(A, eigvals_only=True))
+            for k in (1, 7, 8, 9):
+                spectrum = eigen_low(problem, k)
+                np.testing.assert_allclose(spectrum.eigenvalues, dense_vals[:k], atol=1e-8)
+                # unit eigenvectors of the full cyclic matrix, even and odd in t
+                vecs = spectrum.eigenvectors
+                residual = A @ vecs - vecs * spectrum.eigenvalues
+                assert (np.linalg.norm(residual, axis=0).max()
+                        <= 1e-12 * np.abs(A).sum(1).max()), (n, k)
+                np.testing.assert_allclose(np.linalg.norm(vecs, axis=0), 1.0, rtol=1e-12)
+                mirrored = vecs[-np.arange(n) % n]
+                even = np.all(mirrored == vecs, axis=0)
+                odd = np.all(mirrored == -vecs, axis=0)
+                assert np.all(even ^ odd) and even.any() and odd.any() == (k > 1), (n, k)
+
+    @pytest.mark.parametrize("p, q, l, k, n", [
+        (9, 16, 3, 9, 2048), (9, 16, 3, 9, 4096), (11, 20, 3, 12, 4096)])
+    def test_k_ending_inside_a_cluster(self, p, q, l, k, n):
+        # the l = 3 values come in tight clusters, 8 to a half; asking a half
+        # for k of them with ARPACK's default Krylov dimension did not converge
+        problem = assemble(build_torus(RotationNumber(p, q)), l, n)
+        oracle = np.sort(np.concatenate([
+            scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
+                                          select_range=(0, k - 1))
+            for d, e in spectral._halves(*operator_bands(problem))]))[:k]
+        np.testing.assert_allclose(eigen_low(problem, k).eigenvalues, oracle,
+                                   rtol=0, atol=1e-9)
 
     def test_k_bounds(self, torus_23):
         problem = assemble(torus_23, 0, 256)
