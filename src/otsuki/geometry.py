@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, pi
 from typing import Optional
 
@@ -65,10 +66,11 @@ CLIFFORD_TURNING_VALUE = pi / 4
 # condition becomes numerically degenerate as the two turning circles merge.
 _NEAR_CLIFFORD_GAP = 1e-6
 
-# Most geodesic samples a profile may hold: at 2**22 the five sample arrays
-# take about 170 MB (the interpolant has a fixed size).  Thin tori need more
-# (20/39: 7.5 million, 50/99: 181 million) and are rejected before any
-# allocation; this cap decides which labels exit with code 2.
+# Most geodesic samples a profile may declare: at 2**22 the five sample
+# arrays, once read, take about 170 MB (the interpolant has a fixed size).
+# Thin tori need more (20/39: 7.5 million, 50/99: 181 million) and are
+# refused at trace time, though nothing is allocated until the samples are
+# read; this cap decides which labels exit with code 2.
 _MAX_SAMPLES = 2 ** 22
 
 # Nodes per u-cycle of the Fourier series of dt/du and dtheta/du, at first
@@ -158,15 +160,19 @@ class RotationNumber:
 
 @dataclass
 class GeodesicProfile:
-    """One period of the closed geodesic, sampled uniformly in arc length.
+    """One period of the closed geodesic, with uniform arc-length samples.
 
-    Arrays hold ``n_samples + 1`` rows; the last row is the period closure
-    at ``t = t0``.  The samples, their derivatives and the continuous
-    queries ``phi_at`` and ``theta_at`` all come from the phase interpolant
-    ``cycle`` (:class:`_PhaseCycle`); the speed and momentum errors measure
-    it against the first integrals of the geodesic.
-    ``closure_phi_error`` is ``max(|phi(L) - (pi/2 - a)|, |dphi/dt(L)|)``
-    at the end ``L = t0 / arcs_per_period`` of the first arc, and
+    The continuous queries ``phi_at`` and ``theta_at`` and the samples all
+    come from the phase interpolant ``cycle`` (:class:`_PhaseCycle`).  The
+    sample arrays ``t``, ``phi``, ``theta``, ``phi_dot`` and ``theta_dot``
+    hold ``n_samples + 1`` rows, the last one the period closure at
+    ``t = t0``; they are evaluated on first read and then kept, so a
+    profile that is only queried (as by the spectral assembly) allocates
+    none of them.  ``speed_error`` and ``momentum_error``, also computed on
+    first read, measure the samples against the first integrals of the
+    geodesic.  ``closure_phi_error`` is
+    ``max(|phi(L) - (pi/2 - a)|, |dphi/dt(L)|)`` at the end
+    ``L = t0 / arcs_per_period`` of the first arc, and
     ``closure_theta_error`` is ``|theta(t0) - 2 pi p|``.
     """
 
@@ -174,21 +180,34 @@ class GeodesicProfile:
     a: float
     c: float
     t0: float
-    t: np.ndarray
-    phi: np.ndarray
-    theta: np.ndarray
-    phi_dot: np.ndarray
-    theta_dot: np.ndarray
+    n_samples: int
     arcs_per_period: int
-    speed_error: float
-    momentum_error: float
     closure_phi_error: float
     closure_theta_error: float
     cycle: _PhaseCycle = field(repr=False)
 
-    @property
-    def n_samples(self) -> int:
-        return self.t.size - 1
+    @cached_property
+    def _samples(self) -> tuple[np.ndarray, ...]:
+        """t, phi, theta, dphi/dt and dtheta/dt at the uniform arc lengths."""
+        t = np.linspace(0.0, self.t0, self.n_samples + 1)
+        return (t, *self.cycle.state(t))
+
+    t = property(lambda self: self._samples[0], doc="Arc lengths j t0 / n_samples.")
+    phi = property(lambda self: self._samples[1], doc="phi at the samples.")
+    theta = property(lambda self: self._samples[2], doc="theta at the samples.")
+    phi_dot = property(lambda self: self._samples[3], doc="dphi/dt at the samples.")
+    theta_dot = property(lambda self: self._samples[4], doc="dtheta/dt at the samples.")
+
+    @cached_property
+    def speed_error(self) -> float:
+        """Largest ``|E phi_dot^2 + G theta_dot^2 - 1|`` over the samples."""
+        E, G = OrbitMetric.E(self.phi), OrbitMetric.G(self.phi)
+        return float(np.max(np.abs(E * self.phi_dot ** 2 + G * self.theta_dot ** 2 - 1.0)))
+
+    @cached_property
+    def momentum_error(self) -> float:
+        """Largest ``|G theta_dot - c|`` over the samples."""
+        return float(np.max(np.abs(OrbitMetric.G(self.phi) * self.theta_dot - self.c)))
 
     @property
     def theta_winding(self) -> int:
@@ -478,11 +497,13 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
     Nothing is integrated step by step: the phase interpolant
     (:class:`_PhaseCycle`) gives u(t) and theta(t) in closed form up to
     its series and knots.  A period is ``q`` of its cycles, so
-    ``t0 = q * 2 pi J_0``, and the uniform arc-length samples and their
-    derivatives are evaluated from it.  The conserved speed and Clairaut
-    momentum are validated on the samples; closure is measured at the end
+    ``t0 = q * 2 pi J_0``.  The sample count is decided and checked here,
+    but the uniform arc-length samples, and the speed and Clairaut
+    momentum errors recorded on them, are evaluated only when first read
+    (see :class:`GeodesicProfile`); nothing checks those errors against a
+    tolerance.  Closure is measured from the interpolant alone: at the end
     of the first arc, where phi must reach its maximum ``pi/2 - a`` with
-    dphi/dt = 0, and in theta (see :class:`GeodesicProfile`).
+    dphi/dt = 0, and in theta at ``t0``.
 
     ``a = pi/4`` is accepted with ``rotation=None`` and yields the constant
     solution, a Clifford circle of length 2 pi^2 that closes after a single
@@ -495,7 +516,7 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
     DomainError
         If the sample count, given or by :func:`default_sample_count`, is
         below ``16 q`` or above ``2**22``; the thin tori that need more
-        are refused before the samples are allocated.
+        are refused, although no sample is evaluated here.
     ClosureFailure
         If the geodesic misses closure by more than 1e-6 in phi or theta,
         which signals a turning value inconsistent with the rotation
@@ -524,28 +545,18 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
         raise DomainError(f"the geodesic needs {n_samples} samples, more than "
                           f"the limit of {_MAX_SAMPLES}")
 
-    c = clairaut_momentum(a)
     arcs = 2 * q_eff
-    ts = np.linspace(0.0, t0, n_samples + 1)
-    phi, theta, phi_dot, theta_dot = cycle.state(ts)
-
-    E = OrbitMetric.E(phi)
-    G = OrbitMetric.G(phi)
-    speed_error = float(np.max(np.abs(E * phi_dot ** 2 + G * theta_dot ** 2 - 1.0)))
-    momentum_error = float(np.max(np.abs(G * theta_dot - c)))
     phi_L, _, phi_dot_L, _ = cycle.state(t0 / arcs)
     closure_phi = max(abs(float(phi_L) - (pi / 2.0 - a)), abs(float(phi_dot_L)))
-    closure_theta = abs(float(theta[-1]) - 2.0 * pi * p_eff)
+    closure_theta = abs(float(cycle.theta(t0)) - 2.0 * pi * p_eff)
     if closure_phi > 1e-6 or closure_theta > 1e-6:
         raise ClosureFailure(
             f"geodesic failed to close: |phi(L) - (pi/2 - a)| or |phi'(L)| = "
             f"{closure_phi:.3e}, |theta(t0) - 2 pi p| = {closure_theta:.3e}")
 
     return GeodesicProfile(
-        rotation=rotation, a=a, c=c, t0=t0,
-        t=ts, phi=phi, theta=theta, phi_dot=phi_dot, theta_dot=theta_dot,
+        rotation=rotation, a=a, c=clairaut_momentum(a), t0=t0, n_samples=n_samples,
         arcs_per_period=arcs,
-        speed_error=speed_error, momentum_error=momentum_error,
         closure_phi_error=closure_phi, closure_theta_error=closure_theta,
         cycle=cycle)
 
@@ -577,8 +588,8 @@ def clifford_torus() -> OtsukiTorus:
 
     Every derived quantity is known exactly: t0 = 2 pi^2, area 2 pi^2,
     functional value 4 pi^2, and constant spectral coefficients.  The
-    spectral anchor sits at eigenvalue index 1.  The geodesic holds the
-    default 4096 samples.
+    spectral anchor sits at eigenvalue index 1.  The geodesic declares the
+    default 4096 samples, evaluated on first read like any profile's.
     """
     profile = trace_geodesic(CLIFFORD_TURNING_VALUE, None)
     return OtsukiTorus(profile=profile, area=profile.t0,

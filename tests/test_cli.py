@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import otsuki
-from otsuki import cli
+from otsuki import cli, spectral
 from otsuki.cli import main
 
 
@@ -156,6 +156,22 @@ class TestSpectrum:
                            "--n-grid", "1024")
         assert code == 0
         assert "lambda_0(0)" in out
+
+    def test_cluster_that_extrapolates_descending_prints_the_finer_grid(self, capsys):
+        # the l = 3 cluster of 9/16 narrows faster than second order from
+        # 2048 to 4096 rows, so the Richardson values would descend
+        code, out, err = run(capsys, "spectrum", "9", "16", "--l", "3", "--k", "9",
+                             "--format", "json")
+        assert code == 0
+        assert "extrapolation dropped" in err
+        record = json.loads(out)
+        vals = record["eigenvalues"]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        torus = otsuki.build_torus(otsuki.RotationNumber(9, 16))
+        fine = spectral.eigen_low(spectral.assemble(torus, 3, 4096), 9)
+        assert vals == [float(cli._fmt(v)) for v in fine.eigenvalues]
+        assert record["zero_counts"] == [0, 2, 2, 4, 4, 6, 6, 8, 8]
+        assert record["clusters"] == [0] * 9
 
 
 class TestVerify:
@@ -454,6 +470,45 @@ class TestColdStart:
                               text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == ""
+
+    def test_scipy_loaded_only_by_the_spectral_subcommands(self):
+        # one fresh interpreter; verify runs last, as the only one that loads scipy
+        commands = ["solve 2 3", "table", "geodesic 2 3",
+                    "mesh 2 3 --n-alpha 8 --n-t 16", "verify 2 3"]
+        src = str(Path(otsuki.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = ("import contextlib, io, sys\n"
+                 "from otsuki.cli import main\n"
+                 "for argv in sys.argv[1:]:\n"
+                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "        code = main(argv.split())\n"
+                 "    print(argv, code, 'scipy' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", probe, *commands], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            f"{argv} 0 {argv.startswith('verify')}" for argv in commands]
+
+    def test_every_export_resolves(self):
+        names = [
+            "AmbientPoint", "ClosureFailure", "DomainError", "GeodesicProfile",
+            "OrbitMetric", "OtsukiTorus", "OutOfRange", "RotationNumber",
+            "arc_length_quarter", "build_torus", "clifford_torus", "embed",
+            "induced_metric_at", "omega", "period", "solve_turning_value",
+            "trace_geodesic", "InvalidInterval", "MaxItersExceeded", "NoBracket",
+            "NonConvergence", "find_root_monotone", "integrate_singular",
+            "AmbiguousCount", "GridTooCoarse", "SLProblem", "SLSpectrum",
+            "SolverFailure", "VerificationReport", "assemble", "count_below",
+            "eigen_low", "known_eigenfunction_residuals", "lambda0_monotone_check",
+        ]
+        star = {}
+        exec("from otsuki import *", star)
+        for name in names:
+            assert getattr(otsuki, name) is star[name]
+        assert otsuki.count_below is otsuki.spectral.count_below
+        with pytest.raises(AttributeError):
+            otsuki.no_such_name
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from math import pi
 
 import numpy as np
@@ -218,7 +219,24 @@ class TestTraceGeodesic:
         assert time.perf_counter() - start < 10.0
 
     def test_sample_limit_admits_10_19(self):
-        assert build_torus(RotationNumber(10, 19)).profile.n_samples == 595481
+        # the 595481 samples are declared at trace time but evaluated on first read
+        rotation = RotationNumber(10, 19)
+        a = solve_turning_value(rotation)
+        tracemalloc.start()
+        try:
+            profile = trace_geodesic(a, rotation)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert profile.n_samples == 595481
+        assert peak < 1_000_000
+        t = np.linspace(0.0, profile.t0, 595482)
+        phi, _, phi_dot, theta_dot = profile.cycle.state(t)
+        np.testing.assert_array_equal(profile.t, t)
+        np.testing.assert_array_equal(profile.phi, phi)
+        E, G = OrbitMetric.E(phi), OrbitMetric.G(phi)
+        assert profile.speed_error == float(
+            np.max(np.abs(E * phi_dot ** 2 + G * theta_dot ** 2 - 1.0)))
 
     def test_first_integrals(self, torus_23):
         profile = torus_23.profile
