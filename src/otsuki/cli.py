@@ -218,21 +218,24 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
     n = profile.n_samples
     if args.format == "svg":
         _emit(_geodesic_svg(profile), args.out)
-    elif args.format == "json":
+        return 0
+    # one period without its closing sample, as Python floats: formatting
+    # them takes half the time of indexing numpy scalars one at a time
+    t, phi, theta = (column[:n].tolist() for column in (profile.t, profile.phi, profile.theta))
+    if args.format == "json":
         payload = {
             "p": args.p, "q": args.q,
             "a": profile.a,
             "t0": profile.t0,
             "n_samples": n,
-            "t": profile.t[:n],
-            "phi": profile.phi[:n],
-            "theta": profile.theta[:n],
+            "t": t,
+            "phi": phi,
+            "theta": theta,
         }
         _emit(_json(payload), args.out)
     else:  # csv
-        lines = ["t,phi,theta"] + [
-            f"{_fmt(profile.t[i])},{_fmt(profile.phi[i])},{_fmt(profile.theta[i])}"
-            for i in range(n)]
+        lines = ["t,phi,theta"] + [f"{_fmt(ti)},{_fmt(phi_i)},{_fmt(theta_i)}"
+                                   for ti, phi_i, theta_i in zip(t, phi, theta)]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -30,8 +30,10 @@ of the two halves' Sturm counts (LAPACK bisection, backward stable; see
 tridiagonal LDL^T (a definite shift) or partial-pivoting LU (an indefinite
 one) as its solve (:func:`_inverse`), is used only where eigenvalues or
 eigenvectors themselves are needed; Lanczos then never multiplies by A
-itself (see :func:`_shift_invert`).  :func:`eigen_low` asks each half only
-for its share of the eigenpairs, which interlacing bounds.
+itself (see :func:`_shift_invert`), and stops once the eigenvalues, not the
+eigenvectors, are at rounding level (``_LANCZOS_TOL``).  :func:`eigen_low`
+asks each half only for its share of the eigenpairs, which interlacing
+bounds, and its eigenvectors are unfolded onto the grid only when read.
 Inside :func:`count_below` every Lanczos run is shifted to the threshold
 and asks for exactly as many eigenvalues of its half as it must return; a
 Sturm count at the shift tells it how many that is (see
@@ -41,7 +43,8 @@ Sturm count at the shift tells it how many that is (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -60,6 +63,15 @@ __all__ = [
 ]
 
 _EIGSH_SEED = 20120524  # fixed Lanczos start vector: identical runs bit for bit
+# ARPACK's stopping rule: a Ritz pair (theta, y) of the shift-inverted operator
+# is accepted once its residual is below tol * |theta|.  The Ritz value of a
+# symmetric operator is then within (tol * theta)^2 / gap of an eigenvalue
+# (Parlett, The Symmetric Eigenvalue Problem, ch. 11), a relative error of
+# tol^2 / (relative gap): at rounding level for any relative gap above about
+# 1e-8, so tol = 0 (machine epsilon, ARPACK's default) only adds restarts.
+# The Ritz vector is within an angle tol / (relative gap): it loses digits
+# only inside tight clusters, where zero counts are ill-determined anyway.
+_LANCZOS_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 
 # Largest grid assembled, in rows: up to about 270 B per row at peak, so about
@@ -107,14 +119,48 @@ class SLProblem:
 
 @dataclass
 class SLSpectrum:
-    """Low eigenpairs of one mode, sorted ascending."""
+    """Low eigenpairs of one mode, sorted ascending.
+
+    :func:`eigen_low` fills in the eigenvalues and keeps the eigenvectors
+    of each half of the mode as its Lanczos runs return them.
+    ``eigenvectors`` unfolds those onto the grid on first read, and then
+    drops them; ``zero_counts`` is computed from ``eigenvectors`` on first
+    read.  A caller that reads only the eigenvalues unfolds nothing.
+    """
 
     l: int
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray   # column i is the grid eigenfunction of eigenvalues[i]
-    zero_counts: list[int]
     n_grid: int
     period: float
+    # eigenvectors of the even and (if run) the odd half, columns as eigsh
+    # returned them; None once unfolded
+    _half_vectors: list[np.ndarray] | None = field(repr=False)
+    # positions of the kept values among the even run's values and then the odd run's
+    _order: np.ndarray = field(repr=False)
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Column i is the unit grid eigenfunction of ``eigenvalues[i]``, even or odd in t."""
+        n, k = self.n_grid, self._order.size
+        even_share = self._half_vectors[0].shape[1]
+        parity = self._order >= even_share  # the odd run's values follow the even run's
+        column = self._order - even_share * parity
+        # unfold: half rows to grid nodes (the odd half starts at node 1), then
+        # 1 / sqrt 2 on paired nodes and the mirror image, negated for odd columns
+        vecs = np.zeros((n, k))
+        for side, half_vecs in enumerate(self._half_vectors):
+            kept = np.flatnonzero(parity == side)
+            vecs[side:side + half_vecs.shape[0], kept] = half_vecs[:, column[kept]]
+        paired = vecs[1:(n + 1) // 2]
+        paired /= _SQRT2
+        np.multiply(paired[::-1], np.where(parity, -1.0, 1.0), out=vecs[n // 2 + 1:])
+        self._half_vectors = None
+        return vecs
+
+    @cached_property
+    def zero_counts(self) -> list[int]:
+        """Sign changes over one period of each eigenvector (:func:`count_sign_changes`)."""
+        return [count_sign_changes(v) for v in self.eigenvectors.T]
 
 
 @dataclass
@@ -269,8 +315,11 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     ARPACK's default ``max(2m + 1, 20)`` for m <= 6, and wider above, where
     the default does not converge when the share ends inside a tight
     cluster (the l = 3 values of 9/16 come 8 to a half; k = 16 at 4096
-    rows).  The k smallest of the returned values are kept, and only their
-    eigenvectors are unfolded onto the grid.
+    rows).  The k smallest of the returned values are kept.  Their
+    eigenvectors, and so the zero counts, are unfolded onto the grid only
+    when first read (:class:`SLSpectrum`); until then the result holds the
+    half runs' vectors, about ``n / 2 x (k + 1)`` values where the unfolded
+    ones are ``n x k``.
     """
     n = problem.n_grid
     if k < 1 or k > n // 4:
@@ -281,21 +330,9 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
             for (d, e), m in zip(_halves(*operator_bands(problem)), shares) if m]
     vals = np.concatenate([run[0] for run in runs])
     order = np.argsort(vals, kind="stable")[:k]
-    parity = order >= shares[0]  # the odd run's values follow the even run's
-    column = order - shares[0] * parity
-    # unfold: half rows to grid nodes (the odd half starts at node 1), then
-    # 1 / sqrt 2 on paired nodes and the mirror image, negated for odd columns
-    vecs = np.zeros((n, k))
-    for side, (_, half_vecs) in enumerate(runs):
-        kept = np.flatnonzero(parity == side)
-        vecs[side:side + half_vecs.shape[0], kept] = half_vecs[:, column[kept]]
-    paired = vecs[1:(n + 1) // 2]
-    paired /= _SQRT2
-    np.multiply(paired[::-1], np.where(parity, -1.0, 1.0), out=vecs[n // 2 + 1:])
-    vals = vals[order]
-    zero_counts = [count_sign_changes(vecs[:, i]) for i in range(k)]
-    return SLSpectrum(l=problem.l, eigenvalues=vals, eigenvectors=vecs,
-                      zero_counts=zero_counts, n_grid=n, period=problem.period)
+    return SLSpectrum(l=problem.l, eigenvalues=vals[order], n_grid=n,
+                      period=problem.period, _half_vectors=[run[1] for run in runs],
+                      _order=order)
 
 
 def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str,
@@ -309,6 +346,9 @@ def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str
     dominate the transformed spectrum, a Krylov space of ``ncv = 2k + 1``
     vectors suffices; ``ncv=None`` takes ARPACK's default
     ``max(2k + 1, 20)``.  Returned as eigsh returns them, unsorted.
+    Every run stops at the tolerance ``_LANCZOS_TOL``, which leaves the
+    eigenvalues at rounding level wherever the relative gap to the next
+    one exceeds about 1e-8 (see its comment).
 
     eigsh applies only ``OPinv`` (:func:`_inverse`); it never multiplies
     by T.  So T is passed as a shape-only operator whose product raises.
@@ -322,7 +362,7 @@ def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
     try:
         return eigsh(LinearOperator((n, n), matvec=no_product, dtype=float), k=k,
-                     sigma=sigma, which=which, v0=v0,
+                     sigma=sigma, which=which, v0=v0, tol=_LANCZOS_TOL,
                      ncv=None if ncv is None else min(n, ncv), maxiter=maxiter,
                      return_eigenvectors=vectors, OPinv=_inverse(d, e, sigma))
     except (ArpackNoConvergence, ArpackError) as exc:
@@ -368,10 +408,13 @@ def _ground_eigenvalue(d: np.ndarray, e: np.ndarray, sigma: float) -> float:
     1 / (lambda - sigma), so Lanczos asks for the m smallest transformed
     values ("SA") and the ground is the least of them; with m = 0 the
     eigenvalue nearest sigma is the ground.  This is exact for any sigma,
-    but fast and accurate only for sigma near the ground: then the m values
-    dominate the transformed spectrum and ``2m + 1`` Lanczos vectors
-    suffice, even in a cluster where the eigenvalue nearest sigma is not
-    the ground (the even half of l = 1 on 7/13 at 2048: m = 4).  With
+    and accurate far above the ground too (the l = 0 ground, 0, at sigma
+    = 2: -2.8e-14 on 2/3 at 1024 rows and -5.7e-11 on 5/9 at 131072, where
+    :func:`eigen_low` gives -9.4e-14 and -2.5e-11), but fast only for sigma
+    near the ground: then the m values dominate the transformed spectrum
+    and ``2m + 1`` Lanczos vectors suffice, even in a cluster where the
+    eigenvalue nearest sigma is not the ground (the even half of l = 1 on
+    7/13 at 2048: m = 4).  With
     m = 0 the ground need not dominate (on 2/3, l = 2, it lies 0.009 below
     a pair), so ARPACK's default Krylov dimension is kept.
     The ground state of a periodic problem is even, so for a mode this is

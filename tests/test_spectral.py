@@ -239,6 +239,55 @@ class TestEigenLow:
         assert cosine > 0.9999
 
 
+class TestLazyEigenvectors:
+    def test_unfolded_only_when_read(self, torus_23):
+        n, k = 65536, 8
+        problem = assemble(torus_23, 0, n)
+        eigen_low(assemble(torus_23, 0, 256), k)  # first call: caches and lazy imports
+        tracemalloc.start()
+        try:
+            spectrum = eigen_low(problem, k)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the half runs' vectors, about n / 2 x (k + 1), not the unfolded n x k
+        assert held < n * k * 8
+        vecs = spectrum.eigenvectors
+        assert vecs.shape == (n, k)
+        assert spectrum.eigenvectors is vecs
+        assert spectrum.zero_counts == [0, 2, 2, 4, 4, 6, 6, 8]
+
+
+class TestLanczosStoppingRule:
+    """Lanczos stopped at ``_LANCZOS_TOL`` against ARPACK's machine-precision default, tol = 0."""
+
+    @pytest.mark.parametrize("label", [(2, 3), (5, 9), (9, 16), (11, 20)],
+                             ids=lambda pq: f"{pq[0]}/{pq[1]}")
+    def test_eigenvalues_as_at_machine_precision(self, tori, label, monkeypatch):
+        torus = tori.get(label) or build_torus(RotationNumber(*label))
+        for n in (2048, 4096):
+            for l in range(4):
+                problem = assemble(torus, l, n)
+                for k in (1, 8, 9):
+                    loose = eigen_low(problem, k).eigenvalues
+                    with monkeypatch.context() as patch:
+                        patch.setattr(spectral, "_LANCZOS_TOL", 0.0)
+                        tight = eigen_low(problem, k).eigenvalues
+                    assert np.all(np.abs(loose - tight)
+                                  <= 1e-13 * np.maximum(1.0, np.abs(tight))), (n, l, k)
+
+    @pytest.mark.parametrize("label", [(2, 3), (5, 9)], ids=lambda pq: f"{pq[0]}/{pq[1]}")
+    def test_count_below_report_unchanged(self, tori, label, monkeypatch):
+        def digits():
+            report = count_below(tori[label], n_grid=2048)
+            return (report.tolerance_band.hex(),
+                    [(l, i, v.hex()) for l, i, v in report.eigenvalues_near_2])
+
+        loose = digits()
+        monkeypatch.setattr(spectral, "_LANCZOS_TOL", 0.0)
+        assert digits() == loose
+
+
 class TestEigenvalueConvergence:
     def test_second_order_in_grid_and_richardson(self, torus_23):
         # lambda_5(0) is simple and away from 0 and 2, a clean probe
@@ -489,6 +538,17 @@ class TestGroundEigenvalue:
         even, _ = spectral._halves(*operator_bands(problem))
         got = spectral._ground_eigenvalue(*even, 2.0)
         assert abs(got - expected) <= 1e-10
+
+    @pytest.mark.parametrize("label, n", [((2, 3), 1024), ((5, 9), 8192)],
+                             ids=["2/3@1024", "5/9@8192"])
+    def test_shift_far_above_the_ground(self, tori, label, n):
+        # the l = 0 ground is 0 (the constants); at 2 the even half has m > 0
+        # values below the shift, spread over [0, 2)
+        problem = assemble(tori[label], 0, n)
+        even, _ = spectral._halves(*operator_bands(problem))
+        assert spectral._inertia(*even, 2.0) > 1
+        got = spectral._ground_eigenvalue(*even, 2.0)
+        assert abs(got - eigen_low(problem, 1).eigenvalues[0]) <= 1e-10
 
     def test_nearest_to_the_threshold_is_not_the_ground_on_7_13(self):
         # six l = 1 eigenvalues lie below 2; the one of the even half nearest 2
