@@ -26,7 +26,8 @@ ones would not ascend.
 Exit codes: 0 success (and verification passed), 1 verification failed,
 2 invalid input, an output file that cannot be written, or a computation
 that failed (SolverFailure, ClosureFailure, NonConvergence: "computation
-failed" on stderr), 3 ambiguous eigenvalue count.
+failed" on stderr), 3 ambiguous eigenvalue count (an eigenvalue in the
+guard shoulder, or a guard band below the floating-point floor).
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ _MAX_MESH_VERTICES = 2 ** 20
 _OPTIONS = {
     "format": (str, None, "output format (subcommand-dependent)", _ALL),
     "out": (str, None, "write output to this file", _ALL),
-    "n_grid": (int, 2048, "spectral grid size", ("spectrum", "verify")),
+    "n_grid": (int, None, "spectral grid size (default: 256 rows per phase cycle, at least "
+                          "2048, a power of two)", ("spectrum", "verify")),
     "n_samples": (int, None, "geodesic samples per period (default: resolution-aware)",
                   ("geodesic",)),
     "l_max": (int, 3, "highest angular mode scanned by verify", ("verify",)),
@@ -251,12 +253,14 @@ def _cluster_ids(values: np.ndarray, tol: float = 1e-5) -> list[int]:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from . import spectral
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
+    if args.n_grid is None:
+        args.n_grid = spectral.resolving_grid(torus)
     coarse = spectral.eigen_low(spectral.assemble(torus, args.l, args.n_grid), args.k)
     fine = spectral.eigen_low(spectral.assemble(torus, args.l, 2 * args.n_grid), args.k)
     # Richardson extrapolation of the second-order discretization.  Where
-    # the grids are not in that regime (a tight cluster narrowing faster, a
-    # turning layer not yet resolved) the extrapolated values can descend;
-    # then the finer grid's own values are printed instead.
+    # the grids are not in that regime (a tight cluster narrowing faster)
+    # the extrapolated values can descend; then the finer grid's own values
+    # are printed instead.
     lam = (4.0 * fine.eigenvalues - coarse.eigenvalues) / 3.0
     extrapolated = bool(np.all(np.diff(lam) >= 0.0))
     if not extrapolated:
@@ -291,6 +295,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import spectral
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
+    if args.n_grid is None:
+        args.n_grid = spectral.resolving_grid(torus)
     try:
         report = spectral.count_below(torus, threshold=2.0, l_max=args.l_max,
                                       n_grid=args.n_grid)

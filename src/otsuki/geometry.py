@@ -16,12 +16,13 @@ value ``2 t0``, and an embedding sampler into the unit sphere in R^4.
 The geodesic is not integrated.  In the turning phase ``u``, defined by
 ``phi = pi/4 - h cos u`` with ``h = pi/4 - a``, phi is exact and both
 ``dt/du`` and ``dtheta/du`` are analytic and ``2 pi``-periodic (see
-:func:`_phase_rates`).  One ``u``-cycle covers two arcs, from ``phi = a``
+:func:`phase_metric`).  One ``u``-cycle covers two arcs, from ``phi = a``
 to ``pi/2 - a`` and back, and a period is ``q`` cycles.  Term-by-term
 integration of the Fourier series of the two rates gives ``t(u)`` and
 ``theta(u)``; ``u(t)`` and ``theta(t)`` are then piecewise-quintic Hermite
 interpolants on the knots ``t(u_m)`` of a uniform ``u`` grid (see
-:class:`_PhaseCycle`).
+:class:`_PhaseCycle`).  The spectral problems are posed in ``u`` too, on
+``phi`` and ``J = dt/du`` from :func:`phase_metric`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
     "DomainError", "ClosureFailure", "OutOfRange",
     "RotationNumber", "OrbitMetric", "GeodesicProfile", "OtsukiTorus",
     "AmbientPoint", "CLIFFORD_TURNING_VALUE",
-    "clairaut_momentum", "turning_layer_scale", "omega",
+    "clairaut_momentum", "phase_metric", "omega",
     "solve_turning_value", "arc_length_quarter", "period", "trace_geodesic",
     "build_torus", "clifford_torus", "embed", "embedding_grid",
     "induced_metric_at", "default_sample_count",
@@ -68,9 +69,9 @@ _NEAR_CLIFFORD_GAP = 1e-6
 
 # Most geodesic samples a profile may declare: at 2**22 the five sample
 # arrays, once read, take about 170 MB (the interpolant has a fixed size).
-# Thin tori need more (20/39: 7.5 million, 50/99: 181 million) and are
-# refused at trace time, though nothing is allocated until the samples are
-# read; this cap decides which labels exit with code 2.
+# A larger count is refused at trace time, though nothing is allocated until
+# the samples are read.  The default count (default_sample_count) reaches it
+# only for q > 8192.
 _MAX_SAMPLES = 2 ** 22
 
 # Nodes per u-cycle of the Fourier series of dt/du and dtheta/du, at first
@@ -109,20 +110,6 @@ class OrbitMetric:
 def clairaut_momentum(a: float) -> float:
     """Conserved angular momentum G(phi) dtheta/dt of a geodesic turning at phi = a."""
     return 2.0 * pi * math.sin(a) * math.cos(a)
-
-
-def turning_layer_scale(a: float) -> float:
-    """Arc-length width of the layer in which the geodesic turns at phi = a.
-
-    Near a turning point phi(t) = a + phidd t^2 / 2; the layer width is the
-    time for phi to change by order a.  It shrinks like a^2 for small a, so
-    thin tori need proportionally denser sampling and spectral grids.
-    """
-    if abs(a - CLIFFORD_TURNING_VALUE) <= 1e-12:
-        return math.inf  # constant solution, no turning layer
-    phidd = (math.sin(4.0 * a) / (4.0 * math.sin(a) ** 2)
-             / (pi ** 2 * math.sin(2.0 * a) ** 2))
-    return math.sqrt(2.0 * a / phidd)
 
 
 @dataclass(frozen=True)
@@ -167,10 +154,10 @@ class GeodesicProfile:
     sample arrays ``t``, ``phi``, ``theta``, ``phi_dot`` and ``theta_dot``
     hold ``n_samples + 1`` rows, the last one the period closure at
     ``t = t0``; they are evaluated on first read and then kept, so a
-    profile that is only queried (as by the spectral assembly) allocates
-    none of them.  ``speed_error`` and ``momentum_error``, also computed on
-    first read, measure the samples against the first integrals of the
-    geodesic.  ``closure_phi_error`` is
+    profile whose samples are not read (as by :func:`build_torus` and the
+    spectral problems) allocates none of them.  ``speed_error`` and
+    ``momentum_error``, also computed on first read, measure the samples
+    against the first integrals of the geodesic.  ``closure_phi_error`` is
     ``max(|phi(L) - (pi/2 - a)|, |dphi/dt(L)|)`` at the end
     ``L = t0 / arcs_per_period`` of the first arc, and
     ``closure_theta_error`` is ``|theta(t0) - 2 pi p|``.
@@ -348,46 +335,48 @@ def solve_turning_value(rotation: RotationNumber) -> float:
 # tracing the geodesic
 # --------------------------------------------------------------------------
 
-def _phase_rates(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dt/du and dtheta/du of the geodesic turning at phi = a, at phase u.
+def phase_metric(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi and ``J = dt/du`` of the geodesic turning at phi = a, at phase u.
 
     With ``phi = pi/4 - h cos u``, ``h = pi/4 - a`` and ``S(x) = sin x / x``::
 
-        dt/du     = 2 pi sin(phi)^2 cos(phi) / R
-        dtheta/du = sin(2a) / (2 cos(phi) R)
+        J = dt/du = 2 pi sin(phi)^2 cos(phi) / R
         R         = sqrt(S(4h sin(u/2)^2) S(4h cos(u/2)^2))
 
-    These are the integrands of :func:`arc_length_quarter` and :func:`omega`
-    after the substitution phi -> u, which cancels their endpoint
-    singularities: both rates are analytic and ``2 pi``-periodic (``R > 0``
-    because ``4h < pi``).  ``h = 0`` gives the Clifford circle.
+    J is the integrand of :func:`arc_length_quarter` after the substitution
+    phi -> u, which cancels its endpoint singularities: J is analytic and
+    ``2 pi``-periodic (``R > 0`` because ``4h < pi``), and even in u, as is
+    phi.  Along the geodesic ``dtheta/dt = c / G(phi)`` (Clairaut), so
+    ``dtheta/du = c J / G(phi)``, the integrand of :func:`omega`.  ``h = 0``
+    gives the Clifford circle.
     """
     h = CLIFFORD_TURNING_VALUE - a
     phi = CLIFFORD_TURNING_VALUE - h * np.cos(u)
     # np.sinc(x) = sin(pi x) / (pi x)
     R = np.sqrt(np.sinc((4.0 * h / pi) * np.sin(0.5 * u) ** 2)
                 * np.sinc((4.0 * h / pi) * np.cos(0.5 * u) ** 2))
-    cos_phi = np.cos(phi)
-    return (2.0 * pi * np.sin(phi) ** 2 * cos_phi / R,
-            math.sin(2.0 * a) / (2.0 * cos_phi * R))
+    return phi, 2.0 * pi * np.sin(phi) ** 2 * np.cos(phi) / R
 
 
 def _phase_knot_table(a: float):
-    """Knots ``tau_m = t(u_m)`` of one u-cycle, and u(t), theta(t) with two t-derivatives there.
+    """Knots ``tau_m = t(u_m)`` of one u-cycle, u(t), theta(t) with two t-derivatives there, and theta's series.
 
-    The Fourier series of the rates of :func:`_phase_rates`, integrated term
-    by term and summed by a zero-padded inverse FFT, give ``t(u)``,
-    ``theta(u)``, ``J = dt/du``, ``dtheta/du`` and their u-derivatives at
-    ``_KNOTS + 1`` uniform ``u_m``; then ``du/dt = 1/J``,
-    ``d2u/dt2 = -J'/J^3``, and likewise for theta by the chain rule.
+    The Fourier series of ``J = dt/du`` and ``dtheta/du``
+    (:func:`phase_metric`), integrated term by term and summed by a
+    zero-padded inverse FFT, give ``t(u)``, ``theta(u)``, ``J``,
+    ``dtheta/du`` and their u-derivatives at ``_KNOTS + 1`` uniform ``u_m``;
+    then ``du/dt = 1/J``, ``d2u/dt2 = -J'/J^3``, and likewise for theta by
+    the chain rule.  Last comes ``(slope, b)`` with
+    ``theta(u) = slope u + 2 Re sum_k b_k (e^{iku} - 1)``.
     The series has as many nodes as its tail needs (see ``_SERIES_NODES``);
     raises :class:`ClosureFailure` if ``_MAX_SERIES_NODES`` are not enough.
     """
     K, M = _SERIES_NODES, _KNOTS
+    c_momentum = clairaut_momentum(a)
     while True:
         # f(u) = sum_k c_k e^{iku}; the Nyquist term is dropped
-        rates = np.array(_phase_rates(a, (2.0 * pi / K) * np.arange(K)))
-        c = np.fft.rfft(rates)[:, :K // 2] / K
+        phi, J = phase_metric(a, (2.0 * pi / K) * np.arange(K))
+        c = np.fft.rfft(np.array([J, c_momentum * J / OrbitMetric.G(phi)]))[:, :K // 2] / K
         tail = float(np.max(np.abs(c[1, -8:])) / c[1, 0].real)
         if tail <= 1e-13:
             break
@@ -405,7 +394,8 @@ def _phase_knot_table(a: float):
     J, theta_u, J_u, theta_uu = table[2:]
     inv_J = 1.0 / J
     return (t_of_u, np.stack([u, theta_of_u]), np.stack([inv_J, theta_u * inv_J]),
-            np.stack([-J_u, theta_uu * J - theta_u * J_u]) * inv_J ** 3)
+            np.stack([-J_u, theta_uu * J - theta_u * J_u]) * inv_J ** 3,
+            (float(c[1, 0].real), integral[1]))
 
 
 def _quintic_power(knots, f, df, ddf) -> np.ndarray:
@@ -437,10 +427,16 @@ class _PhaseCycle:
 
     def __init__(self, a: float):
         self.h = CLIFFORD_TURNING_VALUE - a
-        self.knots, f, df, ddf = _phase_knot_table(a)
+        self.knots, f, df, ddf, self._theta_series = _phase_knot_table(a)
         self.period = float(self.knots[-1])
         self.advance = float(f[1, -1])
         self._coef = _quintic_power(self.knots, f, df, ddf)
+
+    def theta_of_phase(self, u):
+        """theta at phase u, summed from its Fourier series (Horner's rule in e^{iu})."""
+        slope, b = self._theta_series
+        waves = np.polynomial.polynomial.polyval(np.exp(1j * u), b)
+        return slope * u + 2.0 * (waves.real - b.real.sum())
 
     def _evaluate(self, row: int, s, slope: bool = False):
         """u (row 0) or theta (row 1) at offsets s in ``[0, period)`` into a cycle.
@@ -477,17 +473,9 @@ class _PhaseCycle:
                 self.h * np.sin(u) * u_dot, theta_dot)
 
 
-def default_sample_count(a: float, q: int, t0: float) -> int:
-    """Sampling density that resolves both the oscillation and the turning layer.
-
-    At least 512 samples per arc pair and 8 samples per turning-layer width;
-    the latter is what keeps the spectral coefficients of thin tori accurate.
-    """
-    base = max(4096, 512 * q)
-    layer = turning_layer_scale(a)
-    if math.isfinite(layer):
-        base = max(base, int(math.ceil(8.0 * t0 / layer)))
-    return base
+def default_sample_count(q: int) -> int:
+    """Default geodesic samples per period: 512 per arc pair, at least 4096."""
+    return max(4096, 512 * q)
 
 
 def trace_geodesic(a: float, rotation: Optional[RotationNumber],
@@ -538,7 +526,7 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
     cycle = _PhaseCycle(a)
     t0 = 2.0 * pi ** 2 if clifford else q_eff * cycle.period
     if n_samples is None:
-        n_samples = default_sample_count(a, q_eff, t0)
+        n_samples = default_sample_count(q_eff)
     if n_samples < 16 * q_eff:
         raise DomainError(f"n_samples must be at least 16 q = {16 * q_eff}")
     if n_samples > _MAX_SAMPLES:

@@ -12,17 +12,23 @@ metric is extremal for the functional attached to eigenvalue index N(2),
 the number of surface eigenvalues strictly below 2, and the expected count
 is 2p - 1; :func:`count_below` computes it and checks it.
 
-The discretization is second-order symmetric finite differences on a
-uniform periodic grid, giving a cyclic tridiagonal symmetric matrix A.
-A is never formed: each mode is held as two band arrays of length n,
-the diagonal ``main`` and the coupling ``off``, where ``off[j]`` couples
-rows j and j + 1 mod n (:func:`operator_bands`); one array holds both
-triangles, so A is symmetric by construction.
-The geodesic is symmetric about its turning point t = 0: phi is even in t.
-So the grid t_j = j h is sampled on one half and mirrored (node j to n - j),
-and A commutes with that reflection.  In an orthonormal basis of even and
-odd grid functions A is the direct sum of two plain symmetric tridiagonals
-of about n / 2 rows each, the even and the odd half of the mode
+The problems are posed in the turning phase u of the geodesic, where phi
+and ``J = dt/du`` are closed forms (:func:`otsuki.geometry.phase_metric`)
+and there is no turning layer to resolve.  A period is q u-cycles (t0 / J
+for the Clifford circle); the grid ``u_j = j du`` has ``n_grid`` rows.
+With ``c = P / J`` the problem reads ``-(c h_u)_u + Q J h = lambda J h``;
+central fluxes scaled by ``J^{-1/2}`` on both sides give a symmetric cyclic
+tridiagonal A on ``w = J^{1/2} h``, never formed but held as its two bands
+(:class:`SLProblem`), one array for both triangles:
+
+    off_j  = -c_{j+1/2} / du^2 / sqrt(J_j J_{j+1})
+    main_j = (c_{j+1/2} + c_{j-1/2}) / du^2 / J_j + l^2 / sin(phi_j)^2
+
+phi and J are even about the turning point u = 0, so half of the nodes and
+of the midpoints are evaluated and mirrored (node j to n - j), and A
+commutes with that reflection.  In an orthonormal basis of even and odd
+grid functions A is the direct sum of two plain symmetric tridiagonals of
+about n / 2 rows each, the even and the odd half of the mode
 (:func:`_halves`); every count and every solve works on one half.
 Eigenvalues below sigma are counted, not computed: their number is the sum
 of the two halves' Sturm counts (LAPACK bisection, backward stable; see
@@ -52,12 +58,12 @@ import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, dstebz
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from .geometry import OtsukiTorus, turning_layer_scale
+from .geometry import OtsukiTorus, phase_metric
 
 __all__ = [
     "GridTooCoarse", "SolverFailure", "AmbiguousCount",
     "SLProblem", "SLSpectrum", "VerificationReport",
-    "assemble", "operator_bands", "eigen_low",
+    "assemble", "eigen_low",
     "known_eigenfunction_residuals", "count_below", "lambda0_monotone_check",
     "count_sign_changes", "resolving_grid",
 ]
@@ -73,13 +79,13 @@ _EIGSH_SEED = 20120524  # fixed Lanczos start vector: identical runs bit for bit
 # only inside tight clusters, where zero counts are ill-determined anyway.
 _LANCZOS_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
+_EPS = float(np.finfo(float).eps)
 
 # Largest grid assembled, in rows: up to about 270 B per row at peak, so about
 # 0.57 GB (tracemalloc peak of count_below on 2/3 over the rows of its doubled
-# grid: 134 B at n_grid 2^16; 270 B at 2^18, where the even l = 1 half has no
-# eigenvalue below 2 and its ground run keeps ARPACK's 20 Lanczos vectors;
-# the same at any l_max, as the modes above l = 1 are held one at a time).
-# It admits the doubled resolving grid of 10/19 (2^20 -> 2^21).
+# grid: 126 B at n_grid 2^16, 270 B where a ground run keeps ARPACK's 20
+# Lanczos vectors; the same at any l_max, as the modes above l = 1 are held
+# one at a time).  The doubled resolving grid of 50/99 is 2^16.
 _MAX_GRID = 2 ** 21
 
 
@@ -97,24 +103,25 @@ class SolverFailure(RuntimeError):
 
 
 class AmbiguousCount(RuntimeError):
-    """An eigenvalue sits inside the guard band below the counting threshold."""
+    """An eigenvalue sits in the guard shoulder below the threshold, or the band is below the floating-point floor."""
 
 
 @dataclass
 class SLProblem:
-    """Discretized periodic Sturm-Liouville problem for one angular mode."""
+    """One angular mode on the phase grid: the bands of its symmetric cyclic tridiagonal.
+
+    ``main[j]`` is the diagonal of row j and ``off[j]`` couples rows j and
+    j + 1 mod n (``off[n-1]`` is the corner).  Assembled bands are mirror
+    symmetric bit for bit: ``main[n-j] == main[j]``, ``off[n-1-j] == off[j]``.
+    """
 
     l: int
-    period: float
-    grid: np.ndarray    # nodes t_j = j h, j = 0 .. n_grid - 1
-    P: np.ndarray       # stiffness coefficient at the nodes
-    P_mid: np.ndarray   # stiffness coefficient at the flux midpoints t_j + h/2
-    Q: np.ndarray       # potential at the nodes
-    n_grid: int
+    main: np.ndarray
+    off: np.ndarray
 
     @property
-    def h(self) -> float:
-        return self.period / self.n_grid
+    def n_grid(self) -> int:
+        return self.main.size
 
 
 @dataclass
@@ -131,7 +138,6 @@ class SLSpectrum:
     l: int
     eigenvalues: np.ndarray
     n_grid: int
-    period: float
     # eigenvectors of the even and (if run) the odd half, columns as eigsh
     # returned them; None once unfolded
     _half_vectors: list[np.ndarray] | None = field(repr=False)
@@ -140,7 +146,7 @@ class SLSpectrum:
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
-        """Column i is the unit grid eigenfunction of ``eigenvalues[i]``, even or odd in t."""
+        """Column i is the unit grid eigenvector ``w = J^{1/2} h`` of ``eigenvalues[i]``, even or odd in u."""
         n, k = self.n_grid, self._order.size
         even_share = self._half_vectors[0].shape[1]
         parity = self._order >= even_share  # the odd run's values follow the even run's
@@ -179,7 +185,7 @@ class VerificationReport:
 
 
 def assemble(torus: OtsukiTorus, l: int, n_grid: int) -> SLProblem:
-    """Sample the mode-l coefficients on a uniform periodic grid.
+    """The bands of mode l on the phase grid of ``n_grid`` rows.
 
     Requires ``n_grid >= 64`` and ``n_grid >= 32 p`` so the grid can
     represent the 2p oscillations of the eigenfunctions near the counting
@@ -188,12 +194,17 @@ def assemble(torus: OtsukiTorus, l: int, n_grid: int) -> SLProblem:
     return next(_assemble_modes(torus, [l], n_grid))
 
 
+def _phase_step(torus: OtsukiTorus, n_grid: int) -> float:
+    """du of ``n_grid`` rows over a period: ``2 pi q`` in u, ``t0 / J`` for the Clifford circle."""
+    return 2.0 * math.pi * torus.t0 / torus.profile.cycle.period / n_grid
+
+
 def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
                     ) -> Iterator[SLProblem]:
-    """:func:`assemble` for each listed mode, sampling the profile once.
+    """:func:`assemble` for each listed mode, evaluating phi and J once.
 
     The problems are made one at a time, as they are asked for, so a caller
-    that keeps none of them holds one mode's potential at a time.
+    that keeps none of them holds one mode's diagonal at a time.
     """
     if any(l < 0 for l in modes):
         raise ValueError("angular mode l must be non-negative")
@@ -201,22 +212,23 @@ def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
     if n_grid < 64 or n_grid < 32 * p:
         raise GridTooCoarse(f"n_grid must be >= max(64, 32 p = {32 * p})")
     _check_grid_size(n_grid)
-    t0 = torus.t0
-    h = t0 / n_grid
-    grid = np.arange(n_grid) * h
-    # phi is even about the turning point t = 0: node j mirrors to node n - j
-    # and midpoint j to midpoint n - 1 - j, so half of each is sampled
-    phi = torus.profile.phi_at(grid[:n_grid // 2 + 1])
-    phi = np.concatenate([phi, phi[(n_grid - 1) // 2:0:-1]])
-    phi_mid = torus.profile.phi_at(grid[:(n_grid + 1) // 2] + 0.5 * h)
-    phi_mid = np.concatenate([phi_mid, phi_mid[n_grid // 2 - 1::-1]])
+    du = _phase_step(torus, n_grid)
+    # phi and J are even about the turning point u = 0: node j mirrors to
+    # node n - j and midpoint j to midpoint n - 1 - j, so half of each is
+    # evaluated, nodes and midpoints in one pass
+    half = n_grid // 2 + 1
+    phi, J = phase_metric(torus.profile.a, du * np.concatenate(
+        [np.arange(half), np.arange((n_grid + 1) // 2) + 0.5]))
     sin_sq = np.sin(phi) ** 2
-    P = 4.0 * math.pi ** 2 * sin_sq
-    P_mid = 4.0 * math.pi ** 2 * np.sin(phi_mid) ** 2
-    del phi, phi_mid  # not held while the generator waits
+    flux = (4.0 * math.pi ** 2 / du ** 2) * sin_sq[half:] / J[half:]  # c / du^2 at the midpoints
+    flux = np.concatenate([flux, flux[n_grid // 2 - 1::-1]])
+    sin_sq, J = (np.concatenate([x, x[(n_grid - 1) // 2:0:-1]])
+                 for x in (sin_sq[:half], J[:half]))
+    off = -flux / np.sqrt(J * np.roll(J, -1))
+    stiffness = (flux + np.roll(flux, 1)) / J
+    del phi, J, flux  # not held while the generator waits
     for l in modes:
-        yield SLProblem(l=l, period=t0, grid=grid, P=P, P_mid=P_mid,
-                        Q=(l * l) / sin_sq if l else np.zeros(n_grid), n_grid=n_grid)
+        yield SLProblem(l=l, main=stiffness + (l * l) / sin_sq, off=off)
 
 
 def _check_grid_size(n_grid: int) -> None:
@@ -224,21 +236,6 @@ def _check_grid_size(n_grid: int) -> None:
     if n_grid > _MAX_GRID:
         raise ValueError(f"a grid of {n_grid} rows exceeds the limit of "
                          f"{_MAX_GRID} rows (about 270 bytes per row)")
-
-
-def operator_bands(problem: SLProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Bands ``(main, off)`` of the cyclic tridiagonal symmetric matrix of h -> -(P h')' + Q h.
-
-    Second-order central fluxes: ``off[j] = -P(t_{j+1/2}) / h^2`` couples
-    neighbours j and j + 1 mod n, so ``off[n-1]`` is the corner coupling
-    rows n - 1 and 0; ``main[j]`` is the diagonal entry of row j.  For an
-    assembled problem the bands are mirror-symmetric bit for bit:
-    ``main[n-j] == main[j]`` and ``off[n-1-j] == off[j]``.
-    """
-    h = problem.h
-    off = -problem.P_mid / h ** 2
-    main = (problem.P_mid + np.roll(problem.P_mid, 1)) / h ** 2 + problem.Q
-    return main, off
 
 
 def count_sign_changes(values: np.ndarray) -> int:
@@ -327,12 +324,11 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     shares = (k // 2 + 1, k // 2)
     runs = [_shift_invert(d, e, -1.0, m, "LM", max(3 * m, 20), maxiter=10000,
                           vectors=True)
-            for (d, e), m in zip(_halves(*operator_bands(problem)), shares) if m]
+            for (d, e), m in zip(_halves(problem.main, problem.off), shares) if m]
     vals = np.concatenate([run[0] for run in runs])
     order = np.argsort(vals, kind="stable")[:k]
     return SLSpectrum(l=problem.l, eigenvalues=vals[order], n_grid=n,
-                      period=problem.period, _half_vectors=[run[1] for run in runs],
-                      _order=order)
+                      _half_vectors=[run[1] for run in runs], _order=order)
 
 
 def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str,
@@ -380,7 +376,8 @@ def _inverse(d: np.ndarray, e: np.ndarray, sigma: float) -> LinearOperator:
     reports at its first non-positive pivot, the partial-pivoting LU
     (``dgttrf``, ``dgttrs``).  LAPACK's own pivot check chooses: the shift
     at -1 of :func:`eigen_low` is always definite (T is semidefinite, its
-    quadratic form being ``sum P_mid (dh)^2 + Q h^2``), the shifts at the
+    quadratic form in ``h = J^{-1/2} w`` being
+    ``sum c (dh)^2 / du^2 + Q J h^2``), the shifts at the
     threshold of :func:`count_below` are indefinite wherever eigenvalues
     lie below it.  Raises :class:`SolverFailure` if the LU has an exactly
     zero pivot.
@@ -409,12 +406,12 @@ def _ground_eigenvalue(d: np.ndarray, e: np.ndarray, sigma: float) -> float:
     values ("SA") and the ground is the least of them; with m = 0 the
     eigenvalue nearest sigma is the ground.  This is exact for any sigma,
     and accurate far above the ground too (the l = 0 ground, 0, at sigma
-    = 2: -2.8e-14 on 2/3 at 1024 rows and -5.7e-11 on 5/9 at 131072, where
-    :func:`eigen_low` gives -9.4e-14 and -2.5e-11), but fast only for sigma
+    = 2: 3.5e-13 on 2/3 at 1024 rows and -2.3e-10 on 5/9 at 131072, where
+    :func:`eigen_low` gives 2.1e-13 and -1.5e-11), but fast only for sigma
     near the ground: then the m values dominate the transformed spectrum
     and ``2m + 1`` Lanczos vectors suffice, even in a cluster where the
     eigenvalue nearest sigma is not the ground (the even half of l = 1 on
-    7/13 at 2048: m = 4).  With
+    11/21 at 2048: m = 5).  With
     m = 0 the ground need not dominate (on 2/3, l = 2, it lies 0.009 below
     a pair), so ARPACK's default Krylov dimension is kept.
     The ground state of a periodic problem is even, so for a mode this is
@@ -464,22 +461,25 @@ def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
 
     The ambient coordinate functions restrict to eigenfunctions of the
     surface Laplacian with eigenvalue 2; after separation of variables this
-    means sin(phi(t)) solves the l = 1 problem and cos(phi(t)) cos(theta(t))
-    and cos(phi(t)) sin(theta(t)) solve the l = 0 problem, all at lambda = 2.
-    Returns ``||A v - 2 v|| / ||v||`` for the three, in that order; each
+    means sin(phi) solves the l = 1 problem and cos(phi) cos(theta) and
+    cos(phi) sin(theta) solve the l = 0 problem, all at lambda = 2.  Each
+    is taken at the nodes u_j in the symmetric form ``w = J^{1/2} v`` of
+    the bands, with theta(u) summed from the geodesic's phase series.
+    Returns ``||A w - 2 w|| / ||w||`` for the three, in that order; each
     vanishes at the order of the discretization, so the triple measures the
     spectral accuracy of the grid.
     """
-    problems = list(_assemble_modes(torus, (0, 1), n_grid))
-    bands_l0, bands_l1 = (operator_bands(problem) for problem in problems)
-    phi = torus.profile.phi_at(problems[0].grid)
-    theta = torus.profile.theta_at(problems[0].grid)
+    l0, l1 = _assemble_modes(torus, (0, 1), n_grid)
+    u = _phase_step(torus, n_grid) * np.arange(n_grid)
+    phi, J = phase_metric(torus.profile.a, u)
+    theta = torus.profile.cycle.theta_of_phase(u)
+    root_J = np.sqrt(J)
     residuals = []
-    for (main, off), v in ((bands_l1, np.sin(phi)),
-                           (bands_l0, np.cos(phi) * np.cos(theta)),
-                           (bands_l0, np.cos(phi) * np.sin(theta))):
-        Av = main * v + off * np.roll(v, -1) + np.roll(off * v, 1)
-        residuals.append(float(np.linalg.norm(Av - 2.0 * v) / np.linalg.norm(v)))
+    for problem, v in ((l1, np.sin(phi)), (l0, np.cos(phi) * np.cos(theta)),
+                       (l0, np.cos(phi) * np.sin(theta))):
+        w, off = root_J * v, problem.off
+        Aw = problem.main * w + off * np.roll(w, -1) + np.roll(off * w, 1)
+        residuals.append(float(np.linalg.norm(Aw - 2.0 * w) / np.linalg.norm(w)))
     return tuple(residuals)
 
 
@@ -490,18 +490,12 @@ def _band_from_anchors(l0_near: np.ndarray, l1_ground: float, threshold: float) 
     state and the two l = 0 eigenvalues nearest the threshold.  Their
     computed positions measure directly how far the discretization moves an
     eigenvalue that sits exactly at the threshold; ten times the worst
-    displacement is the classification band.  (The pointwise operator
-    residual is a poor proxy for this: inside the thin turning layers of
-    small-``a`` tori it overestimates the eigenvalue error by orders of
-    magnitude at practical grids.)
+    displacement is the classification band.
 
-    At resolving grids the displacements approach the rounding noise of
-    the shift-invert eigenvalues, so the band's trailing digits are noise
-    there: on 5/9 at 131072 rows the l = 0 pair lies 2e-8 below the
-    threshold and moves by 8e-10 when only the Lanczos shift moves from 2
-    to 2.001, and the band can change by 1e-4 relative when only the
-    solver or the Krylov dimension changes.  The counts do not depend on
-    those digits.
+    On fine grids the displacements approach the rounding noise of the
+    shift-invert eigenvalues, so the band's trailing digits are noise
+    there, and below the floating-point floor ``eps * max|main|`` the band
+    measures rounding alone (:func:`count_below` refuses that).
     """
     d0 = float(np.max(np.abs(l0_near - threshold)))
     return 10.0 * max(d0, abs(l1_ground - threshold)) + 1e-13 * threshold
@@ -537,7 +531,10 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     AmbiguousCount
         If at the finest grid some eigenvalue falls in the shoulder
         ``[threshold - 2 band, threshold - band)``, where "below" versus
-        "equal to the threshold" cannot be distinguished reliably.
+        "equal to the threshold" cannot be distinguished reliably; or if
+        the band there is below the floating-point floor
+        ``eps * max|main|`` of the l = 1 mode, where the anchors' displacement
+        is rounding and no count is reliable (2/3 from ``n_grid = 65536``).
     """
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
@@ -556,15 +553,22 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
         finest = n == grids[-1]
         # the modes one at a time: only l = 0 and l = 1 are held throughout
         # (map, unlike a generator expression, holds no finished problem)
-        modes = map(lambda problem: _halves(*operator_bands(problem)),
-                    _assemble_modes(torus, range(l_max + 1), n))
-        l0, l1 = next(modes), next(modes)
+        problems = _assemble_modes(torus, range(l_max + 1), n)
+        l0, l1 = next(problems), next(problems)
+        floor = _EPS * float(np.max(np.abs(l1.main)))  # l1.main >= l0.main
+        l0, l1 = _halves(l0.main, l0.off), _halves(l1.main, l1.off)
+        modes = map(lambda problem: _halves(problem.main, problem.off), problems)
         # the anchors: in each l = 0 half the eigenvalue nearest the threshold
         # (cos phi cos theta is even, cos phi sin theta odd), and the l = 1
         # ground, which is even
         l0_near = np.array([_eigenvalues_near(d, e, 1, threshold)[0] for d, e in l0])
         l1_ground = _ground_eigenvalue(*l1[0], threshold)
         band = _band_from_anchors(l0_near, l1_ground, threshold)
+        if finest and band < floor:
+            raise AmbiguousCount(
+                f"the guard band {band:.3e} at n_grid = {n} is below the "
+                f"floating-point floor eps * max|main| = {floor:.3e}: rounding, "
+                f"not the discretization, moves the anchors there; use a coarser grid")
         anchors = {(0, 0): l0_near[0], (0, 1): l0_near[1], (1, 0): l1_ground}
         total = 0
         shoulder: list[tuple[int, float]] = []
@@ -622,7 +626,7 @@ def lambda0_monotone_check(torus: OtsukiTorus, l_values: Sequence[int],
     l_values = list(l_values)
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
         raise ValueError("l_values must be strictly increasing")
-    ground = [_ground_eigenvalue(*_halves(*operator_bands(problem))[0],
+    ground = [_ground_eigenvalue(*_halves(problem.main, problem.off)[0],
                                  2.0 if problem.l else -1.0)
               for problem in _assemble_modes(torus, l_values, n_grid)]
     for (la, va), (lb, vb) in zip(zip(l_values, ground), zip(l_values[1:], ground[1:])):
@@ -634,14 +638,9 @@ def lambda0_monotone_check(torus: OtsukiTorus, l_values: Sequence[int],
 
 
 def resolving_grid(torus: OtsukiTorus) -> int:
-    """Power-of-two grid size, at least 2048, that places 8 nodes per turning layer.
+    """``max(2048, 2^ceil(log2(256 q)))``: 256 rows per u-cycle, the default of the CLI's --n-grid.
 
-    Convergence of the discretization is second order only once the grid
-    resolves the turning layers; use this to pick grids for convergence-rate
-    measurements on thin tori.
+    2048 up to q = 8 and for the Clifford circle, 4096 for 5/9, 32768 for 50/99.
     """
-    layer = turning_layer_scale(torus.profile.a)
-    if not math.isfinite(layer):
-        return 2048
-    needed = 8.0 * torus.t0 / layer
-    return max(2048, 1 << int(math.ceil(math.log2(needed))))
+    q = torus.profile.arcs_per_period // 2
+    return max(2048, 1 << (256 * q - 1).bit_length())

@@ -110,6 +110,19 @@ class TestGeodesic:
         assert code == 0, err
         assert len(out.strip().split("\n")) == 1 + 4096
 
+    def test_samples_above_the_cap_exit_2(self, capsys):
+        # refused at trace time: no sample is evaluated, so nothing is allocated
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "geodesic", "50", "99", "--n-samples", str(2 ** 22 + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert out == ""
+        assert f"{2 ** 22 + 1} samples" in err
+        assert peak < 2_000_000
+
     def test_unsupported_format(self, capsys):
         code, _, err = run(capsys, "geodesic", "2", "3", "--format", "obj")
         assert code == 2
@@ -158,20 +171,25 @@ class TestSpectrum:
         assert "lambda_0(0)" in out
 
     def test_cluster_that_extrapolates_descending_prints_the_finer_grid(self, capsys):
-        # the l = 3 cluster of 9/16 narrows faster than second order from
-        # 2048 to 4096 rows, so the Richardson values would descend
-        code, out, err = run(capsys, "spectrum", "9", "16", "--l", "3", "--k", "9",
-                             "--format", "json")
+        # the l = 1 cluster of 16/31 narrows faster than second order from
+        # 2048 to 4096 rows, so the Richardson values would descend (by 2e-9)
+        code, out, err = run(capsys, "spectrum", "16", "31", "--l", "1", "--k", "8",
+                             "--n-grid", "2048", "--format", "json")
         assert code == 0
         assert "extrapolation dropped" in err
         record = json.loads(out)
         vals = record["eigenvalues"]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        torus = otsuki.build_torus(otsuki.RotationNumber(9, 16))
-        fine = spectral.eigen_low(spectral.assemble(torus, 3, 4096), 9)
+        torus = otsuki.build_torus(otsuki.RotationNumber(16, 31))
+        fine = spectral.eigen_low(spectral.assemble(torus, 1, 4096), 8)
         assert vals == [float(cli._fmt(v)) for v in fine.eigenvalues]
-        assert record["zero_counts"] == [0, 2, 2, 4, 4, 6, 6, 8, 8]
-        assert record["clusters"] == [0] * 9
+        assert record["zero_counts"] == [0, 2, 2, 4, 4, 6, 6, 8]
+        assert record["clusters"] == [0] * 8
+
+    def test_default_grid_is_the_resolving_grid(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "5", "9", "--k", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["n_grid"] == 4096
 
 
 class TestVerify:
@@ -193,6 +211,37 @@ class TestVerify:
         assert record["counts_by_grid"] == {"1024": 3, "2048": 3}
         found = {(e["l"], e["index"]) for e in record["eigenvalues_near_threshold"]}
         assert {(0, 3), (0, 4), (1, 0)} <= found
+
+    @pytest.mark.parametrize("p, q, grid", [(9, 16, 4096), (11, 20, 8192), (17, 33, 16384)])
+    def test_thin_torus_passes_at_defaults(self, capsys, p, q, grid):
+        code, out, err = run(capsys, "verify", str(p), str(q), "--format", "json")
+        assert code == 0, err
+        record = json.loads(out)
+        assert record["n2"] == 2 * p - 1
+        assert record["grids"] == [grid, 2 * grid]
+
+    def test_below_the_floating_point_floor_exits_3(self, capsys):
+        # at 262144 rows the anchors of 2/3 move by rounding alone: the band
+        # is under eps * max|main|, where the doubled count read 3 and then 7
+        code, out, err = run(capsys, "verify", "2", "3", "--n-grid", "131072")
+        assert code == 3
+        assert out == ""
+        assert "floating-point floor" in err
+        assert "refine" not in err
+
+
+def _valid_labels(q_max):
+    return [(p, q) for q in range(2, q_max + 1) for p in range(1, q)
+            if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q]
+
+
+@pytest.mark.slow
+def test_every_label_up_to_q_100_verifies_at_defaults(capsys):
+    labels = _valid_labels(100)
+    assert len(labels) == 630
+    failed = [(p, q, code) for p, q in labels
+              if (code := run(capsys, "verify", str(p), str(q))[0]) != 0]
+    assert failed == []
 
 
 class TestMesh:
@@ -275,12 +324,16 @@ class TestConfigPrecedence:
         assert code == 2
 
     def test_key_of_another_subcommand_ignored(self, capsys, tmp_path):
-        # n_samples is read by geodesic only: it does not lift verify's sample cap
+        # n_samples is read by geodesic only: a count above the sample cap
+        # refuses geodesic and leaves verify alone
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_samples = 5000\n")
-        code, _, err = run(capsys, "verify", "17", "33", "--config", str(cfg))
+        cfg.write_text(f"n_samples = {2 ** 22 + 1}\n")
+        code, _, err = run(capsys, "geodesic", "2", "3", "--config", str(cfg))
         assert code == 2
         assert "samples" in err
+        code, out, _ = run(capsys, "verify", "2", "3", "--config", str(cfg))
+        assert code == 0
+        assert "PASS" in out
 
 
 class TestFlagsPerSubcommand:
@@ -340,13 +393,14 @@ class TestOptionTable:
         assert seen[key] == kind(from_flag)
 
     def test_defaults_without_flag_or_config(self, seen):
-        # each subcommand resolves its own options and no others
+        # each subcommand resolves its own options and no others; an unset
+        # n_grid is the torus's resolving grid, chosen by the handler
         expected = {
             "solve": {"format": "text", "out": None},
             "table": {"format": "text", "out": None},
             "geodesic": {"format": "csv", "out": None, "n_samples": None},
-            "spectrum": {"format": "text", "out": None, "n_grid": 2048, "l": 0, "k": 8},
-            "verify": {"format": "text", "out": None, "n_grid": 2048, "l_max": 3},
+            "spectrum": {"format": "text", "out": None, "n_grid": None, "l": 0, "k": 8},
+            "verify": {"format": "text", "out": None, "n_grid": None, "l_max": 3},
             "mesh": {"format": "obj", "out": None, "n_alpha": 64, "n_t": 256},
         }
         for name, options in expected.items():
@@ -360,7 +414,8 @@ class TestOptionTable:
             "--out": "write output to this file",
             "--config": "key=value config file",
         }
-        n_grid = {"--n-grid": "spectral grid size (default 2048)"}
+        n_grid = {"--n-grid": "spectral grid size (default: 256 rows per phase cycle, "
+                              "at least 2048, a power of two)"}
         extra = {
             "geodesic": {"--n-samples":
                          "geodesic samples per period (default: resolution-aware)"},
@@ -422,11 +477,6 @@ class TestVerifyFailurePaths:
         code, _, err = run(capsys, "verify", "2", "3", "--n-grid", "1024")
         assert code == 3
         assert "ambiguous" in err
-
-    def test_thin_torus_exits_2(self, capsys):
-        code, _, err = run(capsys, "verify", "50", "99")
-        assert code == 2
-        assert "samples" in err
 
     def test_grid_above_the_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "2", "3", "--n-grid", "4194304")

@@ -213,13 +213,20 @@ class TestTraceGeodesic:
             trace_geodesic(0.33787, RotationNumber(2, 3), n_samples=40)
 
     def test_thin_torus_refused_before_allocation(self):
+        # a count above the cap is refused at trace time, before any sample
         start = time.perf_counter()
-        with pytest.raises(DomainError, match="181303549 samples"):
-            build_torus(RotationNumber(50, 99))
+        with pytest.raises(DomainError, match=f"{2 ** 22 + 1} samples"):
+            build_torus(RotationNumber(50, 99), n_samples=2 ** 22 + 1)
         assert time.perf_counter() - start < 10.0
 
+    def test_thinnest_torus_up_to_q_100_builds(self):
+        torus = build_torus(RotationNumber(50, 99))
+        assert torus.profile.n_samples == 512 * 99
+        assert torus.profile.closure_phi_error < 1e-6
+        assert torus.profile.closure_theta_error < 1e-6
+
     def test_sample_limit_admits_10_19(self):
-        # the 595481 samples are declared at trace time but evaluated on first read
+        # the 9728 samples are declared at trace time but evaluated on first read
         rotation = RotationNumber(10, 19)
         a = solve_turning_value(rotation)
         tracemalloc.start()
@@ -228,9 +235,9 @@ class TestTraceGeodesic:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert profile.n_samples == 595481
+        assert profile.n_samples == 9728
         assert peak < 1_000_000
-        t = np.linspace(0.0, profile.t0, 595482)
+        t = np.linspace(0.0, profile.t0, 9729)
         phi, _, phi_dot, theta_dot = profile.cycle.state(t)
         np.testing.assert_array_equal(profile.t, t)
         np.testing.assert_array_equal(profile.phi, phi)
@@ -303,11 +310,9 @@ class TestTraceGeodesic:
         assert profile.phi_at(ts).shape == profile.theta_at(ts).shape == (2,)
 
     def test_default_sampling_is_resolution_aware(self, tori):
+        # 512 samples per arc pair, at least 4096: no turning layer to resolve
         for (p, q), torus in tori.items():
-            profile = torus.profile
-            assert profile.n_samples >= max(4096, 512 * q)
-            layer = geometry.turning_layer_scale(profile.a)
-            assert profile.n_samples >= 8.0 * profile.t0 / layer - 1.0
+            assert torus.profile.n_samples == max(4096, 512 * q)
 
 
 class TestOneArcConstruction:
@@ -351,7 +356,7 @@ class TestOneArcConstruction:
 
     def test_closed_form_interpolant_matches_from_derivatives(self, torus_23):
         cycle = torus_23.profile.cycle
-        knots, f, df, ddf = geometry._phase_knot_table(torus_23.profile.a)
+        knots, f, df, ddf, _ = geometry._phase_knot_table(torus_23.profile.a)
         ts = np.linspace(0.0, cycle.period, 100_000, endpoint=False)
         for row in (0, 1):
             looped = BPoly.from_derivatives(knots, np.column_stack([f[row], df[row], ddf[row]]))
@@ -414,6 +419,23 @@ class TestPhaseSeries:
         monkeypatch.setattr(geometry, "_MAX_SERIES_NODES", geometry._SERIES_NODES)
         for p, q in REFERENCE:
             geometry._phase_knot_table(solve_turning_value(RotationNumber(p, q)))
+
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9), (50, 99)])
+    def test_theta_of_phase_matches_the_knot_table(self, p, q):
+        # the direct sum of theta's series against its FFT sum at the knots,
+        # and the closure theta(2 pi q) = 2 pi p
+        a = solve_turning_value(RotationNumber(p, q))
+        _, f, _, _, _ = geometry._phase_knot_table(a)
+        cycle = geometry._PhaseCycle(a)
+        np.testing.assert_allclose(cycle.theta_of_phase(f[0]), f[1], rtol=0.0, atol=1e-12)
+        assert abs(cycle.theta_of_phase(2.0 * pi * q) - 2.0 * pi * p) <= 1e-9
+
+    def test_phase_metric_against_the_arc_length_quadrature(self, torus_23):
+        # the mean of J over a u-cycle is the cycle's length over 2 pi,
+        # two arcs: 2 L(a) / (2 pi)
+        a = torus_23.profile.a
+        _, J = geometry.phase_metric(a, np.arange(256) * (2.0 * pi / 256))
+        assert abs(J.mean() - arc_length_quarter(a) / pi) <= 1e-12 * J.mean()
 
     def test_node_cap_raises_closure_failure(self, monkeypatch):
         monkeypatch.setattr(geometry, "_MAX_SERIES_NODES", 512)

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from otsuki import spectral
-from otsuki.geometry import RotationNumber, build_torus
+from otsuki.geometry import RotationNumber, build_torus, phase_metric
 from otsuki.spectral import (
     GridTooCoarse,
     assemble,
@@ -17,7 +17,6 @@ from otsuki.spectral import (
     eigen_low,
     known_eigenfunction_residuals,
     lambda0_monotone_check,
-    operator_bands,
     resolving_grid,
 )
 
@@ -28,6 +27,16 @@ def _dense(main, off):
     A = np.diag(main)
     A[j, (j + 1) % j.size] = A[(j + 1) % j.size, j] = off
     return A
+
+
+def _bands(problem):
+    return problem.main, problem.off
+
+
+def _phase_grid(torus, n, offset=0.0):
+    """phi and J at u_j = (j + offset) du over the q u-cycles of a torus' period."""
+    du = 2.0 * pi * torus.rotation.q / n
+    return phase_metric(torus.profile.a, (np.arange(n) + offset) * du)
 
 
 def _count(main, off, sigma):
@@ -55,23 +64,42 @@ class TestCountSignChanges:
 
 class TestAssemble:
     def test_l0_has_zero_potential(self, torus_23):
-        problem = assemble(torus_23, 0, 256)
-        assert np.all(problem.Q == 0.0)
+        # independent oracle of the flux sums: l = 0 has them alone on its
+        # diagonal, and each mode l adds l^2 / sin^2 phi
+        n = 256
+        du = 2.0 * pi * 3 / n
+        phi, J = _phase_grid(torus_23, n)
+        phi_mid, J_mid = _phase_grid(torus_23, n, offset=0.5)
+        c = 4.0 * pi ** 2 * np.sin(phi_mid) ** 2 / J_mid
+        problems = [assemble(torus_23, l, n) for l in (0, 2)]
+        np.testing.assert_allclose(problems[0].main, (c + np.roll(c, 1)) / du ** 2 / J,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(problems[1].main - problems[0].main,
+                                   4.0 / np.sin(phi) ** 2, rtol=1e-12)
+        for problem in problems:
+            np.testing.assert_allclose(problem.off,
+                                       -c / du ** 2 / np.sqrt(J * np.roll(J, -1)), rtol=1e-12)
 
     def test_stiffness_range(self, torus_23):
+        # the flux coefficient P = c J = 4 pi^2 sin^2 phi, read back from off
         a = torus_23.profile.a
-        problem = assemble(torus_23, 2, 512)
-        lo = 4.0 * pi ** 2 * math.sin(a) ** 2
-        hi = 4.0 * pi ** 2 * math.cos(a) ** 2
-        for coeff in (problem.P, problem.P_mid):
-            assert coeff.min() >= lo - 1e-9
-            assert coeff.max() <= hi + 1e-9
+        n = 512
+        du = 2.0 * pi * 3 / n
+        _, J = _phase_grid(torus_23, n)
+        _, J_mid = _phase_grid(torus_23, n, offset=0.5)
+        problem = assemble(torus_23, 2, n)
+        P_mid = -problem.off * du ** 2 * np.sqrt(J * np.roll(J, -1)) * J_mid
+        assert P_mid.min() >= 4.0 * pi ** 2 * math.sin(a) ** 2 - 1e-9
+        assert P_mid.max() <= 4.0 * pi ** 2 * math.cos(a) ** 2 + 1e-9
 
     def test_clifford_constant_coefficients(self, clifford):
-        problem = assemble(clifford, 3, 256)
-        np.testing.assert_allclose(problem.P, 2.0 * pi ** 2, rtol=1e-9)
-        np.testing.assert_allclose(problem.P_mid, 2.0 * pi ** 2, rtol=1e-9)
-        np.testing.assert_allclose(problem.Q, 18.0, rtol=1e-9)
+        # J is constant, so the phase grid is the arc-length grid t_j = j t0 / n,
+        # and the bands those of -(2 pi^2 h')' + 18 h
+        n = 256
+        problem = assemble(clifford, 3, n)
+        h = clifford.t0 / n
+        np.testing.assert_allclose(problem.off, -2.0 * pi ** 2 / h ** 2, rtol=1e-9)
+        np.testing.assert_allclose(problem.main, 4.0 * pi ** 2 / h ** 2 + 18.0, rtol=1e-9)
 
     def test_grid_floor(self, torus_23):
         with pytest.raises(GridTooCoarse):
@@ -94,29 +122,30 @@ class TestAssemble:
 class TestOperatorMatrix:
     def test_cyclic_tridiagonal_structure(self, torus_23):
         n = 256
-        main, off = operator_bands(assemble(torus_23, 0, n))
+        main, off = _bands(assemble(torus_23, 0, n))
         assert main.shape == off.shape == (n,)
         assert np.all(off < 0.0)
 
     @pytest.mark.parametrize("n", [256, 255])
     def test_bands_mirror_symmetric_bit_for_bit(self, torus_23, n):
-        main, off = operator_bands(assemble(torus_23, 2, n))
+        main, off = _bands(assemble(torus_23, 2, n))
         np.testing.assert_array_equal(main[1:], main[:0:-1])
         np.testing.assert_array_equal(off, off[::-1])
 
     def test_problem_not_even_in_t_refused(self):
         # hand-built: P(t) = 1 + sin(2 pi t) / 2 on [0, 1) is not even in t
         n = 64
-        grid = np.arange(n) / n
-        problem = spectral.SLProblem(
-            l=0, period=1.0, grid=grid, P=1.0 + 0.5 * np.sin(2.0 * pi * grid),
-            P_mid=1.0 + 0.5 * np.sin(2.0 * pi * (grid + 0.5 / n)), Q=np.zeros(n), n_grid=n)
+        P_mid = 1.0 + 0.5 * np.sin(2.0 * pi * (np.arange(n) + 0.5) / n)
+        problem = spectral.SLProblem(l=0, main=(P_mid + np.roll(P_mid, 1)) * n ** 2,
+                                     off=-P_mid * n ** 2)
         with pytest.raises(ValueError, match="reflection"):
             eigen_low(problem, 2)
 
     def test_constants_in_kernel_for_l0(self, torus_23):
-        A = _dense(*operator_bands(assemble(torus_23, 0, 512)))
-        assert np.max(np.abs(A @ np.ones(512))) <= 1e-9
+        # the constants h = 1, in the symmetric form w = J^{1/2} h
+        A = _dense(*_bands(assemble(torus_23, 0, 512)))
+        _, J = _phase_grid(torus_23, 512)
+        assert np.max(np.abs(A @ np.sqrt(J))) <= 1e-9
 
 
 class TestInverse:
@@ -138,7 +167,7 @@ class TestInverse:
         definite_seen = set()
         # l = 0 at 2 is indefinite, at -1 definite; l = 2 lies above 2
         for l in (0, 2):
-            (d, e), _ = spectral._halves(*operator_bands(assemble(torus_23, l, 1024)))
+            (d, e), _ = spectral._halves(*_bands(assemble(torus_23, l, 1024)))
             for sigma in (-1.0, 2.0):
                 definite = spectral._inertia(d, e, sigma) == 0
                 definite_seen.add(definite)
@@ -157,7 +186,7 @@ class TestEigenLow:
         # k cover the even half alone (1) and the shares k // 2 + 1 and k // 2
         for n in (1024, 1023, 255):
             problem = assemble(torus_23, 0, n)
-            A = _dense(*operator_bands(problem))
+            A = _dense(*_bands(problem))
             dense_vals = np.sort(scipy.linalg.eigh(A, eigvals_only=True))
             for k in (1, 7, 8, 9):
                 spectrum = eigen_low(problem, k)
@@ -182,7 +211,7 @@ class TestEigenLow:
         oracle = np.sort(np.concatenate([
             scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                           select_range=(0, k - 1))
-            for d, e in spectral._halves(*operator_bands(problem))]))[:k]
+            for d, e in spectral._halves(*_bands(problem))]))[:k]
         np.testing.assert_allclose(eigen_low(problem, k).eigenvalues, oracle,
                                    rtol=0, atol=1e-9)
 
@@ -196,7 +225,8 @@ class TestEigenLow:
     def test_ground_state_l0_is_constant(self, torus_23):
         spectrum = eigen_low(assemble(torus_23, 0, 1024), 1)
         assert abs(spectrum.eigenvalues[0]) <= 1e-8
-        v = spectrum.eigenvectors[:, 0]
+        _, J = _phase_grid(torus_23, 1024)
+        v = spectrum.eigenvectors[:, 0] / np.sqrt(J)  # h = J^{-1/2} w
         assert np.max(np.abs(v - v.mean())) <= 1e-6 * np.abs(v).max()
 
     def test_clifford_closed_form_spectrum(self, clifford):
@@ -234,7 +264,8 @@ class TestEigenLow:
         assert abs(spectrum.eigenvalues[0] - 2.0) <= 1e-3
         assert spectrum.zero_counts[0] == 0
         v = spectrum.eigenvectors[:, 0]
-        s = np.sin(torus_23.profile.phi_at(problem.grid))
+        phi, J = _phase_grid(torus_23, 2048)
+        s = np.sqrt(J) * np.sin(phi)  # w = J^{1/2} h
         cosine = abs(v @ s) / (np.linalg.norm(v) * np.linalg.norm(s))
         assert cosine > 0.9999
 
@@ -364,21 +395,26 @@ class TestCountBelow:
 class TestCountBelowClassification:
     """White-box checks of the guard-band logic against doctored spectra.
 
-    ``_halves`` is replaced by two diagonal halves: the doctored eigenvalues
-    of the mode, padded with values far above the threshold, alternate
-    between the even and the odd half, so each l = 0 anchor at the
-    threshold has a half of its own and the l = 1 ground is even.
-    ``operator_bands`` hands the problem itself to the fake.
+    Each mode is assembled as a diagonal: the doctored eigenvalues of the
+    mode, padded with values far above the threshold.  ``_halves`` is
+    replaced by two diagonal halves whose values alternate between the
+    even and the odd half, so each l = 0 anchor at the threshold has a
+    half of its own and the l = 1 ground is even.
     """
 
     @staticmethod
     def _doctor(monkeypatch, spectrum_of):
-        def fake(problem, _):
-            low = np.array(spectrum_of(problem), dtype=float)
-            diagonal = np.concatenate([low, 20.0 + np.arange(problem.n_grid - low.size)])
-            return tuple((d, np.zeros(d.size - 1)) for d in (diagonal[0::2], diagonal[1::2]))
-        monkeypatch.setattr(spectral, "operator_bands", lambda problem: (problem, None))
-        monkeypatch.setattr(spectral, "_halves", fake)
+        def fake_modes(torus, modes, n_grid):
+            for l in modes:
+                low = np.array(spectrum_of(l, n_grid), dtype=float)
+                yield spectral.SLProblem(
+                    l=l, main=np.concatenate([low, 20.0 + np.arange(n_grid - low.size)]),
+                    off=None)
+
+        def fake_halves(main, _):
+            return tuple((d, np.zeros(d.size - 1)) for d in (main[0::2], main[1::2]))
+        monkeypatch.setattr(spectral, "_assemble_modes", fake_modes)
+        monkeypatch.setattr(spectral, "_halves", fake_halves)
 
     def test_shoulder_value_raises_ambiguous(self, torus_23, monkeypatch):
         # anchors displaced by 1e-6 set a 1e-5 band; 1.999985 sits in the
@@ -390,7 +426,7 @@ class TestCountBelowClassification:
             2: [5.0] + pad,
             3: [7.0] + pad,
         }
-        self._doctor(monkeypatch, lambda problem: spectra[problem.l])
+        self._doctor(monkeypatch, lambda l, n: spectra[l])
         with pytest.raises(spectral.AmbiguousCount) as excinfo:
             count_below(torus_23, n_grid=256)
         assert "(0, 1.999985)" in str(excinfo.value)
@@ -403,7 +439,7 @@ class TestCountBelowClassification:
             2: [5.0] + pad,
             3: [7.0] + pad,
         }
-        self._doctor(monkeypatch, lambda problem: spectra[problem.l])
+        self._doctor(monkeypatch, lambda l, n: spectra[l])
         report = count_below(torus_23, n_grid=256)
         assert report.n2 == 2
         assert report.verdict is False
@@ -411,14 +447,14 @@ class TestCountBelowClassification:
     def test_unstable_count_fails_verdict(self, torus_23, monkeypatch):
         pad = list(np.arange(3.0, 20.0))
 
-        def spectrum_of(problem):
-            extra = [0.5] if problem.n_grid == 256 else []
+        def spectrum_of(l, n):
+            extra = [0.5] if n == 256 else []
             return {
                 0: [0.0] + extra + [0.7, 1.2, 1.9999990, 2.0000010] + pad,
                 1: [2.0000005] + pad,
                 2: [5.0] + pad,
                 3: [7.0] + pad,
-            }[problem.l]
+            }[l]
 
         self._doctor(monkeypatch, spectrum_of)
         report = count_below(torus_23, n_grid=256)
@@ -433,7 +469,7 @@ class TestCountBelowClassification:
             2: [1.5] + pad,  # scan truncation assumption violated
             3: [7.0] + pad,
         }
-        self._doctor(monkeypatch, lambda problem: spectra[problem.l])
+        self._doctor(monkeypatch, lambda l, n: spectra[l])
         report = count_below(torus_23, n_grid=256)
         assert report.truncation_confirmed is False
         assert report.verdict is False
@@ -447,7 +483,7 @@ class TestCountBelowClassification:
             2: [5.0] + pad,
             3: [7.0] + pad,
         }
-        self._doctor(monkeypatch, lambda problem: spectra[problem.l])
+        self._doctor(monkeypatch, lambda l, n: spectra[l])
         report = count_below(torus_23, n_grid=256)
         assert report.counts_by_grid == {256: 20, 512: 20}
         assert report.n2 == 20
@@ -484,14 +520,16 @@ class TestInertiaAgainstLanczos:
             for l in range(4):
                 problem = assemble(torus, l, n)
                 vals = _lowest_above(problem, sigmas[-1])
-                bands = operator_bands(problem)
+                bands = _bands(problem)
                 for sigma in sigmas:
                     expected = np.sum(vals < sigma)
                     assert _count(*bands, sigma) == expected, (n, l, sigma)
 
-    def test_near_threshold_list_matches_lanczos_on_6_11(self):
-        torus = build_torus(RotationNumber(6, 11))
-        report = count_below(torus)
+    def test_near_threshold_list_matches_lanczos_on_14_27(self):
+        # 11 l = 1 values lie in the band at 14/27's resolving grid: windows
+        # beyond the anchors
+        torus = build_torus(RotationNumber(14, 27))
+        report = count_below(torus, n_grid=resolving_grid(torus))
         band = report.tolerance_band
         expected = []
         for l in range(4):
@@ -535,7 +573,7 @@ class TestGroundEigenvalue:
         torus = tori.get(label) or build_torus(RotationNumber(*label))
         problem = assemble(torus, 1, 2048)
         expected = eigen_low(problem, 1).eigenvalues[0]
-        even, _ = spectral._halves(*operator_bands(problem))
+        even, _ = spectral._halves(*_bands(problem))
         got = spectral._ground_eigenvalue(*even, 2.0)
         assert abs(got - expected) <= 1e-10
 
@@ -545,19 +583,23 @@ class TestGroundEigenvalue:
         # the l = 0 ground is 0 (the constants); at 2 the even half has m > 0
         # values below the shift, spread over [0, 2)
         problem = assemble(tori[label], 0, n)
-        even, _ = spectral._halves(*operator_bands(problem))
+        even, _ = spectral._halves(*_bands(problem))
         assert spectral._inertia(*even, 2.0) > 1
         got = spectral._ground_eigenvalue(*even, 2.0)
         assert abs(got - eigen_low(problem, 1).eigenvalues[0]) <= 1e-10
 
-    def test_nearest_to_the_threshold_is_not_the_ground_on_7_13(self):
-        # six l = 1 eigenvalues lie below 2; the one of the even half nearest 2
-        # is not the lowest
-        bands = operator_bands(assemble(build_torus(RotationNumber(7, 13)), 1, 2048))
-        even, _ = spectral._halves(*bands)
-        assert _count(*bands, 2.0) == 6
-        nearest = spectral._eigenvalues_near(*even, 1, 2.0)[0]
-        assert nearest - spectral._ground_eigenvalue(*even, 2.0) > 1e-3
+    def test_nearest_to_the_threshold_is_not_the_ground_of_a_coupled_half(self):
+        # T = tridiag(-1, 2.5, -1) of order 64 has the eigenvalues
+        # 2.5 - 2 cos(k pi / 65): 27 lie below 2, the nearest at 1.975, the
+        # ground at 0.5023 (no torus half shows such a spread on the phase grid)
+        n = 64
+        half = np.full(n, 2.5), -np.ones(n - 1)
+        exact = 2.5 - 2.0 * np.cos(np.arange(1, n + 1) * pi / (n + 1))
+        assert spectral._inertia(*half, 2.0) == np.sum(exact < 2.0) == 27
+        nearest = spectral._eigenvalues_near(*half, 1, 2.0)[0]
+        ground = spectral._ground_eigenvalue(*half, 2.0)
+        assert nearest - ground > 1e-3
+        assert abs(ground - exact[0]) <= 1e-12
 
 
 class TestBorderedFactorization:
@@ -570,7 +612,7 @@ class TestBorderedFactorization:
         band = count_below(torus).tolerance_band
         for n in (256, 255, 1023):
             for l in range(4):
-                main, off = operator_bands(assemble(torus, l, n))
+                main, off = _bands(assemble(torus, l, n))
                 vals = np.linalg.eigvalsh(_dense(main, off))
                 for sigma in (0.5, 2.0 - band, 2.0, 2.0 + band, 10.0):
                     expected = np.sum(vals < sigma)
@@ -581,7 +623,7 @@ class TestBorderedFactorization:
     def test_solve_residual(self, tori, label):
         rng = np.random.default_rng(7)
         for l in range(4):
-            for d, e in spectral._halves(*operator_bands(assemble(tori[label], l, 256))):
+            for d, e in spectral._halves(*_bands(assemble(tori[label], l, 256))):
                 T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
                 for sigma in (-1.0, 2.0):
                     b = rng.standard_normal(d.size)
@@ -603,6 +645,7 @@ def _valid_labels(q_max):
 
 
 SWEEP_LABELS = _valid_labels(13)
+THIN_LABELS = _valid_labels(30)
 
 
 class TestGeneralization:
@@ -626,6 +669,17 @@ class TestGeneralization:
         report = count_below(torus)
         assert report.n2 == 2 * rotation.p - 1
         assert report.verdict is True
+
+    def test_every_label_up_to_q_30_verifies_at_the_resolving_grid(self):
+        # the thin tori included: 9/16 and 11/20 misjudged on the arc-length grid
+        assert len(THIN_LABELS) == 58
+        misjudged = []
+        for rotation in THIN_LABELS:
+            torus = build_torus(rotation)
+            report = count_below(torus, n_grid=resolving_grid(torus))
+            if report.n2 != 2 * rotation.p - 1 or not report.verdict:
+                misjudged.append((rotation.p, rotation.q, report.n2, report.verdict))
+        assert misjudged == []
 
 
 class TestLambda0Monotone:
@@ -655,6 +709,10 @@ class TestLambda0Monotone:
 class TestResolvingGrid:
     def test_clifford_floor(self, clifford):
         assert resolving_grid(clifford) == 2048
+
+    def test_256_rows_per_u_cycle(self):
+        for (p, q), n in {(5, 8): 2048, (5, 9): 4096, (16, 31): 8192, (50, 99): 32768}.items():
+            assert resolving_grid(build_torus(RotationNumber(p, q), n_samples=4096)) == n
 
     def test_thin_tori_need_finer_grids(self, tori):
         assert resolving_grid(tori[(5, 9)]) > resolving_grid(tori[(2, 3)])
