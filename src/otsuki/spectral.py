@@ -31,15 +31,18 @@ grid functions A is the direct sum of two plain symmetric tridiagonals of
 about n / 2 rows each, the even and the odd half of the mode
 (:func:`_halves`); every count and every solve works on one half.
 Eigenvalues below sigma are counted, not computed: their number is the sum
-of the two halves' Sturm counts (LAPACK bisection, backward stable; see
-:func:`_inertia`).  Shift-invert Lanczos iteration on a half, with LAPACK's
-tridiagonal LDL^T (a definite shift) or partial-pivoting LU (an indefinite
-one) as its solve (:func:`_inverse`), is used only where eigenvalues or
-eigenvectors themselves are needed; Lanczos then never multiplies by A
-itself (see :func:`_shift_invert`), and stops once the eigenvalues, not the
-eigenvectors, are at rounding level (``_LANCZOS_TOL``).  :func:`eigen_low`
-asks each half only for its share of the eigenpairs, which interlacing
-bounds, and its eigenvectors are unfolded onto the grid only when read.
+of the two halves' Sturm counts (backward stable), one pass over a half's
+rows per shift in one call of LAPACK's ``dlaebz`` for all the shifts a
+caller needs (:func:`_sturm_counts`).  Shift-invert Lanczos iteration on a
+half, with LAPACK's tridiagonal LDL^T (a definite shift) or
+partial-pivoting LU (an indefinite one) as its solve (:func:`_inverse`),
+is used only where eigenvalues or eigenvectors themselves are needed;
+Lanczos then never multiplies by A itself (see :func:`_shift_invert`), and
+stops once the eigenvalues, not the eigenvectors, are at rounding level
+(``_LANCZOS_TOL``).  :func:`eigen_low` shifts both halves of a mode to a
+dyadic sigma just below its ground, placed by a few Sturm counts, asks
+each half only for its share of the eigenpairs, which interlacing bounds,
+and unfolds its eigenvectors onto the grid only when they are read.
 Inside :func:`count_below` every Lanczos run is shifted to the threshold
 and asks for exactly as many eigenvalues of its half as it must return; a
 Sturm count at the shift tells it how many that is (see
@@ -48,6 +51,7 @@ Sturm count at the shift tells it how many that is (see
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,7 +59,8 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, dstebz
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .geometry import OtsukiTorus, phase_metric
@@ -80,6 +85,7 @@ _EIGSH_SEED = 20120524  # fixed Lanczos start vector: identical runs bit for bit
 _LANCZOS_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 # Largest grid assembled, in rows: up to about 270 B per row at peak, so about
 # 0.57 GB (tracemalloc peak of count_below on 2/3 over the rows of its doubled
@@ -298,37 +304,94 @@ def _halves(main: np.ndarray, off: np.ndarray
 def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     """The k smallest eigenpairs of the discretized problem.
 
-    Shift-invert Lanczos about sigma = -1 on each half of the mode (the
-    operator is positive semidefinite, so the eigenvalues nearest -1 are
-    the smallest), each half asked only for its share of the k.  The
+    Shift-invert Lanczos on each half of the mode, both shifted to one
+    dyadic sigma just below the mode's ground (:func:`_shift_below_ground`,
+    a few Sturm counts on the even half, whose ground is the mode's), each
+    half asked only for its share of the k.  With no eigenvalue below
+    sigma the eigenvalues nearest it are the smallest, and T - sigma I is
+    definite, so every solve is an LDL^T; a shift close to the wanted
+    values makes Lanczos converge fast (the l = 1 values of 5/9, a cluster
+    in [2, 2.004], took 73 solves at 65536 rows about -1, 42 now).  The
     halves interlace: for even n the odd half is the even half without its
     first and last rows, for odd n it is the even half's trailing r x r
     block plus the positive rank-one term ``2 |off[r]| e_r e_r^T``, so by
     Cauchy interlacing ``mu_j <= nu_j <= mu_{j+2}`` for the even values mu
-    and the odd values nu.  Hence the k smallest of the mode hold at most
-    ``k // 2 + 1`` even and ``k // 2`` odd values, and those are the
-    shares asked for (k + 1 or k pairs in all; k = 1 runs the even half
-    only).  A run asking for m pairs uses ``max(3m, 20)`` Lanczos vectors:
-    ARPACK's default ``max(2m + 1, 20)`` for m <= 6, and wider above, where
-    the default does not converge when the share ends inside a tight
-    cluster (the l = 3 values of 9/16 come 8 to a half; k = 16 at 4096
-    rows).  The k smallest of the returned values are kept.  Their
-    eigenvectors, and so the zero counts, are unfolded onto the grid only
-    when first read (:class:`SLSpectrum`); until then the result holds the
-    half runs' vectors, about ``n / 2 x (k + 1)`` values where the unfolded
-    ones are ``n x k``.
+    and the odd values nu.  Hence the odd half's ground lies above the
+    even half's, above
+    sigma too, and the k smallest of the mode hold at most ``k // 2 + 1``
+    even and ``k // 2`` odd values; those are the shares asked for (k + 1
+    or k pairs in all; k = 1 runs the even half only).  A run asking for m
+    pairs uses ``max(3m, 20)`` Lanczos vectors: ARPACK's default
+    ``max(2m + 1, 20)`` for m <= 6, and wider above, where the default
+    does not converge when the share ends inside a tight cluster (the
+    l = 3 values of 9/16 come 8 to a half; k = 16 at 4096 rows).  The k
+    smallest of the returned values are kept.  Their eigenvectors, and so
+    the zero counts, are unfolded onto the grid only when first read
+    (:class:`SLSpectrum`); until then the result holds the half runs'
+    vectors, about ``n / 2 x (k + 1)`` values where the unfolded ones are
+    ``n x k``.
     """
     n = problem.n_grid
     if k < 1 or k > n // 4:
         raise ValueError(f"k must lie in [1, n_grid / 4 = {n // 4}]")
     shares = (k // 2 + 1, k // 2)
-    runs = [_shift_invert(d, e, -1.0, m, "LM", max(3 * m, 20), maxiter=10000,
+    halves = _halves(problem.main, problem.off)
+    sigma = _shift_below_ground(*halves[0])
+    runs = [_shift_invert(d, e, sigma, m, "LM", max(3 * m, 20), maxiter=10000,
                           vectors=True)
-            for (d, e), m in zip(_halves(problem.main, problem.off), shares) if m]
+            for (d, e), m in zip(halves, shares) if m]
     vals = np.concatenate([run[0] for run in runs])
     order = np.argsort(vals, kind="stable")[:k]
     return SLSpectrum(l=problem.l, eigenvalues=vals[order], n_grid=n,
                       _half_vectors=[run[1] for run in runs], _order=order)
+
+
+# The width, relative to 1 + |its upper end|, to which _shift_below_ground
+# brackets a ground: close enough that the wanted eigenvalues dominate the
+# transformed spectrum of a shift-invert run, and a handful of counts away.
+_GROUND_BRACKET = 1.0 / 64.0
+
+
+def _shift_below_ground(d: np.ndarray, e: np.ndarray) -> float:
+    """A dyadic shift sigma just below the ground of the tridiagonal ``(d, e)``, by Sturm counts.
+
+    The ground is bracketed by ``lo``, with no eigenvalue below it, and
+    ``hi``, with one.  lo starts at -1, below which an assembled mode has
+    no eigenvalue (it is positive semidefinite), or for other bands at a
+    power of two below Gershgorin's lower bound; hi climbs through 0, 2,
+    6, 14, ... until a count is positive, and the bracket then shrinks to
+    its quarter and three-quarter points until its width is at most
+    ``(1 + |hi|) * _GROUND_BRACKET``.  Each :func:`_sturm_counts` call
+    counts at two points, one pass over the rows each.  The shift is one
+    bracket width below lo, so the ground lies one to two widths above it
+    and T - sigma I is definite by a margin far above rounding; at lo
+    itself the ground can sit within rounding (the l = 0 ground is 0, a
+    probe).  Every probe, and so sigma, is a dyadic number of a few bits:
+    ``d - sigma`` is exact on every row, where a shift like 2.001 rounds on
+    each row and biases every eigenvalue by up to half an ulp of ``max|d|``.
+    """
+    def split(probes):
+        # lo rises through the probes with no eigenvalue below them, hi falls to the first with one
+        nonlocal lo, hi
+        for x, below in zip(probes, _sturm_counts(d, e, probes)):
+            if below:
+                hi = x
+                return
+            lo = x
+
+    lo, hi = -math.inf, math.inf
+    split([-1.0, 0.0])
+    if lo == -math.inf:  # eigenvalues below -1: not an assembled mode
+        spread = np.abs(np.concatenate([[0.0], e])) + np.abs(np.concatenate([e, [0.0]]))
+        lo = -2.0 ** math.ceil(math.log2(2.0 - float(np.min(d - spread))))
+    step = 2.0
+    while hi == math.inf:
+        split([lo + step, lo + 3.0 * step])
+        step *= 4.0
+    while hi - lo > (1.0 + abs(hi)) * _GROUND_BRACKET:
+        quarter = 0.25 * (hi - lo)
+        split([lo + quarter, hi - quarter])
+    return 2.0 * lo - hi
 
 
 def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str,
@@ -356,11 +419,20 @@ def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str
         raise RuntimeError("shift-invert Lanczos multiplied by the operator itself")
 
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
-    try:
-        return eigsh(LinearOperator((n, n), matvec=no_product, dtype=float), k=k,
-                     sigma=sigma, which=which, v0=v0, tol=_LANCZOS_TOL,
+    operator, inverse = LinearOperator((n, n), matvec=no_product, dtype=float), _inverse(d, e, sigma)
+
+    def run(ncv):
+        return eigsh(operator, k=k, sigma=sigma, which=which, v0=v0, tol=_LANCZOS_TOL,
                      ncv=None if ncv is None else min(n, ncv), maxiter=maxiter,
-                     return_eigenvectors=vectors, OPinv=_inverse(d, e, sigma))
+                     return_eigenvectors=vectors, OPinv=inverse)
+
+    try:
+        try:
+            return run(ncv)
+        except ArpackNoConvergence:
+            if ncv is None or ncv >= max(2 * k + 1, 20):
+                raise
+            return run(None)  # a narrow Krylov space can stall inside a tight cluster
     except (ArpackNoConvergence, ArpackError) as exc:
         raise SolverFailure(f"eigensolver failed near sigma={sigma!r}, "
                             f"order {n}: {exc}") from exc
@@ -375,12 +447,13 @@ def _inverse(d: np.ndarray, e: np.ndarray, sigma: float) -> LinearOperator:
     x86-64 VM); elsewhere, as ``dpttrf``
     reports at its first non-positive pivot, the partial-pivoting LU
     (``dgttrf``, ``dgttrs``).  LAPACK's own pivot check chooses: the shift
-    at -1 of :func:`eigen_low` is always definite (T is semidefinite, its
-    quadratic form in ``h = J^{-1/2} w`` being
-    ``sum c (dh)^2 / du^2 + Q J h^2``), the shifts at the
-    threshold of :func:`count_below` are indefinite wherever eigenvalues
-    lie below it.  Raises :class:`SolverFailure` if the LU has an exactly
-    zero pivot.
+    of :func:`eigen_low` is definite, at least a bracket width below the
+    ground (:func:`_shift_below_ground`), the shifts at the threshold of
+    :func:`count_below` are indefinite wherever eigenvalues lie below it.
+    ``d - sigma`` is exact for the few-bit dyadic shifts of
+    :func:`eigen_low`, so its solves are those of T itself shifted, not of
+    a copy rounded on every row.  Raises
+    :class:`SolverFailure` if the LU has an exactly zero pivot.
     """
     n = d.size
     *ldl, info = dpttrf(d - sigma, e)
@@ -419,7 +492,7 @@ def _ground_eigenvalue(d: np.ndarray, e: np.ndarray, sigma: float) -> float:
     Raises :class:`SolverFailure` unless the returned eigenvalues lie on the
     side of sigma the count says: exactly m below it.
     """
-    m = _inertia(d, e, sigma)
+    m = int(_sturm_counts(d, e, [sigma])[0])
     if m:
         vals = np.sort(_shift_invert(d, e, sigma, m, "SA", 2 * m + 1))
     else:
@@ -430,29 +503,58 @@ def _ground_eigenvalue(d: np.ndarray, e: np.ndarray, sigma: float) -> float:
     return float(vals[0])
 
 
-def _inertia(d: np.ndarray, e: np.ndarray, sigma: float) -> int:
-    """Number of eigenvalues strictly below sigma of the symmetric tridiagonal ``(d, e)``.
+def _lapack_routine(name: str) -> int:
+    """Address of a LAPACK routine of scipy's own build, from its ``cython_lapack`` capsule."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get_pointer(capsule, get_name(capsule))
 
-    The Sturm count of LAPACK's bisection (``dstebz``): the number of
-    negative pivots of T - sigma I, which is backward stable for
-    tridiagonal matrices (Kahan; LAPACK Users' Guide section 2.4.4).  A
-    mode's count is the sum of this count over its two halves
-    (:func:`_halves`), since A is their orthogonal direct sum; unlike a
-    factorization, the count needs no regular T - sigma I.  LAPACK counts
-    an eigenvalue equal to its bound as below it, so the bound is the
-    floating-point number just below sigma.
+
+# DLAEBZ(IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2,
+# NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO), every argument by reference
+_DLAEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)(_lapack_routine("dlaebz"))
+
+
+def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift of the symmetric tridiagonal ``(d, e)``.
+
+    The Sturm count: the number of non-positive pivots of T - sigma I in
+    the recurrence ``p_j = (d_j - e_{j-1}^2 / p_{j-1}) - sigma``, which is
+    backward stable for tridiagonal matrices (Kahan; LAPACK Users' Guide
+    section 2.4.4).  A mode's count is the sum of this count over its two
+    halves (:func:`_halves`), since A is their orthogonal direct sum; unlike
+    a factorization, the count needs no regular T - sigma I.  One call of
+    LAPACK's ``dlaebz`` (IJOB = 1) makes one pass over the rows per shift,
+    where a ``dstebz`` call made several for one count.  The arithmetic is
+    that of ``dstebz``, so the counts are too: the same recurrence,
+    couplings below its splitting threshold dropped, the same ``pivmin``,
+    and each shift lowered to the floating-point number just below it,
+    since the recurrence counts an eigenvalue equal to its bound as below.
+    dlaebz counts at both ends of each interval it is given, so an odd
+    number of shifts costs one pass more.
     """
-    spread = 2.0 * float(np.max(np.abs(e)))
-    low, high = float(d.min()) - spread, float(d.max()) + spread
-    # eigenvalues in (vl, sigma) with vl below the Gershgorin interval;
-    # a tolerance wider than that interval leaves only the Sturm counts
-    vl = min(low, sigma) - 1.0
-    m, *_, info = dstebz(d, e, 1, vl, np.nextafter(sigma, -np.inf), 0, 0,
-                         2.0 * (high - low) + 1.0, "B")
-    if info:
-        raise SolverFailure(f"Sturm count at sigma={sigma!r}, order {d.size}: "
-                            f"dstebz info={info}")
-    return int(m)
+    d = np.ascontiguousarray(d, dtype=float)
+    e2 = np.square(e, dtype=float)
+    if e2.shape != (d.size - 1,):
+        raise ValueError(f"{d.size} diagonal entries need {d.size - 1} couplings")
+    e2[np.abs(d[1:] * d[:-1]) * _EPS ** 2 + _TINY > e2] = 0.0  # dstebz's splitting
+    pivmin = ctypes.c_double(_TINY * max(1.0, float(e2.max(initial=0.0))))
+    bounds = [math.nextafter(sigma, -math.inf) for sigma in shifts]
+    # the intervals' lower ends, then their upper ends (AB and NAB are
+    # column-major MMAX x 2 arrays), padded to even length
+    ab = np.array(bounds + bounds[-1:] * (len(bounds) % 2))
+    nab = np.empty(ab.size, dtype=np.intc)
+    ints = [ctypes.c_int(v) for v in (1, 0, d.size, ab.size // 2, ab.size // 2, 0)]
+    zero, unused, info = ctypes.c_double(0.0), ctypes.c_int(0), ctypes.c_int(0)
+    ref = ctypes.byref
+    e2_at, ab_at = e2.ctypes.data, ab.ctypes.data
+    _DLAEBZ(*map(ref, ints), ref(zero), ref(zero), ref(pivmin),
+            d.ctypes.data, e2_at, e2_at, ref(unused), ab_at, ab_at,  # E: not read
+            ref(unused), nab.ctypes.data, ab_at, ref(unused), ref(info))
+    return nab[:len(bounds)].astype(int)
 
 
 def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
@@ -507,9 +609,13 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
 
     For each mode l = 0 .. l_max the eigenvalues below ``threshold - band``
     are counted exactly, as two Sturm counts, one per half of the mode
-    (:func:`_halves`, :func:`_inertia`), and weighted 1 (l = 0) or 2
-    (l > 0), where the band absorbs the eigenvalues that equal the
-    threshold analytically (see :func:`_band_from_anchors`).  Lanczos
+    (:func:`_halves`), and weighted 1 (l = 0) or 2 (l > 0), where the band
+    absorbs the eigenvalues that equal the
+    threshold analytically (see :func:`_band_from_anchors`).  One
+    :func:`_sturm_counts` call per half counts below every shift the grid
+    needs: ``threshold - band`` and ``threshold`` on each grid, and on the
+    finest also ``threshold + band`` and ``threshold - 2 band``, for the
+    window and the shoulder.  Lanczos
     iteration computes only eigenvalues that are reported: the three
     anchors, the eigenvalues within the band of the threshold, and those
     in the shoulder when the count is ambiguous.  Each run works on one
@@ -546,9 +652,6 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     near: list[tuple[int, int, float]] = []
     truncation_confirmed = True
 
-    def counts(halves, sigma):
-        return np.array([_inertia(d, e, sigma) for d, e in halves])
-
     for n in grids:
         finest = n == grids[-1]
         # the modes one at a time: only l = 0 and l = 1 are held throughout
@@ -572,20 +675,22 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
         anchors = {(0, 0): l0_near[0], (0, 1): l0_near[1], (1, 0): l1_ground}
         total = 0
         shoulder: list[tuple[int, float]] = []
+        # the count and the truncation check on every grid, the window and the
+        # shoulder on the finest
+        shifts = [threshold - band, threshold] + (
+            [threshold + band, threshold - 2.0 * band] if finest else [])
         for l, halves in enumerate(chain((l0, l1), modes)):
-            # for l >= 2, lambda_0(l) normally clears the band: one count settles the mode
-            if l >= 2 and not counts(halves, threshold + band).any():
-                continue
-            below = counts(halves, threshold - band)
+            below, below_threshold, *outer = np.array(
+                [_sturm_counts(d, e, shifts) for d, e in halves]).T
             total += (1 if l == 0 else 2) * int(below.sum())
-            if l >= 2 and counts(halves, threshold).any():
+            if l >= 2 and below_threshold.any():
                 truncation_confirmed = False
             if not finest:
                 continue
+            below_window, below_shoulder = outer
             window, in_shoulder = [], []
             for side, ((d, e), n_window, n_shoulder) in enumerate(zip(
-                    halves, counts(halves, threshold + band) - below,
-                    below - counts(halves, threshold - 2.0 * band))):
+                    halves, below_window - below, below - below_shoulder)):
                 anchor = anchors.get((l, side), math.nan)
                 if n_window == 1 and threshold - band <= anchor < threshold + band:
                     window.append(anchor)  # the anchor run above found it

@@ -186,6 +186,33 @@ class TestSpectrum:
         assert record["zero_counts"] == [0, 2, 2, 4, 4, 6, 6, 8]
         assert record["clusters"] == [0] * 8
 
+    @pytest.mark.parametrize("argv", [("2", "3"), ("5", "9", "--l", "3"), ("9", "16", "--l", "1")],
+                             ids=["2/3 l0", "5/9 l3", "9/16 l1"])
+    def test_degenerate_pairs_extrapolate_ascending(self, capsys, argv):
+        # each mode's values come in pairs equal but for rounding; a flip of
+        # the pair's order by rounding is a tie, not a descent
+        code, out, err = run(capsys, "spectrum", *argv, "--k", "8")
+        assert code == 0
+        assert "Richardson with" in out.splitlines()[0]
+        assert "extrapolation dropped" not in err
+        vals = [float(line.split("=")[1].split()[0]) for line in out.splitlines()[1:]]
+        assert len(vals) == 8 and all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_tie_clamped_to_ascending(self, capsys, monkeypatch):
+        # a Richardson pair descending by 1e-13, well inside the tie tolerance
+        def fake_eigen_low(problem, k):
+            fine = problem.main.size == 4096
+            vals = np.array([0.0, 0.5, 0.5 - (1e-13 if fine else 0.0), 1.0])
+            return spectral.SLSpectrum(l=0, eigenvalues=vals, n_grid=problem.main.size,
+                                       _half_vectors=None, _order=np.arange(4))
+
+        monkeypatch.setattr(spectral, "eigen_low", fake_eigen_low)
+        monkeypatch.setattr(spectral.SLSpectrum, "zero_counts", [0, 2, 2, 4])
+        code, out, err = run(capsys, "spectrum", "2", "3", "--k", "4", "--format", "json")
+        assert code == 0 and err == ""
+        vals = json.loads(out)["eigenvalues"]
+        assert vals[1] == vals[2] and vals == sorted(vals)
+
     def test_default_grid_is_the_resolving_grid(self, capsys):
         code, out, _ = run(capsys, "spectrum", "5", "9", "--k", "1", "--format", "json")
         assert code == 0

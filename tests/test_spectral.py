@@ -6,6 +6,7 @@ from math import pi
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 
 from otsuki import spectral
 from otsuki.geometry import RotationNumber, build_torus, phase_metric
@@ -41,7 +42,19 @@ def _phase_grid(torus, n, offset=0.0):
 
 def _count(main, off, sigma):
     """Eigenvalues below sigma of the cyclic bands: the Sturm counts of both halves."""
-    return sum(spectral._inertia(d, e, sigma) for d, e in spectral._halves(main, off))
+    return sum(spectral._sturm_counts(d, e, [sigma])[0] for d, e in spectral._halves(main, off))
+
+
+def _valid_labels(q_max):
+    """Every torus label p/q with q <= q_max, in lowest terms inside the window."""
+    labels = []
+    for q in range(2, q_max + 1):
+        for p in range(1, q):
+            try:
+                labels.append(RotationNumber(p, q))
+            except ValueError:
+                pass
+    return labels
 
 
 class TestCountSignChanges:
@@ -169,7 +182,7 @@ class TestInverse:
         for l in (0, 2):
             (d, e), _ = spectral._halves(*_bands(assemble(torus_23, l, 1024)))
             for sigma in (-1.0, 2.0):
-                definite = spectral._inertia(d, e, sigma) == 0
+                definite = spectral._sturm_counts(d, e, [sigma])[0] == 0
                 definite_seen.add(definite)
                 used.clear()
                 x = spectral._inverse(d, e, sigma).matvec(b)
@@ -268,6 +281,76 @@ class TestEigenLow:
         s = np.sqrt(J) * np.sin(phi)  # w = J^{1/2} h
         cosine = abs(v @ s) / (np.linalg.norm(v) * np.linalg.norm(s))
         assert cosine > 0.9999
+
+
+class TestShiftBelowGround:
+    """eigen_low's shift: dyadic, below the ground by one to two bracket widths."""
+
+    @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
+                             ids=lambda pq: f"{pq[0]}/{pq[1]}")
+    def test_shift_exact_on_every_row(self, tori, label, monkeypatch):
+        # d - sigma exact on every row: d - (d - sigma) recovers sigma.  The
+        # converse check (d - sigma) + sigma == d holds for 2.001 as well, so
+        # it cannot tell an exact shift from a rounded one; this one can.
+        shifts = []
+        inverse = spectral._inverse
+
+        def recording(d, e, sigma):
+            shifts.append(sigma)
+            assert np.array_equal(d - (d - sigma), np.full(d.size, sigma)), sigma
+            return inverse(d, e, sigma)
+
+        monkeypatch.setattr(spectral, "_inverse", recording)
+        n = {(2, 3): 2048, (3, 5): 4096, (4, 7): 16384, (5, 8): 4096, (5, 9): 65536}[label]
+        for l in range(4):
+            problem = assemble(tori[label], l, n)
+            eigen_low(problem, 8)
+            d, _ = spectral._halves(*_bands(problem))[0]
+            assert not np.array_equal(d - (d - 2.001), np.full(d.size, 2.001))
+        assert len(shifts) == 8
+
+    @pytest.mark.parametrize("label", [(2, 3), (5, 9), (17, 33)],
+                             ids=lambda pq: f"{pq[0]}/{pq[1]}")
+    def test_below_the_ground_by_one_to_two_widths(self, tori, label):
+        torus = tori.get(label) or build_torus(RotationNumber(*label))
+        for l in range(4):
+            problem = assemble(torus, l, 2048)
+            even, _ = spectral._halves(*_bands(problem))
+            sigma = spectral._shift_below_ground(*even)
+            assert sigma * 2 ** 12 == round(sigma * 2 ** 12)  # dyadic, few bits
+            ground = eigen_low(problem, 1).eigenvalues[0]
+            width = (ground - sigma) / (1.0 + abs(ground))
+            assert spectral._GROUND_BRACKET / 4 < width < 2.5 * spectral._GROUND_BRACKET, l
+            assert spectral._sturm_counts(*even, [sigma + spectral._GROUND_BRACKET / 8])[0] == 0
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_few_solves_on_a_cluster(self, tori, l, monkeypatch):
+        # the l = 1 values of 5/9 lie in [2, 2.004]; shifted to -1 their
+        # Lanczos runs took 73 (l = 1) and 88 (l = 2) solves, ARPACK's floor is 42
+        problem = assemble(tori[(5, 9)], l, 65536)
+        solves = []
+        inverse = spectral._inverse
+
+        def counting(d, e, sigma):
+            op = inverse(d, e, sigma)
+            return scipy.sparse.linalg.LinearOperator(
+                op.shape, matvec=lambda b: solves.append(sigma) or op.matvec(b), dtype=float)
+
+        monkeypatch.setattr(spectral, "_inverse", counting)
+        eigen_low(problem, 8)
+        assert len(solves) <= 50
+
+    def test_hand_built_bands_below_minus_one(self):
+        # a mirror-symmetric cyclic problem with eigenvalues far below -1:
+        # the search starts below Gershgorin's bound instead of at -1
+        n, j = 256, np.arange(256)
+        main = -40.0 + 10.0 * np.cos(2.0 * pi * np.minimum(j, n - j) / n)
+        off = -(3.0 + np.cos(2.0 * pi * (np.minimum(j, n - 1 - j) + 0.5) / n))
+        problem = spectral.SLProblem(l=0, main=main, off=off)
+        expected = np.linalg.eigvalsh(_dense(main, off))
+        assert expected[0] < -40.0
+        np.testing.assert_allclose(eigen_low(problem, 9).eigenvalues, expected[:9],
+                                   rtol=0, atol=1e-10)
 
 
 class TestLazyEigenvectors:
@@ -500,13 +583,66 @@ def _lowest_above(problem, sigma):
         k *= 2
 
 
+def _dstebz_count(d, e, sigma):
+    """Eigenvalues strictly below sigma: LAPACK's dstebz, range "V" with a tolerance wider than the spectrum."""
+    spread = 2.0 * float(np.max(np.abs(e), initial=0.0))
+    low, high = float(d.min()) - spread, float(d.max()) + spread
+    m, *_, info = scipy.linalg.lapack.dstebz(d, e, 1, min(low, sigma) - 1.0,
+                                             np.nextafter(sigma, -np.inf), 0, 0,
+                                             2.0 * (high - low) + 1.0, "B")
+    assert info == 0
+    return m
+
+
+SIXTEEN_CASES = [(rotation, 2048) for rotation in _valid_labels(13)] + [
+    (RotationNumber(3, 5), 4096), (RotationNumber(4, 7), 16384),
+    (RotationNumber(5, 8), 4096), (RotationNumber(5, 9), 65536)]
+
+
+class TestSturmCounts:
+    """The dlaebz kernel against dstebz, whose counts it replaced."""
+
+    def test_matches_dstebz_on_random_tridiagonals(self):
+        rng = np.random.default_rng(11)
+        for trial in range(300):
+            n = int(rng.integers(2, 200))
+            d = rng.standard_normal(2 * n) * 10.0 ** rng.integers(-3, 4)
+            e = rng.standard_normal(2 * n)
+            if trial % 3 == 0:
+                e[rng.random(e.size) < 0.3] = 0.0  # split into blocks
+            if trial % 5 == 0:
+                e[:] = 0.0  # diagonal: every diagonal entry an eigenvalue
+            if trial % 7 == 0:
+                e[:] *= 1e-18  # couplings below dstebz's splitting threshold
+            # strided halves, as the doctored ones of TestCountBelowClassification
+            d, e = d[::2], e[1:2 * n - 1:2]
+            shifts = np.concatenate([rng.standard_normal(int(rng.integers(1, 6))) * 3.0,
+                                     d[:2]])  # shifts at eigenvalues of a diagonal
+            expected = [_dstebz_count(d, e, sigma) for sigma in shifts]
+            assert list(spectral._sturm_counts(d, e, shifts)) == expected, trial
+
+    @pytest.mark.parametrize("rotation, n", SIXTEEN_CASES,
+                             ids=lambda x: f"{x.p}/{x.q}" if isinstance(x, RotationNumber) else str(x))
+    def test_matches_dstebz_on_every_half(self, rotation, n):
+        torus = build_torus(rotation)
+        shifts = [0.5, 2.0 - 2e-6, 2.0 - 1e-6, 2.0, 2.0 + 1e-6, 6.0, 12.0]
+        for l in range(4):
+            for d, e in spectral._halves(*_bands(assemble(torus, l, n))):
+                expected = [_dstebz_count(d, e, sigma) for sigma in shifts]
+                assert list(spectral._sturm_counts(d, e, shifts)) == expected, l
+
+    def test_couplings_must_match_the_diagonal(self):
+        with pytest.raises(ValueError, match="couplings"):
+            spectral._sturm_counts(np.ones(4), np.ones(4), [0.0])
+
+
 class TestInertiaAgainstLanczos:
     """The inertia count against an independent count of Lanczos eigenvalues."""
 
     def test_shift_at_an_eigenvalue_raises(self):
         half = np.array([1.0, 2.0, 3.0]), np.zeros(2)
-        assert spectral._inertia(*half, 2.5) == 2
-        assert spectral._inertia(*half, 2.0) == 1  # strictly below
+        assert spectral._sturm_counts(*half, [2.5])[0] == 2
+        assert spectral._sturm_counts(*half, [2.0])[0] == 1  # strictly below
         with pytest.raises(spectral.SolverFailure, match="singular"):
             spectral._eigenvalues_near(*half, 1, 2.0)
 
@@ -552,12 +688,12 @@ class TestGroundEigenvalue:
 
     def test_several_below_the_shift(self):
         half = self._diagonal([1.99, 1.9, 2.5, 1.95])
-        assert spectral._inertia(*half, 2.0) == 3
+        assert spectral._sturm_counts(*half, [2.0])[0] == 3
         assert abs(spectral._ground_eigenvalue(*half, 2.0) - 1.9) <= 1e-12
 
     def test_none_below_the_shift(self):
         half = self._diagonal([2.5, 2.1])
-        assert spectral._inertia(*half, 2.0) == 0
+        assert spectral._sturm_counts(*half, [2.0])[0] == 0
         assert abs(spectral._ground_eigenvalue(*half, 2.0) - 2.1) <= 1e-12
 
     def test_lanczos_disagreeing_with_the_count_raises(self, monkeypatch):
@@ -584,9 +720,20 @@ class TestGroundEigenvalue:
         # values below the shift, spread over [0, 2)
         problem = assemble(tori[label], 0, n)
         even, _ = spectral._halves(*_bands(problem))
-        assert spectral._inertia(*even, 2.0) > 1
+        assert spectral._sturm_counts(*even, [2.0])[0] > 1
         got = spectral._ground_eigenvalue(*even, 2.0)
         assert abs(got - eigen_low(problem, 1).eigenvalues[0]) <= 1e-10
+
+    @pytest.mark.parametrize("label, side", [((26, 51), 0), ((26, 51), 1), ((28, 55), 0)],
+                             ids=["26/51 even", "26/51 odd", "28/55 even"])
+    def test_one_value_run_inside_a_cluster(self, label, side):
+        # three Lanczos vectors stall in the l = 1 cluster at 2048 rows; the
+        # run is retried at ARPACK's default size
+        problem = assemble(build_torus(RotationNumber(*label)), 1, 2048)
+        d, e = spectral._halves(*_bands(problem))[side]
+        dense = scipy.linalg.eigvalsh_tridiagonal(d, e)
+        nearest = dense[np.argmin(np.abs(dense - 2.0))]
+        assert abs(spectral._eigenvalues_near(d, e, 1, 2.0)[0] - nearest) <= 1e-9
 
     def test_nearest_to_the_threshold_is_not_the_ground_of_a_coupled_half(self):
         # T = tridiag(-1, 2.5, -1) of order 64 has the eigenvalues
@@ -595,7 +742,7 @@ class TestGroundEigenvalue:
         n = 64
         half = np.full(n, 2.5), -np.ones(n - 1)
         exact = 2.5 - 2.0 * np.cos(np.arange(1, n + 1) * pi / (n + 1))
-        assert spectral._inertia(*half, 2.0) == np.sum(exact < 2.0) == 27
+        assert spectral._sturm_counts(*half, [2.0])[0] == np.sum(exact < 2.0) == 27
         nearest = spectral._eigenvalues_near(*half, 1, 2.0)[0]
         ground = spectral._ground_eigenvalue(*half, 2.0)
         assert nearest - ground > 1e-3
@@ -630,18 +777,6 @@ class TestBorderedFactorization:
                     x = spectral._inverse(d, e, sigma).matvec(b)
                     residual = T @ x - sigma * x - b
                     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b), (l, sigma)
-
-
-def _valid_labels(q_max):
-    """Every torus label p/q with q <= q_max, in lowest terms inside the window."""
-    labels = []
-    for q in range(2, q_max + 1):
-        for p in range(1, q):
-            try:
-                labels.append(RotationNumber(p, q))
-            except ValueError:
-                pass
-    return labels
 
 
 SWEEP_LABELS = _valid_labels(13)
