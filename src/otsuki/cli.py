@@ -36,7 +36,7 @@ import argparse
 import json
 import sys
 from math import pi
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -129,21 +129,19 @@ def _json(record) -> str:
     return json.dumps(rounded(record), indent=2) + "\n"
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> None:
-    """Write ``text``, a string or strings written one by one, to ``out`` or stdout."""
-    chunks = (text,) if isinstance(text, str) else text
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+def _csv(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """A header line and one line per row, comma separated, every float to 12 digits."""
+    lines = [",".join(header)] + [
+        ",".join([_fmt(v) if isinstance(v, float) else str(v) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its exit code and its output, a string
+# or strings to be written one by one
 # --------------------------------------------------------------------------
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> tuple[int, str]:
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     profile = torus.profile
     record = {
@@ -156,20 +154,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "eigenvalue_index": torus.eigenvalue_index,
     }
     if args.format == "json":
-        _emit(_json(record), args.out)
-    else:
-        labels = ["turning value a", "momentum c", "period t0", "area",
-                  f"Lambda_{torus.eigenvalue_index}", "eigenvalue index"]
-        values = [_fmt(profile.a), _fmt(profile.c), _fmt(profile.t0),
-                  _fmt(torus.area), _fmt(torus.lambda_value),
-                  str(torus.eigenvalue_index)]
-        lines = [f"Otsuki torus O_{args.p}/{args.q}"] + [
-            f"  {label:<18s} = {value}" for label, value in zip(labels, values)]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return 0, _json(record)
+    labels = ["turning value a", "momentum c", "period t0", "area",
+              f"Lambda_{torus.eigenvalue_index}", "eigenvalue index"]
+    values = [_fmt(profile.a), _fmt(profile.c), _fmt(profile.t0),
+              _fmt(torus.area), _fmt(torus.lambda_value),
+              str(torus.eigenvalue_index)]
+    lines = [f"Otsuki torus O_{args.p}/{args.q}"] + [
+        f"  {label:<18s} = {value}" for label, value in zip(labels, values)]
+    return 0, "\n".join(lines) + "\n"
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> tuple[int, str]:
     rows = []
     for p, q, a_ref, index, lam_ref in REFERENCE_ROWS:
         torus = geometry.build_torus(geometry.RotationNumber(p, q))
@@ -184,19 +180,14 @@ def cmd_table(args: argparse.Namespace) -> int:
             "lambda_delta": torus.lambda_value - lam_ref,
         })
     if args.format == "json":
-        _emit(_json({"rows": rows}), args.out)
-    elif args.format == "csv":
-        lines = [",".join(rows[0])] + [
-            ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in r.values())
-            for r in rows]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = ["p/q    a        2p-1  Lambda   delta_a    delta_Lambda"]
-        for r in rows:
-            lines.append(f"{r['p']}/{r['q']:<4d} {r['a']:<8.4g} {r['eigenvalue_index']:<5d} "
-                         f"{r['lambda']:<8.4g} {r['a_delta']:<+10.2e} {r['lambda_delta']:<+.2e}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return 0, _json({"rows": rows})
+    if args.format == "csv":
+        return 0, _csv(rows[0], (r.values() for r in rows))
+    lines = ["p/q    a        2p-1  Lambda   delta_a    delta_Lambda"]
+    for r in rows:
+        lines.append(f"{r['p']}/{r['q']:<4d} {r['a']:<8.4g} {r['eigenvalue_index']:<5d} "
+                     f"{r['lambda']:<8.4g} {r['a_delta']:<+10.2e} {r['lambda_delta']:<+.2e}")
+    return 0, "\n".join(lines) + "\n"
 
 
 def _geodesic_svg(profile: geometry.GeodesicProfile) -> str:
@@ -221,13 +212,12 @@ def _geodesic_svg(profile: geometry.GeodesicProfile) -> str:
         f'</svg>\n')
 
 
-def cmd_geodesic(args: argparse.Namespace) -> int:
+def cmd_geodesic(args: argparse.Namespace) -> tuple[int, str]:
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q), args.n_samples)
     profile = torus.profile
     n = profile.n_samples
     if args.format == "svg":
-        _emit(_geodesic_svg(profile), args.out)
-        return 0
+        return 0, _geodesic_svg(profile)
     # one period without its closing sample, as Python floats: formatting
     # them takes half the time of indexing numpy scalars one at a time
     t, phi, theta = (column[:n].tolist() for column in (profile.t, profile.phi, profile.theta))
@@ -241,12 +231,8 @@ def cmd_geodesic(args: argparse.Namespace) -> int:
             "phi": phi,
             "theta": theta,
         }
-        _emit(_json(payload), args.out)
-    else:  # csv
-        lines = ["t,phi,theta"] + [f"{_fmt(ti)},{_fmt(phi_i)},{_fmt(theta_i)}"
-                                   for ti, phi_i, theta_i in zip(t, phi, theta)]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return 0, _json(payload)
+    return 0, _csv(("t", "phi", "theta"), zip(t, phi, theta))
 
 
 def _cluster_ids(values: np.ndarray, tol: float = 1e-5) -> list[int]:
@@ -257,7 +243,7 @@ def _cluster_ids(values: np.ndarray, tol: float = 1e-5) -> list[int]:
     return ids
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     from . import spectral
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     if args.n_grid is None:
@@ -287,23 +273,19 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "clusters": clusters,
     }
     if args.format == "json":
-        _emit(_json(record), args.out)
-    elif args.format == "csv":
-        lines = ["index,eigenvalue,zero_count,cluster"] + [
-            f"{i},{_fmt(lam[i])},{fine.zero_counts[i]},{clusters[i]}"
-            for i in range(len(lam))]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [f"mode l = {args.l}, grid {args.n_grid} (Richardson with {2 * args.n_grid})"
-                 if extrapolated else f"mode l = {args.l}, grid {2 * args.n_grid}"]
-        for i, v in enumerate(lam):
-            lines.append(f"  lambda_{i}({args.l}) = {_fmt(v):<18s} "
-                         f"zeros = {fine.zero_counts[i]:<3d} cluster = {clusters[i]}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0
+        return 0, _json(record)
+    if args.format == "csv":
+        return 0, _csv(("index", "eigenvalue", "zero_count", "cluster"),
+                       zip(range(len(lam)), lam.tolist(), fine.zero_counts, clusters))
+    lines = [f"mode l = {args.l}, grid {args.n_grid} (Richardson with {2 * args.n_grid})"
+             if extrapolated else f"mode l = {args.l}, grid {2 * args.n_grid}"]
+    for i, v in enumerate(lam):
+        lines.append(f"  lambda_{i}({args.l}) = {_fmt(v):<18s} "
+                     f"zeros = {fine.zero_counts[i]:<3d} cluster = {clusters[i]}")
+    return 0, "\n".join(lines) + "\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     from . import spectral
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     if args.n_grid is None:
@@ -313,7 +295,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                       n_grid=args.n_grid)
     except spectral.AmbiguousCount as exc:
         print(f"ambiguous eigenvalue count: {exc}", file=sys.stderr)
-        return 3
+        return 3, ""
     record = {
         "p": args.p, "q": args.q,
         "claimed": report.claimed,
@@ -327,43 +309,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
             {"l": l, "index": i, "value": v}
             for l, i, v in report.eigenvalues_near_2],
     }
+    code = 0 if report.verdict else 1
     if args.format == "json":
-        _emit(_json(record), args.out)
-    else:
-        lines = [f"verification of O_{args.p}/{args.q}",
-                 f"  N(2) counted   = {report.n2}"
-                 f"   (grids {report.counts_by_grid})",
-                 f"  2p - 1 claimed = {report.claimed}",
-                 f"  tolerance band = {_fmt(report.tolerance_band)}",
-                 f"  higher modes confirmed above threshold: "
-                 f"{report.truncation_confirmed}",
-                 "  eigenvalues at the threshold:"]
-        for l, i, v in report.eigenvalues_near_2:
-            lines.append(f"    lambda_{i}({l}) = {_fmt(v)}")
-        lines.append(f"  verdict: {'PASS' if report.verdict else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if report.verdict else 1
+        return code, _json(record)
+    lines = [f"verification of O_{args.p}/{args.q}",
+             f"  N(2) counted   = {report.n2}"
+             f"   (grids {report.counts_by_grid})",
+             f"  2p - 1 claimed = {report.claimed}",
+             f"  tolerance band = {_fmt(report.tolerance_band)}",
+             f"  higher modes confirmed above threshold: "
+             f"{report.truncation_confirmed}",
+             "  eigenvalues at the threshold:"]
+    for l, i, v in report.eigenvalues_near_2:
+        lines.append(f"    lambda_{i}({l}) = {_fmt(v)}")
+    lines.append(f"  verdict: {'PASS' if report.verdict else 'FAIL'}")
+    return code, "\n".join(lines) + "\n"
 
 
-def cmd_mesh(args: argparse.Namespace) -> int:
+def cmd_mesh(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     if args.n_alpha < 3 or args.n_t < 3:
-        print("mesh sizes must be at least 3 in each direction", file=sys.stderr)
-        return 2
+        raise ValueError("mesh sizes must be at least 3 in each direction")
     if args.n_alpha * args.n_t > _MAX_MESH_VERTICES:
-        print(f"a mesh of {args.n_alpha * args.n_t} vertices exceeds the limit of "
-              f"{_MAX_MESH_VERTICES}", file=sys.stderr)
-        return 2
+        raise ValueError(f"a mesh of {args.n_alpha * args.n_t} vertices exceeds the limit of "
+                         f"{_MAX_MESH_VERTICES}")
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     alphas = np.arange(args.n_alpha) * (2.0 * pi / args.n_alpha)
     ts = np.arange(args.n_t) * (torus.t0 / args.n_t)
     points = geometry.embedding_grid(torus, alphas, ts)
-    w = points[:, :, 3]
-    w_max = float(np.max(np.abs(w)))
-    if w_max >= 1.0 - 1e-9:  # cannot happen: |w| = cos(phi) |sin(theta)| < cos(a)
-        print(f"projection pole approached (max |w| = {w_max})", file=sys.stderr)
-        return 2
-    projected = points[:, :, :3] / (1.0 - w)[:, :, None]
-    del points, w
+    # |w| = cos(phi) |sin(theta)| <= cos(a) < 1: the pole is never reached
+    projected = points[:, :, :3] / (1.0 - points[:, :, 3])[:, :, None]
 
     def blocks():
         """The obj text, one block per orbit circle: the header, the vertices, the faces."""
@@ -378,8 +352,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
             yield "".join(f"f {this + j} {nxt + j} {nxt + (j + 1) % n_t} "
                           f"{this + (j + 1) % n_t}\n" for j in range(n_t))
 
-    _emit(blocks(), args.out)
-    return 0
+    return 0, blocks()
 
 
 _HANDLERS = {
@@ -434,7 +407,15 @@ def main(argv: list[str] | None = None) -> int:
               f"{', '.join(_VALID_FORMATS[args.subcommand])})", file=sys.stderr)
         return 2
     try:
-        return _HANDLERS[args.subcommand](args)
+        code, text = _HANDLERS[args.subcommand](args)
+        if text:
+            chunks = (text,) if isinstance(text, str) else text
+            if args.out:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.writelines(chunks)
+            else:
+                sys.stdout.writelines(chunks)
+        return code
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

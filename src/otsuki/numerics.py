@@ -50,18 +50,14 @@ _QUAD_MAX_LEVELS = 12
 # inverse-square-root singularity, far below double-precision relevance.
 _U_MAX = 4.0
 
-# level -> (sigma, weight) arrays for the new positive abscissas introduced
-# at that trapezoidal refinement.  sigma = 1 - tanh((pi/2) sinh u) is the
-# node's distance to the interval endpoint in [-1, 1] coordinates, kept in
-# this form so callers never suffer cancellation next to a singularity.
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 
 def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return _NODE_CACHE[level]
-    except KeyError:
-        pass
+    """(sigma, weight) of the new positive abscissas of one trapezoidal refinement.
+
+    sigma = 1 - tanh((pi/2) sinh u) is the node's distance to the interval
+    endpoint in [-1, 1] coordinates, kept in this form so callers never
+    suffer cancellation next to a singularity.
+    """
     h = 0.5 ** level
     if level == 0:
         u = np.arange(h, _U_MAX + 0.5 * h, h)
@@ -70,8 +66,11 @@ def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     z = 0.5 * math.pi * np.sinh(u)
     sigma = 2.0 / (1.0 + np.exp(2.0 * z))
     weight = 0.5 * math.pi * np.cosh(u) / np.cosh(z) ** 2
-    _NODE_CACHE[level] = (sigma, weight)
     return sigma, weight
+
+
+# The nodes of every level, built once at import.
+_NODES = [_tanh_sinh_nodes(level) for level in range(_QUAD_MAX_LEVELS)]
 
 
 def integrate_singular(f: Callable, a: float, b: float) -> float:
@@ -119,7 +118,7 @@ def integrate_singular(f: Callable, a: float, b: float) -> float:
     estimate = raw_sum * half  # h = 1 at level 0
     previous = None
     for level in range(_QUAD_MAX_LEVELS):
-        sigma, weight = _tanh_sinh_nodes(level)
+        sigma, weight = _NODES[level]
         d = half * sigma
         d_far = half * (2.0 - sigma)
         lower = evaluate(a + d, d, d_far)

@@ -87,11 +87,12 @@ _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-# Largest grid assembled, in rows: up to about 270 B per row at peak, so about
-# 0.57 GB (tracemalloc peak of count_below on 2/3 over the rows of its doubled
-# grid: 126 B at n_grid 2^16, 270 B where a ground run keeps ARPACK's 20
-# Lanczos vectors; the same at any l_max, as the modes above l = 1 are held
-# one at a time).  The doubled resolving grid of 50/99 is 2^16.
+# Largest grid assembled, in rows.  The tracemalloc peak of count_below per
+# row of its doubled grid grows with q, as the l = 1 ground run keeps 2m + 1
+# Lanczos vectors for a cluster of m ~ q / 2 values: about 130 B for the five
+# tori at their resolving grids (270 B, 0.57 GB at the cap, where a ground run
+# keeps ARPACK's 20), 183 B for 17/33, 904 B for 50/99, 1223 B for 70/139 (5 GB
+# at the cap).  l_max does not change it: modes above l = 1 are held one at a time.
 _MAX_GRID = 2 ** 21
 
 
@@ -241,7 +242,8 @@ def _check_grid_size(n_grid: int) -> None:
     """Refuse a grid of more than ``_MAX_GRID`` rows before anything is allocated."""
     if n_grid > _MAX_GRID:
         raise ValueError(f"a grid of {n_grid} rows exceeds the limit of "
-                         f"{_MAX_GRID} rows (about 270 bytes per row)")
+                         f"{_MAX_GRID} rows (at peak about 270 bytes per row for small q, "
+                         f"growing with q to about 1.2 kB at q = 139)")
 
 
 def count_sign_changes(values: np.ndarray) -> int:
@@ -723,16 +725,12 @@ def lambda0_monotone_check(torus: OtsukiTorus, l_values: Sequence[int],
 
     lambda_0 always has multiplicity one, so it increases strictly in l;
     a violation here indicates a broken discretization, not mathematics.
-    Each ground comes from :func:`_ground_eigenvalue` on the even half of
-    the mode, shifted near where it lies analytically: -1 for l = 0
-    (ground 0, the constants, where A is singular) and 2 for l >= 1 (the
-    l = 1 ground, sin phi; l >= 2 above).
+    Each ground is ``eigen_low(problem, 1)``, as in the spectrum command.
     """
     l_values = list(l_values)
     if any(b <= a for a, b in zip(l_values, l_values[1:])):
         raise ValueError("l_values must be strictly increasing")
-    ground = [_ground_eigenvalue(*_halves(problem.main, problem.off)[0],
-                                 2.0 if problem.l else -1.0)
+    ground = [float(eigen_low(problem, 1).eigenvalues[0])
               for problem in _assemble_modes(torus, l_values, n_grid)]
     for (la, va), (lb, vb) in zip(zip(l_values, ground), zip(l_values[1:], ground[1:])):
         if not vb > va:

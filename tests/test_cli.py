@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import otsuki
-from otsuki import cli, spectral
+from otsuki import cli, geometry, spectral
 from otsuki.cli import main
 
 
@@ -180,7 +180,7 @@ class TestSpectrum:
         record = json.loads(out)
         vals = record["eigenvalues"]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
-        torus = otsuki.build_torus(otsuki.RotationNumber(16, 31))
+        torus = geometry.build_torus(geometry.RotationNumber(16, 31))
         fine = spectral.eigen_low(spectral.assemble(torus, 1, 4096), 8)
         assert vals == [float(cli._fmt(v)) for v in fine.eigenvalues]
         assert record["zero_counts"] == [0, 2, 2, 4, 4, 6, 6, 8]
@@ -290,8 +290,10 @@ class TestMesh:
             assert all(1 <= i <= 12 * 48 for i in indices)
 
     def test_invalid_sizes(self, capsys):
-        code, _, err = run(capsys, "mesh", "2", "3", "--n-alpha", "2")
+        code, out, err = run(capsys, "mesh", "2", "3", "--n-alpha", "2")
         assert code == 2
+        assert out == ""
+        assert "invalid input: mesh sizes must be at least 3" in err
 
     def test_too_many_vertices_refused_before_the_torus_is_built(self, capsys, monkeypatch):
         def no_build(*args, **kwargs):
@@ -395,7 +397,7 @@ class TestOptionTable:
 
         def record(args):
             seen.update(vars(args))
-            return 0
+            return 0, ""
 
         for name in cli._HANDLERS:
             monkeypatch.setitem(cli._HANDLERS, name, record)
@@ -505,6 +507,16 @@ class TestVerifyFailurePaths:
         assert code == 3
         assert "ambiguous" in err
 
+    def test_ambiguous_count_writes_no_output_file(self, capsys, tmp_path):
+        # at 2 x 65536 rows the guard band of 2/3 is below the rounding floor
+        path = tmp_path / "verify.txt"
+        code, out, err = run(capsys, "verify", "2", "3", "--n-grid", "65536",
+                             "--out", str(path))
+        assert code == 3
+        assert out == ""
+        assert "floating-point floor" in err
+        assert not path.exists()
+
     def test_grid_above_the_cap_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "2", "3", "--n-grid", "4194304")
         assert code == 2
@@ -567,25 +579,22 @@ class TestColdStart:
         assert done.stdout.splitlines() == [
             f"{argv} 0 {argv.startswith('verify')}" for argv in commands]
 
-    def test_every_export_resolves(self):
-        names = [
-            "AmbientPoint", "ClosureFailure", "DomainError", "GeodesicProfile",
-            "OrbitMetric", "OtsukiTorus", "OutOfRange", "RotationNumber",
-            "arc_length_quarter", "build_torus", "clifford_torus", "embed",
-            "induced_metric_at", "omega", "period", "solve_turning_value",
-            "trace_geodesic", "InvalidInterval", "MaxItersExceeded", "NoBracket",
-            "NonConvergence", "find_root_monotone", "integrate_singular",
-            "AmbiguousCount", "GridTooCoarse", "SLProblem", "SLSpectrum",
-            "SolverFailure", "VerificationReport", "assemble", "count_below",
-            "eigen_low", "known_eigenfunction_residuals", "lambda0_monotone_check",
-        ]
-        star = {}
-        exec("from otsuki import *", star)
-        for name in names:
-            assert getattr(otsuki, name) is star[name]
-        assert otsuki.count_below is otsuki.spectral.count_below
-        with pytest.raises(AttributeError):
-            otsuki.no_such_name
+    def test_package_import_loads_no_module(self):
+        src = str(Path(otsuki.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, otsuki; print(sorted(m for m in sys.modules if m.startswith('otsuki')))"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "['otsuki']"
+
+    def test_module_exports_resolve(self):
+        for module in (geometry, spectral):
+            star = {}
+            exec(f"from {module.__name__} import *", star)
+            for name in module.__all__:
+                assert star[name] is getattr(module, name)
 
 
 class TestDeterminism:

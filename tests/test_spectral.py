@@ -838,7 +838,7 @@ class TestLambda0Monotone:
         torus = tori[(p, q)]
         ground = lambda0_monotone_check(torus, [0, 1, 2, 3], n_grid=2048)
         expected = [eigen_low(assemble(torus, l, 2048), 1).eigenvalues[0] for l in range(4)]
-        np.testing.assert_allclose(ground, expected, rtol=0.0, atol=1e-10)
+        assert ground == expected
 
 
 class TestResolvingGrid:
