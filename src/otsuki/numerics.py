@@ -5,7 +5,8 @@ Two reusable building blocks, each a pure function of its inputs:
 * :func:`integrate_singular` -- double-exponential (tanh-sinh) quadrature
   that converges geometrically for integrands with algebraic endpoint
   singularities up to ``(x - a)**-0.5`` and ``(b - x)**-0.5``; integrands
-  take ``f(x, dist_lo, dist_hi)``.
+  take ``f(x, dist_lo, dist_hi)`` and must be elementwise, since one call
+  receives the midpoint and both sides of levels 0-5 together.
 * :func:`find_root_monotone` -- safeguarded bracketing root finder
   (bisection refined by inverse quadratic / secant interpolation).
 
@@ -15,6 +16,7 @@ accuracy setting, a tolerance and a budget held in module constants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -73,20 +75,42 @@ def _tanh_sinh_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
 _NODES = [_tanh_sinh_nodes(level) for level in range(_QUAD_MAX_LEVELS)]
 
 
+def _node_block(levels, midpoints: int):
+    """Nodes of one integrand call: ``midpoints`` (0 or 1), then both sides of ``levels``.
+
+    Node i is ``x = (a, mid, b)[side[i]] + half * step[i]``, ``d_lo = half * s_lo[i]``,
+    ``d_hi = half * s_hi[i]``: bit for bit the arithmetic of one call per level.
+    """
+    sigma = np.concatenate([_NODES[level][0] for level in levels])
+    n, far, one = len(sigma), 2.0 - sigma, np.ones(midpoints)
+    cuts = midpoints + np.cumsum([0] + [len(_NODES[level][0]) for level in levels])
+    sums = [(_NODES[level][1], slice(i, j), slice(i + n, j + n))
+            for level, i, j in zip(levels, cuts, cuts[1:])]
+    return (np.repeat([1, 0, 2], [midpoints, n, n]), np.concatenate((0.0 * one, sigma, -sigma)),
+            np.concatenate((one, sigma, far)), np.concatenate((one, far, sigma)), midpoints, sums)
+
+
+# The first call takes the midpoint and both sides of levels 0-5, 257 nodes, by which
+# every closure-solve quadrature settles.  Each deeper level is a call of its own, laid out
+# when reached: held from import, those tables would take 0.5 MB few quadratures read.
+_FIRST_BLOCK = _node_block(range(6), 1)
+
+
 def integrate_singular(f: Callable, a: float, b: float) -> float:
     """Integrate ``f`` over ``(a, b)`` by adaptive tanh-sinh quadrature.
 
     Parameters
     ----------
     f : callable
-        Vectorized integrand, always called as ``f(x, dist_lo, dist_hi)``:
+        Elementwise integrand, always called as ``f(x, dist_lo, dist_hi)``:
         the extra arrays give the distance of each node to ``a`` and to
         ``b`` in full relative precision.  Use them whenever the singular
         factor involves a difference against an endpoint (for example
         ``1/sqrt(x - a)`` with ``a != 0``); plain ``x - a`` in user code
         loses the digits that the doubly-exponential nodes deliberately
         place within an ulp of ``a``.  An integrand of ``x`` alone is
-        passed as ``lambda x, d_lo, d_hi: g(x)``.
+        passed as ``lambda x, d_lo, d_hi: g(x)``.  The first call receives
+        the midpoint and both sides of levels 0-5 together.
     a, b : float
         Integration limits, ``a < b``.  Endpoint singularities no worse
         than an inverse square root are handled.
@@ -108,22 +132,23 @@ def integrate_singular(f: Callable, a: float, b: float) -> float:
     if not a < b:
         raise InvalidInterval(f"need a < b, got a={a!r}, b={b!r}")
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+    ends = np.array([a, 0.5 * (a + b), b])
 
-    def evaluate(x, d_lo, d_hi):
-        return np.asarray(f(x, d_lo, d_hi), dtype=float)
+    def level_terms():
+        """0.5 pi f(mid), then the weighted node sum of each level in turn."""
+        deeper = (_node_block([level], 0) for level in range(6, _QUAD_MAX_LEVELS))
+        for side, step, s_lo, s_hi, midpoints, sums in itertools.chain([_FIRST_BLOCK], deeper):
+            values = np.asarray(f(ends[side] + half * step, half * s_lo, half * s_hi), float)
+            for value in values[:midpoints]:
+                yield 0.5 * math.pi * float(value)
+            for weight, lower, upper in sums:
+                yield float(np.dot(weight, values[lower] + values[upper]))
 
-    half_arr = np.array([half])
-    raw_sum = 0.5 * math.pi * float(evaluate(np.array([mid]), half_arr, half_arr)[0])
-    estimate = raw_sum * half  # h = 1 at level 0
+    terms = level_terms()
+    raw_sum = next(terms)
     previous = None
-    for level in range(_QUAD_MAX_LEVELS):
-        sigma, weight = _NODES[level]
-        d = half * sigma
-        d_far = half * (2.0 - sigma)
-        lower = evaluate(a + d, d, d_far)
-        upper = evaluate(b - d, d_far, d)
-        raw_sum += float(np.dot(weight, lower + upper))
+    for level, term in zip(range(_QUAD_MAX_LEVELS), terms):
+        raw_sum += term
         h = 0.5 ** level
         estimate = h * half * raw_sum
         if previous is not None and level >= 2:

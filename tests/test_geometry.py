@@ -27,7 +27,7 @@ from otsuki.geometry import (
 )
 from otsuki.numerics import find_root_monotone
 
-from conftest import REFERENCE
+from conftest import REFERENCE, level_by_level_quadrature
 
 
 def geodesic_rhs(t, y):
@@ -160,6 +160,21 @@ class TestSolveTurningValue:
     def test_near_upper_window(self):
         a = solve_turning_value(RotationNumber(7, 10))
         assert 0.3379 < a < pi / 4.0
+
+    def test_closure_bits_of_every_label_up_to_q_100(self, monkeypatch):
+        # The quadrature's one call per block must not move a turning value
+        # or a period by a single bit against the level-by-level rule.
+        labels = [(p, q) for q in range(2, 101) for p in range(1, q)
+                  if math.gcd(p, q) == 1 and q < 2 * p and 2 * p * p < q * q]
+        assert len(labels) == 630
+
+        def closure(p, q):
+            a = solve_turning_value(RotationNumber(p, q))
+            return a, period(a, q)
+
+        fused = [closure(p, q) for p, q in labels]
+        monkeypatch.setattr(geometry, "integrate_singular", level_by_level_quadrature)
+        assert [closure(p, q) for p, q in labels] == fused
 
 
 class TestArcLength:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from otsuki import numerics
+from otsuki import geometry, numerics
 from otsuki.numerics import (
     InvalidInterval,
     MaxItersExceeded,
@@ -13,6 +13,8 @@ from otsuki.numerics import (
     find_root_monotone,
     integrate_singular,
 )
+
+from conftest import level_by_level_quadrature
 
 
 class TestIntegrateSingular:
@@ -69,6 +71,54 @@ class TestIntegrateSingular:
         with pytest.raises(NonConvergence):
             integrate_singular(lambda x, d_lo, d_hi: 1.0 / np.sqrt(d_lo * d_hi),
                                0.0, 1.0)
+
+
+def _counted(f, calls):
+    def integrand(x, d_lo, d_hi):
+        calls.append(np.size(x))
+        return f(x, d_lo, d_hi)
+    return integrand
+
+
+def _closure_integrand(quantity, a, monkeypatch):
+    """The integrand and limits that ``geometry.omega`` or ``arc_length_quarter`` hands over."""
+    seen = []
+
+    def capture(f, lo, hi):
+        seen.append((f, lo, hi))
+        return 0.0
+
+    monkeypatch.setattr(geometry, "integrate_singular", capture)
+    quantity(a)
+    monkeypatch.undo()
+    return seen[0]
+
+
+class TestOneCallPerBlock:
+    """The fused rule gives the level-by-level rule's bits with far fewer integrand calls."""
+
+    @pytest.mark.parametrize("quantity", [geometry.omega, geometry.arc_length_quarter])
+    @pytest.mark.parametrize("a", [1e-3, 0.0753, 0.3379, 0.7])
+    def test_closure_integrands(self, quantity, a, monkeypatch):
+        f, lo, hi = _closure_integrand(quantity, a, monkeypatch)
+        reference_calls, calls = [], []
+        expected = level_by_level_quadrature(_counted(f, reference_calls), lo, hi)
+        assert integrate_singular(_counted(f, calls), lo, hi) == expected
+        assert len(reference_calls) <= 1 + 2 * 6
+        assert calls == [257]
+
+    @pytest.mark.parametrize("f,lo,hi", [
+        (lambda x, d_lo, d_hi: 1.0 / (1.0 + 400.0 * x * x), -1.0, 1.0),
+        (lambda x, d_lo, d_hi: np.exp(-2000.0 * (x - 0.3) ** 2), 0.0, 1.0),
+    ], ids=["runge", "gaussian"])
+    def test_integrands_past_the_first_call(self, f, lo, hi):
+        reference_calls, calls = [], []
+        expected = level_by_level_quadrature(_counted(f, reference_calls), lo, hi)
+        levels = (len(reference_calls) - 1) // 2
+        assert levels > 6
+        assert integrate_singular(_counted(f, calls), lo, hi) == expected
+        assert len(calls) == 1 + (levels - 6)
+        assert sum(calls) == sum(reference_calls)
 
 
 class TestFindRootMonotone:
