@@ -248,8 +248,9 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     if args.n_grid is None:
         args.n_grid = spectral.resolving_grid(torus)
-    coarse = spectral.eigen_low(spectral.assemble(torus, args.l, args.n_grid), args.k)
+    # the doubled grid first: a grid above the cap is refused before any solve
     fine = spectral.eigen_low(spectral.assemble(torus, args.l, 2 * args.n_grid), args.k)
+    coarse = spectral.eigen_low(spectral.assemble(torus, args.l, args.n_grid), args.k)
     # Richardson extrapolation of the second-order discretization.  Where
     # the grids are not in that regime (a tight cluster narrowing faster)
     # the extrapolated values can descend; then the finer grid's own values

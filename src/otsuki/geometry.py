@@ -38,13 +38,12 @@ import numpy as np
 from .numerics import NoBracket, find_root_monotone, integrate_singular
 
 __all__ = [
-    "DomainError", "ClosureFailure", "OutOfRange",
+    "DomainError", "ClosureFailure",
     "RotationNumber", "OrbitMetric", "GeodesicProfile", "OtsukiTorus",
-    "AmbientPoint", "CLIFFORD_TURNING_VALUE",
+    "CLIFFORD_TURNING_VALUE",
     "clairaut_momentum", "phase_metric", "omega",
     "solve_turning_value", "arc_length_quarter", "period", "trace_geodesic",
-    "build_torus", "clifford_torus", "embed", "embedding_grid",
-    "induced_metric_at", "default_sample_count",
+    "build_torus", "clifford_torus", "embedding_grid", "default_sample_count",
 ]
 
 
@@ -54,10 +53,6 @@ class DomainError(ValueError):
 
 class ClosureFailure(RuntimeError):
     """Traced geodesic failed to close within tolerance; inputs inconsistent."""
-
-
-class OutOfRange(ValueError):
-    """Surface coordinates outside the fundamental domain."""
 
 
 #: Turning value of the exceptional constant-phi solution (a Clifford torus).
@@ -98,14 +93,6 @@ class OrbitMetric:
     def G(phi):
         return 4.0 * pi ** 2 * np.sin(phi) ** 2 * np.cos(phi) ** 2
 
-    @staticmethod
-    def E_prime(phi):
-        return 4.0 * pi ** 2 * np.sin(2.0 * phi)
-
-    @staticmethod
-    def G_prime(phi):
-        return 2.0 * pi ** 2 * np.sin(4.0 * phi)
-
 
 def clairaut_momentum(a: float) -> float:
     """Conserved angular momentum G(phi) dtheta/dt of a geodesic turning at phi = a."""
@@ -134,10 +121,6 @@ class RotationNumber:
             raise ValueError(f"{self.p}/{self.q} <= 1/2: no torus with this label")
         if not 2 * self.p * self.p < self.q * self.q:
             raise ValueError(f"{self.p}/{self.q} >= sqrt(2)/2: no torus with this label")
-
-    @property
-    def value(self) -> float:
-        return self.p / self.q
 
     @property
     def closure_angle(self) -> float:
@@ -216,38 +199,22 @@ def _scalar_or_array(values: np.ndarray):
 
 @dataclass
 class OtsukiTorus:
-    """A built torus: geodesic profile plus the derived spectral quantities."""
+    """A built torus: its geodesic profile, and the quantities derived from it.
+
+    ``area = t0``, as the induced volume form is ``d(alpha) dt / (2 pi)``;
+    the spectral functional value is ``lambda_value = 2 t0``; and the
+    eigenvalue it is attached to has ``eigenvalue_index = 2 w - 1``, w the
+    theta winding (``2p - 1`` for the label p/q, 1 for the Clifford circle).
+    """
 
     profile: GeodesicProfile
-    area: float
-    lambda_value: float
-    eigenvalue_index: int
 
-    @property
-    def rotation(self) -> Optional[RotationNumber]:
-        return self.profile.rotation
-
-    @property
-    def t0(self) -> float:
-        return self.profile.t0
-
-
-@dataclass(frozen=True)
-class AmbientPoint:
-    """Point on the unit sphere in R^4."""
-
-    x: float
-    y: float
-    z: float
-    t: float
-
-    def __post_init__(self):
-        norm_sq = self.x ** 2 + self.y ** 2 + self.z ** 2 + self.t ** 2
-        if abs(norm_sq - 1.0) > 1e-12:
-            raise ValueError(f"not on the unit sphere: |v|^2 - 1 = {norm_sq - 1.0:.3e}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.t])
+    rotation = property(lambda self: self.profile.rotation, doc="The label p/q; None for Clifford.")
+    t0 = property(lambda self: self.profile.t0, doc="Period, the length of the geodesic.")
+    area = property(lambda self: self.profile.t0, doc="Area, ``t0``.")
+    lambda_value = property(lambda self: 2.0 * self.profile.t0, doc="Functional value ``2 t0``.")
+    eigenvalue_index = property(lambda self: 2 * self.profile.theta_winding - 1,
+                                doc="Index ``2 w - 1`` of the eigenvalue at 2.")
 
 
 # --------------------------------------------------------------------------
@@ -566,9 +533,7 @@ def build_torus(rotation: RotationNumber, n_samples: int | None = None) -> Otsuk
         raise ClosureFailure(
             f"period mismatch: quadrature {t0_quadrature!r} vs traced "
             f"{profile.t0!r} ({drift:.3e} relative)")
-    return OtsukiTorus(profile=profile, area=profile.t0,
-                       lambda_value=2.0 * profile.t0,
-                       eigenvalue_index=2 * rotation.p - 1)
+    return OtsukiTorus(profile)
 
 
 def clifford_torus() -> OtsukiTorus:
@@ -580,27 +545,12 @@ def clifford_torus() -> OtsukiTorus:
     default 4096 samples, evaluated on first read like any profile's.
     """
     profile = trace_geodesic(CLIFFORD_TURNING_VALUE, None)
-    return OtsukiTorus(profile=profile, area=profile.t0,
-                       lambda_value=2.0 * profile.t0, eigenvalue_index=1)
+    return OtsukiTorus(profile)
 
 
 # --------------------------------------------------------------------------
-# embedding and induced metric
+# embedding
 # --------------------------------------------------------------------------
-
-def embed(torus: OtsukiTorus, alpha: float, t: float) -> AmbientPoint:
-    """Ambient coordinates of the surface point (alpha, t).
-
-    The orbit coordinate alpha runs over [0, 2 pi), the arc-length
-    coordinate t over [0, t0); the point is one entry of :func:`embedding_grid`.
-    """
-    if not 0.0 <= alpha < 2.0 * pi:
-        raise OutOfRange(f"alpha must lie in [0, 2 pi), got {alpha!r}")
-    if not 0.0 <= t < torus.t0:
-        raise OutOfRange(f"t must lie in [0, t0 = {torus.t0!r}), got {t!r}")
-    point = embedding_grid(torus, np.array([alpha]), np.array([t]))[0, 0]
-    return AmbientPoint(*point.tolist())
-
 
 def embedding_grid(torus: OtsukiTorus, alphas: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Ambient coordinates over the outer grid alphas x ts; returns (len(alphas), len(ts), 4)."""
@@ -613,14 +563,3 @@ def embedding_grid(torus: OtsukiTorus, alphas: np.ndarray, ts: np.ndarray) -> np
     out[:, :, 2] = (cos_phi * np.cos(theta))[None, :]
     out[:, :, 3] = (cos_phi * np.sin(theta))[None, :]
     return out
-
-
-def induced_metric_at(torus: OtsukiTorus, t: float) -> tuple[float, float]:
-    """Diagonal induced-metric coefficients (g_alpha_alpha, g_tt) at arc length t.
-
-    The product of the two is identically 1/(4 pi^2), which makes the
-    volume form d(alpha) dt / (2 pi) and the area equal to the period t0.
-    """
-    phi = torus.profile.phi_at(t)
-    g_aa = float(np.sin(phi) ** 2)
-    return g_aa, 1.0 / (4.0 * pi ** 2 * g_aa)

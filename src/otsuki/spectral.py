@@ -180,7 +180,6 @@ class SLSpectrum:
 class VerificationReport:
     """Outcome of the eigenvalue count against the predicted index."""
 
-    rotation: object
     n2: int
     claimed: int
     eigenvalues_near_2: list[tuple[int, int, float]]
@@ -712,7 +711,7 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     stable = len(set(counts_by_grid.values())) == 1
     n2 = counts_by_grid[grids[-1]]
     verdict = stable and n2 == claimed and truncation_confirmed
-    return VerificationReport(rotation=torus.rotation, n2=n2, claimed=claimed,
+    return VerificationReport(n2=n2, claimed=claimed,
                               eigenvalues_near_2=near, tolerance_band=band,
                               grids_used=grids, verdict=verdict,
                               counts_by_grid=counts_by_grid,

@@ -1,9 +1,11 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -217,6 +219,17 @@ class TestSpectrum:
         code, out, _ = run(capsys, "spectrum", "5", "9", "--k", "1", "--format", "json")
         assert code == 0
         assert json.loads(out)["n_grid"] == 4096
+
+    def test_doubled_grid_above_the_cap_refused_before_any_solve(self, capsys, monkeypatch):
+        solved, eigen_low = [], spectral.eigen_low
+        monkeypatch.setattr(spectral, "eigen_low",
+                            lambda *args: solved.append(args) or eigen_low(*args))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", "2", "3", "--n-grid", "2097152")
+        assert code == 2 and out == ""
+        assert "a grid of 4194304 rows exceeds the limit" in err
+        assert solved == []
+        assert time.perf_counter() - start < 1.5
 
 
 class TestVerify:
@@ -485,7 +498,7 @@ class TestVerifyFailurePaths:
 
         def fake(torus, threshold=2.0, l_max=3, n_grid=2048):
             return spectral_module.VerificationReport(
-                rotation=torus.rotation, n2=2, claimed=3,
+                n2=2, claimed=3,
                 eigenvalues_near_2=[], tolerance_band=1e-5,
                 grids_used=[n_grid, 2 * n_grid], verdict=False,
                 counts_by_grid={n_grid: 2, 2 * n_grid: 2},
@@ -595,6 +608,14 @@ class TestColdStart:
             exec(f"from {module.__name__} import *", star)
             for name in module.__all__:
                 assert star[name] is getattr(module, name)
+
+    def test_names_only_tests_read_are_gone(self):
+        for name in ("embed", "AmbientPoint", "OutOfRange", "induced_metric_at"):
+            assert not hasattr(geometry, name)
+        assert not hasattr(geometry.OrbitMetric, "E_prime")
+        assert not hasattr(geometry.OrbitMetric, "G_prime")
+        assert not hasattr(geometry.RotationNumber(2, 3), "value")
+        assert "rotation" not in {f.name for f in dataclasses.fields(spectral.VerificationReport)}
 
 
 class TestDeterminism:

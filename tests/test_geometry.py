@@ -12,14 +12,11 @@ from otsuki import geometry
 from otsuki.geometry import (
     DomainError,
     OrbitMetric,
-    OutOfRange,
     RotationNumber,
     arc_length_quarter,
     build_torus,
     clairaut_momentum,
-    embed,
     embedding_grid,
-    induced_metric_at,
     omega,
     period,
     solve_turning_value,
@@ -30,13 +27,23 @@ from otsuki.numerics import find_root_monotone
 from conftest import REFERENCE, level_by_level_quadrature
 
 
+def E_prime(phi):
+    """dE/dphi of the orbit metric, in closed form."""
+    return 4.0 * pi ** 2 * np.sin(2.0 * phi)
+
+
+def G_prime(phi):
+    """dG/dphi of the orbit metric, in closed form."""
+    return 2.0 * pi ** 2 * np.sin(4.0 * phi)
+
+
 def geodesic_rhs(t, y):
     """The second-order geodesic equations of the orbit metric, for RK45 references."""
     phi, phi_dot, theta, theta_dot = y
     E, G = OrbitMetric.E(phi), OrbitMetric.G(phi)
-    phi_dd = (-OrbitMetric.E_prime(phi) / (2.0 * E) * phi_dot ** 2
-              + OrbitMetric.G_prime(phi) / (2.0 * E) * theta_dot ** 2)
-    theta_dd = -OrbitMetric.G_prime(phi) / G * phi_dot * theta_dot
+    phi_dd = (-E_prime(phi) / (2.0 * E) * phi_dot ** 2
+              + G_prime(phi) / (2.0 * E) * theta_dot ** 2)
+    theta_dd = -G_prime(phi) / G * phi_dot * theta_dot
     return (phi_dot, phi_dd, theta_dot, theta_dd)
 
 
@@ -53,7 +60,7 @@ class TestRotationNumber:
     @pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9), (7, 10)])
     def test_valid(self, p, q):
         r = RotationNumber(p, q)
-        assert 0.5 < r.value < math.sqrt(2.0) / 2.0
+        assert 0.5 < r.closure_angle / pi < math.sqrt(2.0) / 2.0
         assert abs(r.closure_angle - pi * p / q) == 0.0
 
     @pytest.mark.parametrize("p,q", [
@@ -101,10 +108,10 @@ class TestOrbitMetric:
     def test_derivatives_match_finite_differences(self):
         phi = np.linspace(0.1, 1.4, 27)
         h = 1e-6
-        np.testing.assert_allclose(OrbitMetric.E_prime(phi),
+        np.testing.assert_allclose(E_prime(phi),
                                    (OrbitMetric.E(phi + h) - OrbitMetric.E(phi - h)) / (2 * h),
                                    rtol=1e-8)
-        np.testing.assert_allclose(OrbitMetric.G_prime(phi),
+        np.testing.assert_allclose(G_prime(phi),
                                    (OrbitMetric.G(phi + h) - OrbitMetric.G(phi - h)) / (2 * h),
                                    rtol=1e-7, atol=1e-4)
 
@@ -458,42 +465,34 @@ class TestPhaseSeries:
             geometry._phase_knot_table(solve_turning_value(RotationNumber(48, 95)))
 
 
+def embedding_point(torus, alpha, t):
+    """The one ambient point (alpha, t) of :func:`embedding_grid`."""
+    return embedding_grid(torus, np.array([alpha]), np.array([t]))[0, 0]
+
+
+def embedding_tangents(torus, alphas, ts, h=1e-5):
+    """X_alpha and X_t over the grid alphas x ts, by central differences of the embedding."""
+    x_alpha = embedding_grid(torus, alphas + h, ts) - embedding_grid(torus, alphas - h, ts)
+    x_t = embedding_grid(torus, alphas, ts + h) - embedding_grid(torus, alphas, ts - h)
+    return x_alpha / (2.0 * h), x_t / (2.0 * h)
+
+
 class TestEmbedding:
     def test_initial_point(self, torus_23):
         a = torus_23.profile.a
-        point = embed(torus_23, 0.0, 0.0)
-        np.testing.assert_allclose(point.as_array(),
+        np.testing.assert_allclose(embedding_point(torus_23, 0.0, 0.0),
                                    [math.sin(a), 0.0, math.cos(a), 0.0], atol=1e-12)
 
     def test_quarter_orbit(self, torus_23):
         a = torus_23.profile.a
-        point = embed(torus_23, pi / 2.0, 0.0)
-        np.testing.assert_allclose(point.as_array(),
+        np.testing.assert_allclose(embedding_point(torus_23, pi / 2.0, 0.0),
                                    [0.0, math.sin(a), math.cos(a), 0.0], atol=1e-12)
 
     def test_unit_norm_everywhere(self, torus_23):
         rng = np.random.default_rng(7)
         for alpha, frac in zip(rng.uniform(0, 2 * pi, 50), rng.uniform(0, 1, 50)):
-            point = embed(torus_23, float(alpha), float(frac) * torus_23.t0 * 0.999)
-            assert abs(np.sum(point.as_array() ** 2) - 1.0) <= 1e-9
-
-    def test_out_of_range(self, torus_23):
-        with pytest.raises(OutOfRange):
-            embed(torus_23, 2.0 * pi, 0.0)
-        with pytest.raises(OutOfRange):
-            embed(torus_23, 0.0, torus_23.t0)
-        with pytest.raises(OutOfRange):
-            embed(torus_23, -0.1, 0.0)
-
-    def test_grid_matches_pointwise(self, torus_23):
-        alphas = np.array([0.0, 1.0, 4.0])
-        ts = np.array([0.0, 0.3 * torus_23.t0, 0.8 * torus_23.t0])
-        grid = embedding_grid(torus_23, alphas, ts)
-        for i, alpha in enumerate(alphas):
-            for j, t in enumerate(ts):
-                np.testing.assert_allclose(
-                    grid[i, j], embed(torus_23, float(alpha), float(t)).as_array(),
-                    atol=1e-12)
+            point = embedding_point(torus_23, float(alpha), float(frac) * torus_23.t0 * 0.999)
+            assert abs(np.sum(point ** 2) - 1.0) <= 1e-9
 
     def test_projection_pole_never_hit(self, tori):
         for torus in tori.values():
@@ -503,18 +502,25 @@ class TestEmbedding:
 
 
 class TestInducedMetric:
-    def test_product_identity(self, torus_23):
-        for t in np.linspace(0.0, torus_23.t0, 37):
-            g_aa, g_tt = induced_metric_at(torus_23, float(t))
-            assert abs(g_aa * g_tt - 1.0 / (4.0 * pi ** 2)) <= 1e-12
-
-    def test_clifford_constant(self, clifford):
-        g_aa, _ = induced_metric_at(clifford, 1.2345)
-        assert abs(g_aa - 0.5) <= 1e-9
+    @pytest.mark.parametrize("name", ["torus_23", "clifford"])
+    def test_first_fundamental_form_by_finite_differences(self, request, name):
+        # |X_alpha|^2 = sin(phi)^2, |X_t|^2 = 1 / (4 pi^2 sin(phi)^2) (the
+        # geodesic has unit speed in the orbit metric) and X_alpha . X_t = 0
+        torus = request.getfixturevalue(name)
+        alphas = np.linspace(0.1, 6.0, 5)
+        ts = np.linspace(0.013, 0.987, 37) * torus.t0
+        x_alpha, x_t = embedding_tangents(torus, alphas, ts)
+        sin_sq = np.sin(torus.profile.phi_at(ts)) ** 2
+        np.testing.assert_allclose(np.sum(x_alpha ** 2, axis=-1) / sin_sq, 1.0, rtol=1e-8)
+        np.testing.assert_allclose(np.sum(x_t ** 2, axis=-1) * (4.0 * pi ** 2 * sin_sq), 1.0,
+                                   rtol=1e-8)
+        np.testing.assert_allclose(np.sum(x_alpha * x_t, axis=-1), 0.0, atol=1e-11)
 
     def test_area_from_volume_form(self, torus_23):
-        # integral of sqrt(g_aa g_tt) over the fundamental domain equals t0
+        # integral of |X_alpha ^ X_t| over the fundamental domain equals t0
         ts = (np.arange(400) + 0.5) * (torus_23.t0 / 400)
-        density = [math.sqrt(np.prod(induced_metric_at(torus_23, float(t)))) for t in ts]
+        x_alpha, x_t = embedding_tangents(torus_23, np.array([1.0]), ts)
+        density = np.sqrt(np.sum(x_alpha ** 2, axis=-1) * np.sum(x_t ** 2, axis=-1)
+                          - np.sum(x_alpha * x_t, axis=-1) ** 2)
         integral = 2.0 * pi * float(np.mean(density)) * torus_23.t0
         assert abs(integral - torus_23.t0) <= 1e-9 * torus_23.t0
