@@ -81,8 +81,8 @@ _MAX_MESH_VERTICES = 2 ** 20
 _OPTIONS = {
     "format": (str, None, "output format (subcommand-dependent)", _ALL),
     "out": (str, None, "write output to this file", _ALL),
-    "n_grid": (int, None, "spectral grid size (default: 256 rows per phase cycle, at least "
-                          "2048, a power of two)", ("spectrum", "verify")),
+    "n_grid": (int, None, "spectral grid size, an even number of rows (default: 256 per "
+                          "phase cycle, at least 2048, a power of two)", ("spectrum", "verify")),
     "n_samples": (int, None, "geodesic samples per period (default: resolution-aware)",
                   ("geodesic",)),
     "l_max": (int, 3, "highest angular mode scanned by verify", ("verify",)),
@@ -248,9 +248,9 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     if args.n_grid is None:
         args.n_grid = spectral.resolving_grid(torus)
-    # the doubled grid first: a grid above the cap is refused before any solve
-    fine = spectral.eigen_low(spectral.assemble(torus, args.l, 2 * args.n_grid), args.k)
-    coarse = spectral.eigen_low(spectral.assemble(torus, args.l, args.n_grid), args.k)
+    # both grids assembled, the doubled one first: a bad grid is refused before any solve
+    problems = [spectral.assemble(torus, args.l, n) for n in (2 * args.n_grid, args.n_grid)]
+    fine, coarse = (spectral.eigen_low(problem, args.k) for problem in problems)
     # Richardson extrapolation of the second-order discretization.  Where
     # the grids are not in that regime (a tight cluster narrowing faster)
     # the extrapolated values can descend; then the finer grid's own values

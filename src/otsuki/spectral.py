@@ -15,21 +15,21 @@ is 2p - 1; :func:`count_below` computes it and checks it.
 The problems are posed in the turning phase u of the geodesic, where phi
 and ``J = dt/du`` are closed forms (:func:`otsuki.geometry.phase_metric`)
 and there is no turning layer to resolve.  A period is q u-cycles (t0 / J
-for the Clifford circle); the grid ``u_j = j du`` has ``n_grid`` rows.
-With ``c = P / J`` the problem reads ``-(c h_u)_u + Q J h = lambda J h``;
-central fluxes scaled by ``J^{-1/2}`` on both sides give a symmetric cyclic
-tridiagonal A on ``w = J^{1/2} h``, never formed but held as its two bands
-(:class:`SLProblem`), one array for both triangles:
+for the Clifford circle); the grid ``u_j = j du`` has an even number
+``n_grid`` of rows.  With ``c = P / J`` the problem reads
+``-(c h_u)_u + Q J h = lambda J h``; central fluxes scaled by ``J^{-1/2}``
+on both sides give a symmetric cyclic tridiagonal A on ``w = J^{1/2} h``:
 
-    off_j  = -c_{j+1/2} / du^2 / sqrt(J_j J_{j+1})
-    main_j = (c_{j+1/2} + c_{j-1/2}) / du^2 / J_j + l^2 / sin(phi_j)^2
+    A_{j,j+1} = -c_{j+1/2} / du^2 / sqrt(J_j J_{j+1})
+    A_{j,j}   = (c_{j+1/2} + c_{j-1/2}) / du^2 / J_j + l^2 / sin(phi_j)^2
 
-phi and J are even about the turning point u = 0, so half of the nodes and
-of the midpoints are evaluated and mirrored (node j to n - j), and A
-commutes with that reflection.  In an orthonormal basis of even and odd
-grid functions A is the direct sum of two plain symmetric tridiagonals of
-about n / 2 rows each, the even and the odd half of the mode
-(:func:`_halves`); every count and every solve works on one half.
+(indices mod n).  phi and J are even about the turning point u = 0, so A
+commutes with the reflection of node j to node n - j, and in an
+orthonormal basis of even and odd grid functions it is the direct sum of
+two plain symmetric tridiagonals of about n / 2 rows each, the even and
+the odd half of the mode.  A is never formed: the halves are assembled
+from the nodes 0 .. n/2 and the midpoints between them
+(:class:`SLProblem`), and every count and every solve works on one half.
 Eigenvalues below sigma are counted, not computed: their number is the sum
 of the two halves' Sturm counts (backward stable), one pass over a half's
 rows per shift in one call of LAPACK's ``dlaebz`` for all the shifts a
@@ -89,9 +89,9 @@ _TINY = float(np.finfo(float).tiny)
 
 # Largest grid assembled, in rows.  The tracemalloc peak of count_below per
 # row of its doubled grid grows with q, as the l = 1 ground run keeps 2m + 1
-# Lanczos vectors for a cluster of m ~ q / 2 values: about 130 B for the five
-# tori at their resolving grids (270 B, 0.57 GB at the cap, where a ground run
-# keeps ARPACK's 20), 183 B for 17/33, 904 B for 50/99, 1223 B for 70/139 (5 GB
+# Lanczos vectors for a cluster of m ~ q / 2 values: about 100 B for the five
+# tori at their resolving grids (222 B, 0.47 GB at the cap, where a ground run
+# keeps ARPACK's 20), 154 B for 17/33, 876 B for 50/99, 1195 B for 70/139 (5 GB
 # at the cap).  l_max does not change it: modes above l = 1 are held one at a time.
 _MAX_GRID = 2 ** 21
 
@@ -115,20 +115,20 @@ class AmbiguousCount(RuntimeError):
 
 @dataclass
 class SLProblem:
-    """One angular mode on the phase grid: the bands of its symmetric cyclic tridiagonal.
+    """One angular mode: the even and the odd half ``(d, e)`` of its cyclic tridiagonal A.
 
-    ``main[j]`` is the diagonal of row j and ``off[j]`` couples rows j and
-    j + 1 mod n (``off[n-1]`` is the corner).  Assembled bands are mirror
-    symmetric bit for bit: ``main[n-j] == main[j]``, ``off[n-1-j] == off[j]``.
+    With r = n_grid / 2, the orthonormal bases e_0, (e_j + e_{n-j}) / sqrt 2
+    (0 < j < r), e_r of the even grid functions and (e_j - e_{n-j}) / sqrt 2
+    (0 < j < r) of the odd ones make A the direct sum of two plain symmetric
+    tridiagonals, diagonal d and couplings e: the even half on rows 0 .. r,
+    with sqrt 2 on the couplings into the fixed points 0 and r, and the odd
+    half on rows 1 .. r - 1, the even half without its first and last rows.
     """
 
     l: int
-    main: np.ndarray
-    off: np.ndarray
-
-    @property
-    def n_grid(self) -> int:
-        return self.main.size
+    n_grid: int
+    even: tuple[np.ndarray, np.ndarray]
+    odd: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -164,7 +164,7 @@ class SLSpectrum:
         for side, half_vecs in enumerate(self._half_vectors):
             kept = np.flatnonzero(parity == side)
             vecs[side:side + half_vecs.shape[0], kept] = half_vecs[:, column[kept]]
-        paired = vecs[1:(n + 1) // 2]
+        paired = vecs[1:n // 2]
         paired /= _SQRT2
         np.multiply(paired[::-1], np.where(parity, -1.0, 1.0), out=vecs[n // 2 + 1:])
         self._half_vectors = None
@@ -191,11 +191,12 @@ class VerificationReport:
 
 
 def assemble(torus: OtsukiTorus, l: int, n_grid: int) -> SLProblem:
-    """The bands of mode l on the phase grid of ``n_grid`` rows.
+    """The even and odd halves of mode l on the phase grid of ``n_grid`` rows.
 
     Requires ``n_grid >= 64`` and ``n_grid >= 32 p`` so the grid can
     represent the 2p oscillations of the eigenfunctions near the counting
-    threshold, and ``n_grid <= _MAX_GRID`` (ValueError otherwise).
+    threshold, ``n_grid <= _MAX_GRID``, and an even ``n_grid``
+    (ValueError otherwise).
     """
     return next(_assemble_modes(torus, [l], n_grid))
 
@@ -218,30 +219,32 @@ def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
     if n_grid < 64 or n_grid < 32 * p:
         raise GridTooCoarse(f"n_grid must be >= max(64, 32 p = {32 * p})")
     _check_grid_size(n_grid)
+    if n_grid % 2:
+        raise ValueError(f"n_grid must be even, got {n_grid}")
     du = _phase_step(torus, n_grid)
-    # phi and J are even about the turning point u = 0: node j mirrors to
-    # node n - j and midpoint j to midpoint n - 1 - j, so half of each is
-    # evaluated, nodes and midpoints in one pass
-    half = n_grid // 2 + 1
+    # the even half's nodes 0 .. r and the midpoints between them, in one pass
+    r = n_grid // 2
     phi, J = phase_metric(torus.profile.a, du * np.concatenate(
-        [np.arange(half), np.arange((n_grid + 1) // 2) + 0.5]))
+        [np.arange(r + 1), np.arange(r) + 0.5]))
     sin_sq = np.sin(phi) ** 2
-    flux = (4.0 * math.pi ** 2 / du ** 2) * sin_sq[half:] / J[half:]  # c / du^2 at the midpoints
-    flux = np.concatenate([flux, flux[n_grid // 2 - 1::-1]])
-    sin_sq, J = (np.concatenate([x, x[(n_grid - 1) // 2:0:-1]])
-                 for x in (sin_sq[:half], J[:half]))
-    off = -flux / np.sqrt(J * np.roll(J, -1))
-    stiffness = (flux + np.roll(flux, 1)) / J
+    flux = (4.0 * math.pi ** 2 / du ** 2) * sin_sq[r + 1:] / J[r + 1:]  # c / du^2 at the midpoints
+    sin_sq, J = sin_sq[:r + 1], J[:r + 1]
+    off = -flux / np.sqrt(J[:-1] * J[1:])
+    # flux at j + 1/2 plus flux at j - 1/2; the flux is even about the nodes 0 and r
+    stiffness = (np.append(flux, flux[-1]) + np.insert(flux, 0, flux[0])) / J
+    e_even = off.copy()
+    e_even[[0, -1]] *= _SQRT2  # the couplings into the fixed points
     del phi, J, flux  # not held while the generator waits
     for l in modes:
-        yield SLProblem(l=l, main=stiffness + (l * l) / sin_sq, off=off)
+        d = stiffness + (l * l) / sin_sq
+        yield SLProblem(l=l, n_grid=n_grid, even=(d, e_even), odd=(d[1:-1], off[1:-1]))
 
 
 def _check_grid_size(n_grid: int) -> None:
     """Refuse a grid of more than ``_MAX_GRID`` rows before anything is allocated."""
     if n_grid > _MAX_GRID:
         raise ValueError(f"a grid of {n_grid} rows exceeds the limit of "
-                         f"{_MAX_GRID} rows (at peak about 270 bytes per row for small q, "
+                         f"{_MAX_GRID} rows (at peak about 220 bytes per row for small q, "
                          f"growing with q to about 1.2 kB at q = 139)")
 
 
@@ -261,47 +264,6 @@ def count_sign_changes(values: np.ndarray) -> int:
     return int(np.sum(signs != np.roll(signs, 1)))
 
 
-def _halves(main: np.ndarray, off: np.ndarray
-            ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Even and odd tridiagonals ``(d, e)`` of the mirror-symmetric cyclic bands ``(main, off)``.
-
-    The reflection R maps row j to row n - j mod n; the bands commute with
-    it when ``main[n-j] == main[j]`` and ``off[n-1-j] == off[j]``.  With
-    r = n // 2, the even grid functions have the orthonormal basis e_0,
-    (e_j + e_{n-j}) / sqrt 2 for 0 < j < n / 2 and, for even n, e_r; the
-    odd ones (e_j - e_{n-j}) / sqrt 2.  In these bases A is the direct sum
-    of a plain symmetric tridiagonal on each, the diagonal d and the
-    couplings e:
-
-    * even half, rows 0 .. r: d = main[0 .. r], e = off[0 .. r-1], with
-      the coupling into each fixed point (row 0, and row r for even n)
-      times sqrt 2;
-    * odd half, rows 1 .. r - 1 (even n) or 1 .. r (odd n): d = main and
-      e = off on those rows.
-
-    For odd n the rows r and r + 1 are mirror partners coupled by off[r],
-    so the last diagonal is ``main[r] + off[r]`` (even) and
-    ``main[r] - off[r]`` (odd).  Requires n >= 8, so both halves have at
-    least three rows.  Raises ValueError for bands that are not mirror
-    symmetric bit for bit (a hand-built :class:`SLProblem`).
-    """
-    n = main.size
-    if n < 8:
-        raise ValueError(f"a mode needs at least 8 rows, got {n}")
-    if not (np.array_equal(main[1:], main[:0:-1]) and np.array_equal(off, off[::-1])):
-        raise ValueError("the bands are not symmetric under the reflection t -> -t")
-    r = n // 2
-    d_even, e_even = main[:r + 1].copy(), off[:r].copy()
-    d_odd, e_odd = main[1:(n + 1) // 2].copy(), off[1:(n - 1) // 2].copy()
-    e_even[0] *= _SQRT2
-    if n % 2:
-        d_even[r] += off[r]
-        d_odd[-1] -= off[r]
-    else:
-        e_even[-1] *= _SQRT2
-    return (d_even, e_even), (d_odd, e_odd)
-
-
 def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     """The k smallest eigenpairs of the discretized problem.
 
@@ -311,23 +273,19 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     half asked only for its share of the k.  With no eigenvalue below
     sigma the eigenvalues nearest it are the smallest, and T - sigma I is
     definite, so every solve is an LDL^T; a shift close to the wanted
-    values makes Lanczos converge fast (the l = 1 values of 5/9, a cluster
-    in [2, 2.004], took 73 solves at 65536 rows about -1, 42 now).  The
-    halves interlace: for even n the odd half is the even half without its
-    first and last rows, for odd n it is the even half's trailing r x r
-    block plus the positive rank-one term ``2 |off[r]| e_r e_r^T``, so by
-    Cauchy interlacing ``mu_j <= nu_j <= mu_{j+2}`` for the even values mu
-    and the odd values nu.  Hence the odd half's ground lies above the
-    even half's, above
-    sigma too, and the k smallest of the mode hold at most ``k // 2 + 1``
-    even and ``k // 2`` odd values; those are the shares asked for (k + 1
-    or k pairs in all; k = 1 runs the even half only).  A run asking for m
-    pairs uses ``max(3m, 20)`` Lanczos vectors: ARPACK's default
-    ``max(2m + 1, 20)`` for m <= 6, and wider above, where the default
-    does not converge when the share ends inside a tight cluster (the
-    l = 3 values of 9/16 come 8 to a half; k = 16 at 4096 rows).  The k
-    smallest of the returned values are kept.  Their eigenvectors, and so
-    the zero counts, are unfolded onto the grid only when first read
+    values makes Lanczos converge fast.  The halves interlace: the odd half
+    is the even half without its first and last rows, so by Cauchy
+    interlacing ``mu_j <= nu_j <= mu_{j+2}`` for the even values mu and the
+    odd values nu.  Hence the odd half's ground lies above the even half's,
+    above sigma too, and the k smallest of the mode hold at most
+    ``k // 2 + 1`` even and ``k // 2`` odd values; those are the shares
+    asked for (k + 1 or k pairs in all; k = 1 runs the even half only).  A
+    run asking for m pairs uses ``max(3m, 20)`` Lanczos vectors: ARPACK's
+    default ``max(2m + 1, 20)`` for m <= 6, and wider above, where the
+    default does not converge when the share ends inside a tight cluster
+    (the l = 3 values of 9/16 come 8 to a half; k = 16 at 4096 rows).  The
+    k smallest of the returned values are kept.  Their eigenvectors, and
+    so the zero counts, are unfolded onto the grid only when first read
     (:class:`SLSpectrum`); until then the result holds the half runs'
     vectors, about ``n / 2 x (k + 1)`` values where the unfolded ones are
     ``n x k``.
@@ -336,11 +294,10 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     if k < 1 or k > n // 4:
         raise ValueError(f"k must lie in [1, n_grid / 4 = {n // 4}]")
     shares = (k // 2 + 1, k // 2)
-    halves = _halves(problem.main, problem.off)
-    sigma = _shift_below_ground(*halves[0])
+    sigma = _shift_below_ground(*problem.even)
     runs = [_shift_invert(d, e, sigma, m, "LM", max(3 * m, 20), maxiter=10000,
                           vectors=True)
-            for (d, e), m in zip(halves, shares) if m]
+            for (d, e), m in zip((problem.even, problem.odd), shares) if m]
     vals = np.concatenate([run[0] for run in runs])
     order = np.argsort(vals, kind="stable")[:k]
     return SLSpectrum(l=problem.l, eigenvalues=vals[order], n_grid=n,
@@ -526,7 +483,7 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.n
     the recurrence ``p_j = (d_j - e_{j-1}^2 / p_{j-1}) - sigma``, which is
     backward stable for tridiagonal matrices (Kahan; LAPACK Users' Guide
     section 2.4.4).  A mode's count is the sum of this count over its two
-    halves (:func:`_halves`), since A is their orthogonal direct sum; unlike
+    halves (:class:`SLProblem`), since A is their orthogonal direct sum; unlike
     a factorization, the count needs no regular T - sigma I.  One call of
     LAPACK's ``dlaebz`` (IJOB = 1) makes one pass over the rows per shift,
     where a ``dstebz`` call made several for one count.  The arithmetic is
@@ -566,23 +523,28 @@ def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
     surface Laplacian with eigenvalue 2; after separation of variables this
     means sin(phi) solves the l = 1 problem and cos(phi) cos(theta) and
     cos(phi) sin(theta) solve the l = 0 problem, all at lambda = 2.  Each
-    is taken at the nodes u_j in the symmetric form ``w = J^{1/2} v`` of
-    the bands, with theta(u) summed from the geodesic's phase series.
-    Returns ``||A w - 2 w|| / ||w||`` for the three, in that order; each
-    vanishes at the order of the discretization, so the triple measures the
-    spectral accuracy of the grid.
+    is taken at the nodes u_j in the symmetric form ``w = J^{1/2} v``, with
+    theta(u) summed from the geodesic's phase series, and folded onto its
+    half of the mode (:class:`SLProblem`): the even sin(phi) and
+    cos(phi) cos(theta) onto the even half, the odd cos(phi) sin(theta) onto
+    the odd one.  The fold is orthonormal, so ``||A w - 2 w|| / ||w||`` is
+    that of the half.  Returns the three in that order; each vanishes at
+    the order of the discretization, so the triple measures the spectral
+    accuracy of the grid.
     """
     l0, l1 = _assemble_modes(torus, (0, 1), n_grid)
-    u = _phase_step(torus, n_grid) * np.arange(n_grid)
+    u = _phase_step(torus, n_grid) * np.arange(n_grid // 2 + 1)
     phi, J = phase_metric(torus.profile.a, u)
     theta = torus.profile.cycle.theta_of_phase(u)
-    root_J = np.sqrt(J)
+    w = np.sqrt(J) * np.array([np.sin(phi), np.cos(phi) * np.cos(theta),
+                               np.cos(phi) * np.sin(theta)])
+    w[:, 1:-1] *= _SQRT2  # the paired nodes
     residuals = []
-    for problem, v in ((l1, np.sin(phi)), (l0, np.cos(phi) * np.cos(theta)),
-                       (l0, np.cos(phi) * np.sin(theta))):
-        w, off = root_J * v, problem.off
-        Aw = problem.main * w + off * np.roll(w, -1) + np.roll(off * w, 1)
-        residuals.append(float(np.linalg.norm(Aw - 2.0 * w) / np.linalg.norm(w)))
+    for (d, e), y in ((l1.even, w[0]), (l0.even, w[1]), (l0.odd, w[2, 1:-1])):
+        Ty = d * y
+        Ty[:-1] += e * y[1:]
+        Ty[1:] += e * y[:-1]
+        residuals.append(float(np.linalg.norm(Ty - 2.0 * y) / np.linalg.norm(y)))
     return tuple(residuals)
 
 
@@ -597,8 +559,9 @@ def _band_from_anchors(l0_near: np.ndarray, l1_ground: float, threshold: float) 
 
     On fine grids the displacements approach the rounding noise of the
     shift-invert eigenvalues, so the band's trailing digits are noise
-    there, and below the floating-point floor ``eps * max|main|`` the band
-    measures rounding alone (:func:`count_below` refuses that).
+    there, and below the floating-point floor ``eps * max|main|`` (main
+    the diagonal of A) the band measures rounding alone
+    (:func:`count_below` refuses that).
     """
     d0 = float(np.max(np.abs(l0_near - threshold)))
     return 10.0 * max(d0, abs(l1_ground - threshold)) + 1e-13 * threshold
@@ -610,7 +573,7 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
 
     For each mode l = 0 .. l_max the eigenvalues below ``threshold - band``
     are counted exactly, as two Sturm counts, one per half of the mode
-    (:func:`_halves`), and weighted 1 (l = 0) or 2 (l > 0), where the band
+    (:class:`SLProblem`), and weighted 1 (l = 0) or 2 (l > 0), where the band
     absorbs the eigenvalues that equal the
     threshold analytically (see :func:`_band_from_anchors`).  One
     :func:`_sturm_counts` call per half counts below every shift the grid
@@ -633,15 +596,17 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     Raises
     ------
     ValueError
-        If the doubled grid ``2 n_grid`` exceeds ``_MAX_GRID`` rows; this
-        is checked before anything is assembled.
+        If the doubled grid ``2 n_grid`` exceeds ``_MAX_GRID`` rows, which
+        is checked before anything is assembled, or if ``n_grid`` is odd,
+        which is checked before any solve.
     AmbiguousCount
         If at the finest grid some eigenvalue falls in the shoulder
         ``[threshold - 2 band, threshold - band)``, where "below" versus
         "equal to the threshold" cannot be distinguished reliably; or if
         the band there is below the floating-point floor
-        ``eps * max|main|`` of the l = 1 mode, where the anchors' displacement
-        is rounding and no count is reliable (2/3 from ``n_grid = 65536``).
+        ``eps * max|main|`` of the l = 1 mode (main the diagonal of A),
+        where the anchors' displacement is rounding and no count is
+        reliable (2/3 from ``n_grid = 65536``).
     """
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
@@ -656,17 +621,16 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     for n in grids:
         finest = n == grids[-1]
         # the modes one at a time: only l = 0 and l = 1 are held throughout
-        # (map, unlike a generator expression, holds no finished problem)
         problems = _assemble_modes(torus, range(l_max + 1), n)
         l0, l1 = next(problems), next(problems)
-        floor = _EPS * float(np.max(np.abs(l1.main)))  # l1.main >= l0.main
-        l0, l1 = _halves(l0.main, l0.off), _halves(l1.main, l1.off)
-        modes = map(lambda problem: _halves(problem.main, problem.off), problems)
+        # eps * max|main| of l = 1, main the diagonal of A: the even half holds all its values
+        floor = _EPS * float(np.max(np.abs(l1.even[0])))
         # the anchors: in each l = 0 half the eigenvalue nearest the threshold
         # (cos phi cos theta is even, cos phi sin theta odd), and the l = 1
         # ground, which is even
-        l0_near = np.array([_eigenvalues_near(d, e, 1, threshold)[0] for d, e in l0])
-        l1_ground = _ground_eigenvalue(*l1[0], threshold)
+        l0_near = np.array([_eigenvalues_near(d, e, 1, threshold)[0]
+                            for d, e in (l0.even, l0.odd)])
+        l1_ground = _ground_eigenvalue(*l1.even, threshold)
         band = _band_from_anchors(l0_near, l1_ground, threshold)
         if finest and band < floor:
             raise AmbiguousCount(
@@ -680,7 +644,8 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
         # shoulder on the finest
         shifts = [threshold - band, threshold] + (
             [threshold + band, threshold - 2.0 * band] if finest else [])
-        for l, halves in enumerate(chain((l0, l1), modes)):
+        for problem in chain((l0, l1), problems):
+            l, halves = problem.l, (problem.even, problem.odd)
             below, below_threshold, *outer = np.array(
                 [_sturm_counts(d, e, shifts) for d, e in halves]).T
             total += (1 if l == 0 else 2) * int(below.sum())

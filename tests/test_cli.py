@@ -203,9 +203,9 @@ class TestSpectrum:
     def test_tie_clamped_to_ascending(self, capsys, monkeypatch):
         # a Richardson pair descending by 1e-13, well inside the tie tolerance
         def fake_eigen_low(problem, k):
-            fine = problem.main.size == 4096
+            fine = problem.n_grid == 4096
             vals = np.array([0.0, 0.5, 0.5 - (1e-13 if fine else 0.0), 1.0])
-            return spectral.SLSpectrum(l=0, eigenvalues=vals, n_grid=problem.main.size,
+            return spectral.SLSpectrum(l=0, eigenvalues=vals, n_grid=problem.n_grid,
                                        _half_vectors=None, _order=np.arange(4))
 
         monkeypatch.setattr(spectral, "eigen_low", fake_eigen_low)
@@ -230,6 +230,24 @@ class TestSpectrum:
         assert "a grid of 4194304 rows exceeds the limit" in err
         assert solved == []
         assert time.perf_counter() - start < 1.5
+
+    @pytest.mark.parametrize("argv", [("spectrum", "2", "3", "--n-grid", "1025"),
+                                      ("verify", "2", "3", "--n-grid", "2049")],
+                             ids=["spectrum", "verify"])
+    def test_odd_grid_refused_before_any_solve(self, capsys, monkeypatch, argv):
+        # eigen_low, every Sturm count and every Lanczos run go through these
+        solved = []
+
+        def recording(name):
+            original = getattr(spectral, name)
+            return lambda *args, **kwargs: solved.append(name) or original(*args, **kwargs)
+
+        for name in ("eigen_low", "_sturm_counts", "_shift_invert"):
+            monkeypatch.setattr(spectral, name, recording(name))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input: n_grid must be even")
+        assert solved == []
 
 
 class TestVerify:
@@ -456,8 +474,8 @@ class TestOptionTable:
             "--out": "write output to this file",
             "--config": "key=value config file",
         }
-        n_grid = {"--n-grid": "spectral grid size (default: 256 rows per phase cycle, "
-                              "at least 2048, a power of two)"}
+        n_grid = {"--n-grid": "spectral grid size, an even number of rows (default: 256 "
+                              "per phase cycle, at least 2048, a power of two)"}
         extra = {
             "geodesic": {"--n-samples":
                          "geodesic samples per period (default: resolution-aware)"},

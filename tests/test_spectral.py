@@ -30,8 +30,9 @@ def _dense(main, off):
     return A
 
 
-def _bands(problem):
-    return problem.main, problem.off
+def _tridiagonal(d, e):
+    """Dense matrix of the symmetric tridiagonal ``(d, e)``."""
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
 def _phase_grid(torus, n, offset=0.0):
@@ -40,9 +41,34 @@ def _phase_grid(torus, n, offset=0.0):
     return phase_metric(torus.profile.a, (np.arange(n) + offset) * du)
 
 
-def _count(main, off, sigma):
-    """Eigenvalues below sigma of the cyclic bands: the Sturm counts of both halves."""
-    return sum(spectral._sturm_counts(d, e, [sigma])[0] for d, e in spectral._halves(main, off))
+def _cyclic_bands(torus, l, n):
+    """Reference bands of mode l on all n nodes of the phase grid, straight from phase_metric.
+
+    ``main[j]`` is the diagonal of row j and ``off[j]`` couples rows j and j + 1 mod n.
+    """
+    du = 2.0 * pi * torus.rotation.q / n
+    phi, J = _phase_grid(torus, n)
+    phi_mid, J_mid = _phase_grid(torus, n, offset=0.5)
+    c = 4.0 * pi ** 2 * np.sin(phi_mid) ** 2 / J_mid / du ** 2
+    return (c + np.roll(c, 1)) / J + l * l / np.sin(phi) ** 2, -c / np.sqrt(J * np.roll(J, -1))
+
+
+def _fold(main, off):
+    """Even and odd halves ``(d, e)`` of mirror-symmetric cyclic bands of even order n.
+
+    Even basis e_0, (e_j + e_{n-j}) / sqrt 2, e_{n/2}: rows 0 .. n/2, sqrt 2
+    on the couplings into rows 0 and n/2; odd basis (e_j - e_{n-j}) / sqrt 2:
+    rows 1 .. n/2 - 1.
+    """
+    r = main.size // 2
+    e_even = off[:r].copy()
+    e_even[[0, -1]] *= math.sqrt(2.0)
+    return (main[:r + 1], e_even), (main[1:r], off[1:r - 1])
+
+
+def _count(problem, sigma):
+    """Eigenvalues of a mode below sigma: the Sturm counts of both halves."""
+    return sum(spectral._sturm_counts(d, e, [sigma])[0] for d, e in (problem.even, problem.odd))
 
 
 def _valid_labels(q_max):
@@ -84,24 +110,26 @@ class TestAssemble:
         phi, J = _phase_grid(torus_23, n)
         phi_mid, J_mid = _phase_grid(torus_23, n, offset=0.5)
         c = 4.0 * pi ** 2 * np.sin(phi_mid) ** 2 / J_mid
+        r = n // 2  # the even half holds nodes 0 .. r; the odd half's couplings carry no sqrt 2
         problems = [assemble(torus_23, l, n) for l in (0, 2)]
-        np.testing.assert_allclose(problems[0].main, (c + np.roll(c, 1)) / du ** 2 / J,
-                                   rtol=1e-12)
-        np.testing.assert_allclose(problems[1].main - problems[0].main,
-                                   4.0 / np.sin(phi) ** 2, rtol=1e-12)
+        np.testing.assert_allclose(problems[0].even[0],
+                                   ((c + np.roll(c, 1)) / du ** 2 / J)[:r + 1], rtol=1e-12)
+        np.testing.assert_allclose(problems[1].even[0] - problems[0].even[0],
+                                   4.0 / np.sin(phi[:r + 1]) ** 2, rtol=1e-12)
         for problem in problems:
-            np.testing.assert_allclose(problem.off,
-                                       -c / du ** 2 / np.sqrt(J * np.roll(J, -1)), rtol=1e-12)
+            np.testing.assert_allclose(problem.odd[1], (-c / du ** 2 / np.sqrt(
+                J * np.roll(J, -1)))[1:r - 1], rtol=1e-12)
 
     def test_stiffness_range(self, torus_23):
-        # the flux coefficient P = c J = 4 pi^2 sin^2 phi, read back from off
+        # the flux coefficient P = c J = 4 pi^2 sin^2 phi, read back from the
+        # odd half's couplings: midpoints 1 .. r - 2, across u = pi
         a = torus_23.profile.a
-        n = 512
+        n, r = 512, 256
         du = 2.0 * pi * 3 / n
         _, J = _phase_grid(torus_23, n)
         _, J_mid = _phase_grid(torus_23, n, offset=0.5)
         problem = assemble(torus_23, 2, n)
-        P_mid = -problem.off * du ** 2 * np.sqrt(J * np.roll(J, -1)) * J_mid
+        P_mid = -problem.odd[1] * du ** 2 * np.sqrt(J[1:r - 1] * J[2:r]) * J_mid[1:r - 1]
         assert P_mid.min() >= 4.0 * pi ** 2 * math.sin(a) ** 2 - 1e-9
         assert P_mid.max() <= 4.0 * pi ** 2 * math.cos(a) ** 2 + 1e-9
 
@@ -111,8 +139,12 @@ class TestAssemble:
         n = 256
         problem = assemble(clifford, 3, n)
         h = clifford.t0 / n
-        np.testing.assert_allclose(problem.off, -2.0 * pi ** 2 / h ** 2, rtol=1e-9)
-        np.testing.assert_allclose(problem.main, 4.0 * pi ** 2 / h ** 2 + 18.0, rtol=1e-9)
+        (d_even, e_even), (d_odd, e_odd) = problem.even, problem.odd
+        np.testing.assert_allclose(e_odd, -2.0 * pi ** 2 / h ** 2, rtol=1e-9)
+        np.testing.assert_allclose(e_even[[0, -1]], -math.sqrt(2.0) * 2.0 * pi ** 2 / h ** 2,
+                                   rtol=1e-9)
+        np.testing.assert_allclose(d_even, 4.0 * pi ** 2 / h ** 2 + 18.0, rtol=1e-9)
+        np.testing.assert_array_equal(d_odd, d_even[1:-1])
 
     def test_grid_floor(self, torus_23):
         with pytest.raises(GridTooCoarse):
@@ -131,34 +163,35 @@ class TestAssemble:
         with pytest.raises(ValueError, match=f"{n} rows"):
             assemble(torus_23, 0, n)
 
+    def test_odd_grid_refused(self, torus_23):
+        with pytest.raises(ValueError, match="n_grid must be even, got 1023"):
+            assemble(torus_23, 0, 1023)
+
 
 class TestOperatorMatrix:
     def test_cyclic_tridiagonal_structure(self, torus_23):
-        n = 256
-        main, off = _bands(assemble(torus_23, 0, n))
-        assert main.shape == off.shape == (n,)
-        assert np.all(off < 0.0)
+        # the halves of the cyclic tridiagonal: rows 0 .. n/2 and 1 .. n/2 - 1
+        problem = assemble(torus_23, 0, 256)
+        assert problem.n_grid == 256
+        assert [x.shape for x in problem.even + problem.odd] == [(129,), (128,), (127,), (126,)]
+        assert np.all(problem.even[1] < 0.0)
 
-    @pytest.mark.parametrize("n", [256, 255])
-    def test_bands_mirror_symmetric_bit_for_bit(self, torus_23, n):
-        main, off = _bands(assemble(torus_23, 2, n))
-        np.testing.assert_array_equal(main[1:], main[:0:-1])
-        np.testing.assert_array_equal(off, off[::-1])
-
-    def test_problem_not_even_in_t_refused(self):
-        # hand-built: P(t) = 1 + sin(2 pi t) / 2 on [0, 1) is not even in t
-        n = 64
-        P_mid = 1.0 + 0.5 * np.sin(2.0 * pi * (np.arange(n) + 0.5) / n)
-        problem = spectral.SLProblem(l=0, main=(P_mid + np.roll(P_mid, 1)) * n ** 2,
-                                     off=-P_mid * n ** 2)
-        with pytest.raises(ValueError, match="reflection"):
-            eigen_low(problem, 2)
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_halves_are_the_fold_of_the_reference_bands(self, torus_23, n):
+        for l in range(4):
+            problem = assemble(torus_23, l, n)
+            expected = _fold(*_cyclic_bands(torus_23, l, n))
+            for got, want in zip(problem.even + problem.odd, expected[0] + expected[1]):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_constants_in_kernel_for_l0(self, torus_23):
-        # the constants h = 1, in the symmetric form w = J^{1/2} h
-        A = _dense(*_bands(assemble(torus_23, 0, 512)))
+        # the constants h = 1, in the symmetric form w = J^{1/2} h, are even:
+        # on the even half, sqrt 2 on the paired nodes
+        d, e = assemble(torus_23, 0, 512).even
         _, J = _phase_grid(torus_23, 512)
-        assert np.max(np.abs(A @ np.sqrt(J))) <= 1e-9
+        w = np.sqrt(J[:257])
+        w[1:-1] *= math.sqrt(2.0)
+        assert np.max(np.abs(_tridiagonal(d, e) @ w)) <= 1e-9
 
 
 class TestInverse:
@@ -180,7 +213,7 @@ class TestInverse:
         definite_seen = set()
         # l = 0 at 2 is indefinite, at -1 definite; l = 2 lies above 2
         for l in (0, 2):
-            (d, e), _ = spectral._halves(*_bands(assemble(torus_23, l, 1024)))
+            d, e = assemble(torus_23, l, 1024).even
             for sigma in (-1.0, 2.0):
                 definite = spectral._sturm_counts(d, e, [sigma])[0] == 0
                 definite_seen.add(definite)
@@ -195,11 +228,12 @@ class TestInverse:
 
 class TestEigenLow:
     def test_against_dense_solver(self, torus_23):
-        # independent oracle: full dense symmetric eigensolve at small n; the
-        # k cover the even half alone (1) and the shares k // 2 + 1 and k // 2
-        for n in (1024, 1023, 255):
+        # independent oracle: full dense symmetric eigensolve of the reference
+        # bands at small n; the k cover the even half alone (1) and the shares
+        # k // 2 + 1 and k // 2
+        for n in (1024, 256):
             problem = assemble(torus_23, 0, n)
-            A = _dense(*_bands(problem))
+            A = _dense(*_cyclic_bands(torus_23, 0, n))
             dense_vals = np.sort(scipy.linalg.eigh(A, eigvals_only=True))
             for k in (1, 7, 8, 9):
                 spectrum = eigen_low(problem, k)
@@ -224,7 +258,7 @@ class TestEigenLow:
         oracle = np.sort(np.concatenate([
             scipy.linalg.eigh_tridiagonal(d, e, eigvals_only=True, select="i",
                                           select_range=(0, k - 1))
-            for d, e in spectral._halves(*_bands(problem))]))[:k]
+            for d, e in (problem.even, problem.odd)]))[:k]
         np.testing.assert_allclose(eigen_low(problem, k).eigenvalues, oracle,
                                    rtol=0, atol=1e-9)
 
@@ -305,7 +339,7 @@ class TestShiftBelowGround:
         for l in range(4):
             problem = assemble(tori[label], l, n)
             eigen_low(problem, 8)
-            d, _ = spectral._halves(*_bands(problem))[0]
+            d, _ = problem.even
             assert not np.array_equal(d - (d - 2.001), np.full(d.size, 2.001))
         assert len(shifts) == 8
 
@@ -315,7 +349,7 @@ class TestShiftBelowGround:
         torus = tori.get(label) or build_torus(RotationNumber(*label))
         for l in range(4):
             problem = assemble(torus, l, 2048)
-            even, _ = spectral._halves(*_bands(problem))
+            even = problem.even
             sigma = spectral._shift_below_ground(*even)
             assert sigma * 2 ** 12 == round(sigma * 2 ** 12)  # dyadic, few bits
             ground = eigen_low(problem, 1).eigenvalues[0]
@@ -346,7 +380,8 @@ class TestShiftBelowGround:
         n, j = 256, np.arange(256)
         main = -40.0 + 10.0 * np.cos(2.0 * pi * np.minimum(j, n - j) / n)
         off = -(3.0 + np.cos(2.0 * pi * (np.minimum(j, n - 1 - j) + 0.5) / n))
-        problem = spectral.SLProblem(l=0, main=main, off=off)
+        even, odd = _fold(main, off)
+        problem = spectral.SLProblem(l=0, n_grid=n, even=even, odd=odd)
         expected = np.linalg.eigvalsh(_dense(main, off))
         assert expected[0] < -40.0
         np.testing.assert_allclose(eigen_low(problem, 9).eigenvalues, expected[:9],
@@ -471,18 +506,21 @@ class TestCountBelow:
             finally:
                 tracemalloc.stop()
 
-        peak(3)  # first call: caches and lazy imports
+        # warm up with the measured workload: caches, lazy imports, and the
+        # interpreter's own allocations at the LAPACK calls, which tracemalloc
+        # counts and which stop growing after a few thousand calls
+        for _ in range(3):
+            count_below(torus_23, l_max=200, n_grid=256)
         assert peak(200) <= 2.0 * peak(3)
 
 
 class TestCountBelowClassification:
     """White-box checks of the guard-band logic against doctored spectra.
 
-    Each mode is assembled as a diagonal: the doctored eigenvalues of the
-    mode, padded with values far above the threshold.  ``_halves`` is
-    replaced by two diagonal halves whose values alternate between the
-    even and the odd half, so each l = 0 anchor at the threshold has a
-    half of its own and the l = 1 ground is even.
+    Each mode is assembled as two diagonal halves: the doctored eigenvalues
+    of the mode, padded with values far above the threshold, alternate
+    between the even and the odd half, so each l = 0 anchor at the
+    threshold has a half of its own and the l = 1 ground is even.
     """
 
     @staticmethod
@@ -490,14 +528,10 @@ class TestCountBelowClassification:
         def fake_modes(torus, modes, n_grid):
             for l in modes:
                 low = np.array(spectrum_of(l, n_grid), dtype=float)
-                yield spectral.SLProblem(
-                    l=l, main=np.concatenate([low, 20.0 + np.arange(n_grid - low.size)]),
-                    off=None)
-
-        def fake_halves(main, _):
-            return tuple((d, np.zeros(d.size - 1)) for d in (main[0::2], main[1::2]))
+                d = np.concatenate([low, 20.0 + np.arange(n_grid - low.size)])
+                even, odd = ((half, np.zeros(half.size - 1)) for half in (d[0::2], d[1::2]))
+                yield spectral.SLProblem(l=l, n_grid=n_grid, even=even, odd=odd)
         monkeypatch.setattr(spectral, "_assemble_modes", fake_modes)
-        monkeypatch.setattr(spectral, "_halves", fake_halves)
 
     def test_shoulder_value_raises_ambiguous(self, torus_23, monkeypatch):
         # anchors displaced by 1e-6 set a 1e-5 band; 1.999985 sits in the
@@ -627,7 +661,8 @@ class TestSturmCounts:
         torus = build_torus(rotation)
         shifts = [0.5, 2.0 - 2e-6, 2.0 - 1e-6, 2.0, 2.0 + 1e-6, 6.0, 12.0]
         for l in range(4):
-            for d, e in spectral._halves(*_bands(assemble(torus, l, n))):
+            problem = assemble(torus, l, n)
+            for d, e in (problem.even, problem.odd):
                 expected = [_dstebz_count(d, e, sigma) for sigma in shifts]
                 assert list(spectral._sturm_counts(d, e, shifts)) == expected, l
 
@@ -656,10 +691,9 @@ class TestInertiaAgainstLanczos:
             for l in range(4):
                 problem = assemble(torus, l, n)
                 vals = _lowest_above(problem, sigmas[-1])
-                bands = _bands(problem)
                 for sigma in sigmas:
                     expected = np.sum(vals < sigma)
-                    assert _count(*bands, sigma) == expected, (n, l, sigma)
+                    assert _count(problem, sigma) == expected, (n, l, sigma)
 
     def test_near_threshold_list_matches_lanczos_on_14_27(self):
         # 11 l = 1 values lie in the band at 14/27's resolving grid: windows
@@ -709,8 +743,7 @@ class TestGroundEigenvalue:
         torus = tori.get(label) or build_torus(RotationNumber(*label))
         problem = assemble(torus, 1, 2048)
         expected = eigen_low(problem, 1).eigenvalues[0]
-        even, _ = spectral._halves(*_bands(problem))
-        got = spectral._ground_eigenvalue(*even, 2.0)
+        got = spectral._ground_eigenvalue(*problem.even, 2.0)
         assert abs(got - expected) <= 1e-10
 
     @pytest.mark.parametrize("label, n", [((2, 3), 1024), ((5, 9), 8192)],
@@ -719,9 +752,8 @@ class TestGroundEigenvalue:
         # the l = 0 ground is 0 (the constants); at 2 the even half has m > 0
         # values below the shift, spread over [0, 2)
         problem = assemble(tori[label], 0, n)
-        even, _ = spectral._halves(*_bands(problem))
-        assert spectral._sturm_counts(*even, [2.0])[0] > 1
-        got = spectral._ground_eigenvalue(*even, 2.0)
+        assert spectral._sturm_counts(*problem.even, [2.0])[0] > 1
+        got = spectral._ground_eigenvalue(*problem.even, 2.0)
         assert abs(got - eigen_low(problem, 1).eigenvalues[0]) <= 1e-10
 
     @pytest.mark.parametrize("label, side", [((26, 51), 0), ((26, 51), 1), ((28, 55), 0)],
@@ -730,7 +762,7 @@ class TestGroundEigenvalue:
         # three Lanczos vectors stall in the l = 1 cluster at 2048 rows; the
         # run is retried at ARPACK's default size
         problem = assemble(build_torus(RotationNumber(*label)), 1, 2048)
-        d, e = spectral._halves(*_bands(problem))[side]
+        d, e = (problem.even, problem.odd)[side]
         dense = scipy.linalg.eigvalsh_tridiagonal(d, e)
         nearest = dense[np.argmin(np.abs(dense - 2.0))]
         assert abs(spectral._eigenvalues_near(d, e, 1, 2.0)[0] - nearest) <= 1e-9
@@ -755,23 +787,25 @@ class TestBorderedFactorization:
     @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
                              ids=lambda pq: f"{pq[0]}/{pq[1]}")
     def test_inertia_matches_dense_count(self, tori, label):
+        # the halves' Sturm counts against the eigenvalues of the reference bands
         torus = tori[label]
         band = count_below(torus).tolerance_band
-        for n in (256, 255, 1023):
+        for n in (256, 1024):
             for l in range(4):
-                main, off = _bands(assemble(torus, l, n))
-                vals = np.linalg.eigvalsh(_dense(main, off))
+                vals = np.linalg.eigvalsh(_dense(*_cyclic_bands(torus, l, n)))
+                problem = assemble(torus, l, n)
                 for sigma in (0.5, 2.0 - band, 2.0, 2.0 + band, 10.0):
                     expected = np.sum(vals < sigma)
-                    assert _count(main, off, sigma) == expected, (n, l, sigma)
+                    assert _count(problem, sigma) == expected, (n, l, sigma)
 
     @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
                              ids=lambda pq: f"{pq[0]}/{pq[1]}")
     def test_solve_residual(self, tori, label):
         rng = np.random.default_rng(7)
         for l in range(4):
-            for d, e in spectral._halves(*_bands(assemble(tori[label], l, 256))):
-                T = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+            problem = assemble(tori[label], l, 256)
+            for d, e in (problem.even, problem.odd):
+                T = _tridiagonal(d, e)
                 for sigma in (-1.0, 2.0):
                     b = rng.standard_normal(d.size)
                     x = spectral._inverse(d, e, sigma).matvec(b)
