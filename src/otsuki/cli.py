@@ -248,15 +248,16 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     torus = geometry.build_torus(geometry.RotationNumber(args.p, args.q))
     if args.n_grid is None:
         args.n_grid = spectral.resolving_grid(torus)
-    # both grids assembled, the doubled one first: a bad grid is refused before any solve
+    # both grids assembled, then solved in reverse: a bad grid or k is refused before any solve
     problems = [spectral.assemble(torus, args.l, n) for n in (2 * args.n_grid, args.n_grid)]
-    fine, coarse = (spectral.eigen_low(problem, args.k) for problem in problems)
+    coarse = spectral.eigen_low(problems.pop(), args.k).eigenvalues
+    fine = spectral.eigen_low(problems.pop(), args.k)
     # Richardson extrapolation of the second-order discretization.  Where
     # the grids are not in that regime (a tight cluster narrowing faster)
     # the extrapolated values can descend; then the finer grid's own values
     # are printed instead.  A descent of at most _RICHARDSON_TIE relative is
     # rounding inside a degenerate pair, a tie: it is printed as equal.
-    lam = (4.0 * fine.eigenvalues - coarse.eigenvalues) / 3.0
+    lam = (4.0 * fine.eigenvalues - coarse) / 3.0
     descent = lam[:-1] - lam[1:]
     extrapolated = bool(np.all(descent <= _RICHARDSON_TIE * np.maximum(1.0, np.abs(lam[1:]))))
     if extrapolated:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, pi
 from typing import Optional
 
@@ -282,14 +282,15 @@ def solve_turning_value(rotation: RotationNumber) -> float:
     undershoots the target; omega(pi/4) always overshoots it strictly.
     """
     target = rotation.closure_angle
+    residual = cache(lambda x: omega(x) - target)  # shared: omega(a_lo) evaluated once
     lo = 0.01
     for _ in range(200):
-        if omega(lo) < target:
+        if residual(lo) < 0.0:
             break
         lo *= 0.5
     else:  # pragma: no cover - unreachable for a valid rotation number
         raise NoBracket("could not undershoot the closure angle near a = 0")
-    root = find_root_monotone(lambda x: omega(x) - target, lo, CLIFFORD_TURNING_VALUE)
+    root = find_root_monotone(residual, lo, CLIFFORD_TURNING_VALUE)
     if root > CLIFFORD_TURNING_VALUE - _NEAR_CLIFFORD_GAP:
         raise DomainError(
             f"turning value {root!r} is within {_NEAR_CLIFFORD_GAP} of pi/4: "

@@ -43,10 +43,10 @@ stops once the eigenvalues, not the eigenvectors, are at rounding level
 dyadic sigma just below its ground, placed by a few Sturm counts, asks
 each half only for its share of the eigenpairs, which interlacing bounds,
 and unfolds its eigenvectors onto the grid only when they are read.
-Inside :func:`count_below` every Lanczos run is shifted to the threshold
-and asks for exactly as many eigenvalues of its half as it must return; a
-Sturm count at the shift tells it how many that is (see
-:func:`_ground_eigenvalue`).  Grids are capped at ``_MAX_GRID`` rows.
+:func:`count_below` counts two grids against one guard band, measured on
+the finer, where all its Lanczos runs are made, each shifted to the
+threshold and asking a half for as many eigenvalues as a Sturm count there
+says it must (:func:`_ground_eigenvalue`).  Grids are capped at ``_MAX_GRID`` rows.
 """
 
 from __future__ import annotations
@@ -210,8 +210,8 @@ def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
                     ) -> Iterator[SLProblem]:
     """:func:`assemble` for each listed mode, evaluating phi and J once.
 
-    The problems are made one at a time, as they are asked for, so a caller
-    that keeps none of them holds one mode's diagonal at a time.
+    Checked at once; made one at a time, as asked for, so a caller holds
+    nothing before the first and, keeping none, one mode's diagonal at a time.
     """
     if any(l < 0 for l in modes):
         raise ValueError("angular mode l must be non-negative")
@@ -221,23 +221,26 @@ def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
     _check_grid_size(n_grid)
     if n_grid % 2:
         raise ValueError(f"n_grid must be even, got {n_grid}")
-    du = _phase_step(torus, n_grid)
-    # the even half's nodes 0 .. r and the midpoints between them, in one pass
-    r = n_grid // 2
-    phi, J = phase_metric(torus.profile.a, du * np.concatenate(
-        [np.arange(r + 1), np.arange(r) + 0.5]))
-    sin_sq = np.sin(phi) ** 2
-    flux = (4.0 * math.pi ** 2 / du ** 2) * sin_sq[r + 1:] / J[r + 1:]  # c / du^2 at the midpoints
-    sin_sq, J = sin_sq[:r + 1], J[:r + 1]
-    off = -flux / np.sqrt(J[:-1] * J[1:])
-    # flux at j + 1/2 plus flux at j - 1/2; the flux is even about the nodes 0 and r
-    stiffness = (np.append(flux, flux[-1]) + np.insert(flux, 0, flux[0])) / J
-    e_even = off.copy()
-    e_even[[0, -1]] *= _SQRT2  # the couplings into the fixed points
-    del phi, J, flux  # not held while the generator waits
-    for l in modes:
-        d = stiffness + (l * l) / sin_sq
-        yield SLProblem(l=l, n_grid=n_grid, even=(d, e_even), odd=(d[1:-1], off[1:-1]))
+
+    def problems():
+        du = _phase_step(torus, n_grid)
+        # the even half's nodes 0 .. r and the midpoints between them, in one pass
+        r = n_grid // 2
+        phi, J = phase_metric(torus.profile.a, du * np.concatenate(
+            [np.arange(r + 1), np.arange(r) + 0.5]))
+        sin_sq = np.sin(phi) ** 2
+        flux = (4.0 * math.pi ** 2 / du ** 2) * sin_sq[r + 1:] / J[r + 1:]  # c / du^2 at the midpoints
+        sin_sq, J = sin_sq[:r + 1], J[:r + 1]
+        off = -flux / np.sqrt(J[:-1] * J[1:])
+        # flux at j + 1/2 plus flux at j - 1/2; the flux is even about the nodes 0 and r
+        stiffness = (np.append(flux, flux[-1]) + np.insert(flux, 0, flux[0])) / J
+        e_even = off.copy()
+        e_even[[0, -1]] *= _SQRT2  # the couplings into the fixed points
+        del phi, J, flux  # not held while the generator waits
+        for l in modes:
+            d = stiffness + (l * l) / sin_sq
+            yield SLProblem(l=l, n_grid=n_grid, even=(d, e_even), odd=(d[1:-1], off[1:-1]))
+    return problems()
 
 
 def _check_grid_size(n_grid: int) -> None:
@@ -553,9 +556,10 @@ def _band_from_anchors(l0_near: np.ndarray, l1_ground: float, threshold: float) 
 
     Three eigenvalues equal the threshold analytically: the l = 1 ground
     state and the two l = 0 eigenvalues nearest the threshold.  Their
-    computed positions measure directly how far the discretization moves an
-    eigenvalue that sits exactly at the threshold; ten times the worst
-    displacement is the classification band.
+    positions on the doubled grid of :func:`count_below` measure how far
+    the discretization moves an eigenvalue that sits exactly at the
+    threshold; ten times the worst displacement is the band that classifies
+    both grids' counts (the requested grid moves it about four times as far).
 
     On fine grids the displacements approach the rounding noise of the
     shift-invert eigenvalues, so the band's trailing digits are noise
@@ -574,24 +578,23 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     For each mode l = 0 .. l_max the eigenvalues below ``threshold - band``
     are counted exactly, as two Sturm counts, one per half of the mode
     (:class:`SLProblem`), and weighted 1 (l = 0) or 2 (l > 0), where the band
-    absorbs the eigenvalues that equal the
-    threshold analytically (see :func:`_band_from_anchors`).  One
-    :func:`_sturm_counts` call per half counts below every shift the grid
-    needs: ``threshold - band`` and ``threshold`` on each grid, and on the
-    finest also ``threshold + band`` and ``threshold - 2 band``, for the
-    window and the shoulder.  Lanczos
-    iteration computes only eigenvalues that are reported: the three
-    anchors, the eigenvalues within the band of the threshold, and those
-    in the shoulder when the count is ambiguous.  Each run works on one
-    half, is shifted to the threshold (the shoulder's to its middle) and
-    asks for just the number of eigenvalues that half's counts say it must
-    return; the l = 1 ground anchor comes from :func:`_ground_eigenvalue`.
-    A half whose window holds just its anchor reuses the anchor run, so no
-    run is made twice.  The whole count is repeated on a doubled grid and
-    must not change.  That modes above l_max cannot contribute is not
-    assumed: the count below the threshold is checked to be zero for
-    l = 2 .. l_max (lambda_0(l) increases strictly in l, so the scan
-    terminates).
+    absorbs the eigenvalues that equal the threshold analytically (see
+    :func:`_band_from_anchors`), measured once, on the doubled grid
+    ``2 n_grid``; both grids are counted against it and must agree (a
+    requested grid that is not yet second order, its anchors outside the
+    band, does not).  One :func:`_sturm_counts` call per half and grid
+    counts below every shift the grid needs: ``threshold - band`` and
+    ``threshold`` on both, and on the doubled grid also ``threshold + band``
+    and ``threshold - 2 band``, for the window and the shoulder.  Lanczos
+    iteration, on the doubled grid alone, computes only eigenvalues that
+    are reported: the three anchors, the eigenvalues within the band of the
+    threshold, and those in the shoulder when the count is ambiguous, each
+    run asking one half for just the number its counts say (the l = 1
+    ground anchor through :func:`_ground_eigenvalue`).  A half whose window
+    holds just its anchor reuses the anchor run, so no run is made twice.
+    That modes above l_max cannot contribute is not assumed: the count
+    below the threshold is checked to be zero for l = 2 .. l_max on both
+    grids (lambda_0(l) increases strictly in l, so the scan terminates).
 
     Raises
     ------
@@ -600,79 +603,74 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
         is checked before anything is assembled, or if ``n_grid`` is odd,
         which is checked before any solve.
     AmbiguousCount
-        If at the finest grid some eigenvalue falls in the shoulder
+        If on the doubled grid some eigenvalue falls in the shoulder
         ``[threshold - 2 band, threshold - band)``, where "below" versus
         "equal to the threshold" cannot be distinguished reliably; or if
-        the band there is below the floating-point floor
-        ``eps * max|main|`` of the l = 1 mode (main the diagonal of A),
-        where the anchors' displacement is rounding and no count is
-        reliable (2/3 from ``n_grid = 65536``).
+        the band is below the floating-point floor ``eps * max|main|`` of
+        the l = 1 mode (main the diagonal of A) there, where the anchors'
+        displacement is rounding and no count is reliable (2/3 from
+        ``n_grid = 65536``).
     """
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
     _check_grid_size(2 * n_grid)
     claimed = torus.eigenvalue_index
     grids = [n_grid, 2 * n_grid]
-    counts_by_grid: dict[int, int] = {}
-    band = 0.0
-    near: list[tuple[int, int, float]] = []
+    # both grids checked now; the requested one is assembled once the doubled one is done
+    requested, doubled = (_assemble_modes(torus, range(l_max + 1), n) for n in grids)
+    # the modes one at a time: only l = 0 and l = 1 are held throughout
+    l0, l1 = next(doubled), next(doubled)
+    # eps * max|main| of l = 1, main the diagonal of A: the even half holds all its values
+    floor = _EPS * float(np.max(np.abs(l1.even[0])))
+    # the anchors: in each l = 0 half the eigenvalue nearest the threshold (cos phi
+    # cos theta is even, cos phi sin theta odd), and the l = 1 ground, which is even
+    l0_near = np.array([_eigenvalues_near(d, e, 1, threshold)[0]
+                        for d, e in (l0.even, l0.odd)])
+    l1_ground = _ground_eigenvalue(*l1.even, threshold)
+    band = _band_from_anchors(l0_near, l1_ground, threshold)
+    if band < floor:
+        raise AmbiguousCount(
+            f"the guard band {band:.3e} at n_grid = {grids[-1]} is below the "
+            f"floating-point floor eps * max|main| = {floor:.3e}: rounding, "
+            f"not the discretization, moves the anchors there; use a coarser grid")
+    anchors = {(0, 0): l0_near[0], (0, 1): l0_near[1], (1, 0): l1_ground}
+    counts_by_grid = dict.fromkeys(grids, 0)  # the requested grid first, as verify prints it
     truncation_confirmed = True
 
-    for n in grids:
-        finest = n == grids[-1]
-        # the modes one at a time: only l = 0 and l = 1 are held throughout
-        problems = _assemble_modes(torus, range(l_max + 1), n)
-        l0, l1 = next(problems), next(problems)
-        # eps * max|main| of l = 1, main the diagonal of A: the even half holds all its values
-        floor = _EPS * float(np.max(np.abs(l1.even[0])))
-        # the anchors: in each l = 0 half the eigenvalue nearest the threshold
-        # (cos phi cos theta is even, cos phi sin theta odd), and the l = 1
-        # ground, which is even
-        l0_near = np.array([_eigenvalues_near(d, e, 1, threshold)[0]
-                            for d, e in (l0.even, l0.odd)])
-        l1_ground = _ground_eigenvalue(*l1.even, threshold)
-        band = _band_from_anchors(l0_near, l1_ground, threshold)
-        if finest and band < floor:
-            raise AmbiguousCount(
-                f"the guard band {band:.3e} at n_grid = {n} is below the "
-                f"floating-point floor eps * max|main| = {floor:.3e}: rounding, "
-                f"not the discretization, moves the anchors there; use a coarser grid")
-        anchors = {(0, 0): l0_near[0], (0, 1): l0_near[1], (1, 0): l1_ground}
-        total = 0
-        shoulder: list[tuple[int, float]] = []
-        # the count and the truncation check on every grid, the window and the
-        # shoulder on the finest
-        shifts = [threshold - band, threshold] + (
-            [threshold + band, threshold - 2.0 * band] if finest else [])
-        for problem in chain((l0, l1), problems):
-            l, halves = problem.l, (problem.even, problem.odd)
-            below, below_threshold, *outer = np.array(
-                [_sturm_counts(d, e, shifts) for d, e in halves]).T
-            total += (1 if l == 0 else 2) * int(below.sum())
-            if l >= 2 and below_threshold.any():
-                truncation_confirmed = False
-            if not finest:
-                continue
-            below_window, below_shoulder = outer
-            window, in_shoulder = [], []
-            for side, ((d, e), n_window, n_shoulder) in enumerate(zip(
-                    halves, below_window - below, below - below_shoulder)):
-                anchor = anchors.get((l, side), math.nan)
-                if n_window == 1 and threshold - band <= anchor < threshold + band:
-                    window.append(anchor)  # the anchor run above found it
-                elif n_window:
-                    window.extend(_eigenvalues_near(d, e, n_window, threshold))
-                if n_shoulder:
-                    in_shoulder.extend(_eigenvalues_near(d, e, n_shoulder,
-                                                         threshold - 1.5 * band))
-            near += [(l, int(below.sum()) + rank, float(v))
-                     for rank, v in enumerate(sorted(window))]
-            shoulder += [(l, round(float(v), 12)) for v in sorted(in_shoulder)]
-        counts_by_grid[n] = total
-        if shoulder:
-            raise AmbiguousCount(
-                f"eigenvalues {shoulder} lie within [threshold - 2 band, "
-                f"threshold - band) at n_grid = {n}; refine the grid")
+    def count(problem: SLProblem, *shifts: float) -> list[np.ndarray]:
+        # both halves' Sturm counts below threshold - band, threshold and the
+        # shifts; adds the count to its grid's and checks the truncation
+        nonlocal truncation_confirmed
+        below, below_threshold, *outer = np.array(
+            [_sturm_counts(d, e, [threshold - band, threshold, *shifts])
+             for d, e in (problem.even, problem.odd)]).T
+        counts_by_grid[problem.n_grid] += (1 if problem.l == 0 else 2) * int(below.sum())
+        if problem.l >= 2 and below_threshold.any():
+            truncation_confirmed = False
+        return [below, *outer]
+
+    near: list[tuple[int, int, float]] = []
+    shoulder: list[tuple[int, float]] = []
+    for problem in chain((l0, l1), doubled):
+        l, halves = problem.l, (problem.even, problem.odd)
+        below, below_window, below_shoulder = count(problem, threshold + band, threshold - 2.0 * band)
+        window, in_shoulder = [], []
+        for side, ((d, e), n_window, n_shoulder) in enumerate(zip(
+                halves, below_window - below, below - below_shoulder)):
+            if n_window == 1 and (l, side) in anchors:
+                window.append(anchors[l, side])  # the anchor run above found it
+            elif n_window:
+                window.extend(_eigenvalues_near(d, e, n_window, threshold))
+            if n_shoulder:
+                in_shoulder.extend(_eigenvalues_near(d, e, n_shoulder, threshold - 1.5 * band))
+        near += [(l, int(below.sum()) + rank, float(v)) for rank, v in enumerate(sorted(window))]
+        shoulder += [(l, round(float(v), 12)) for v in sorted(in_shoulder)]
+    if shoulder:
+        raise AmbiguousCount(
+            f"eigenvalues {shoulder} lie within [threshold - 2 band, "
+            f"threshold - band) at n_grid = {grids[-1]}; refine the grid")
+    for problem in requested:
+        count(problem)
     stable = len(set(counts_by_grid.values())) == 1
     n2 = counts_by_grid[grids[-1]]
     verdict = stable and n2 == claimed and truncation_confirmed

@@ -23,6 +23,22 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def record_solves(monkeypatch, names=("eigen_low", "_sturm_counts", "_shift_invert")):
+    """Names of the listed ``spectral`` functions in the order they are called.
+
+    eigen_low, every Sturm count and every Lanczos run go through the defaults.
+    """
+    solved = []
+
+    def recording(name):
+        original = getattr(spectral, name)
+        return lambda *args, **kwargs: solved.append(name) or original(*args, **kwargs)
+
+    for name in names:
+        monkeypatch.setattr(spectral, name, recording(name))
+    return solved
+
+
 class TestSolve:
     def test_text(self, capsys):
         code, out, _ = run(capsys, "solve", "2", "3")
@@ -235,19 +251,21 @@ class TestSpectrum:
                                       ("verify", "2", "3", "--n-grid", "2049")],
                              ids=["spectrum", "verify"])
     def test_odd_grid_refused_before_any_solve(self, capsys, monkeypatch, argv):
-        # eigen_low, every Sturm count and every Lanczos run go through these
-        solved = []
-
-        def recording(name):
-            original = getattr(spectral, name)
-            return lambda *args, **kwargs: solved.append(name) or original(*args, **kwargs)
-
-        for name in ("eigen_low", "_sturm_counts", "_shift_invert"):
-            monkeypatch.setattr(spectral, name, recording(name))
+        solved = record_solves(monkeypatch)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("invalid input: n_grid must be even")
         assert solved == []
+
+    def test_k_above_the_requested_grid_refused_before_any_solve(self, capsys, monkeypatch):
+        # 513 rows fit the doubled grid's limit of 1024 but not the requested one's
+        solved = record_solves(monkeypatch, ("_sturm_counts", "_shift_invert"))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "spectrum", "2", "3", "--k", "513", "--n-grid", "2048")
+        assert code == 2 and out == ""
+        assert "k must lie in [1, n_grid / 4 = 512]" in err
+        assert solved == []
+        assert time.perf_counter() - start < 1.5
 
 
 class TestVerify:

@@ -183,6 +183,20 @@ class TestSolveTurningValue:
         monkeypatch.setattr(geometry, "integrate_singular", level_by_level_quadrature)
         assert [closure(p, q) for p, q in labels] == fused
 
+    @pytest.mark.parametrize("p,q", [(2, 3), (5, 9), (50, 99), (7, 10)])
+    def test_omega_evaluated_once_per_argument(self, monkeypatch, p, q):
+        # the bracket search and the root finder share one memoized residual
+        # that looks omega up at call time, so a hook on geometry.omega sees each call
+        seen = []
+        monkeypatch.setattr(geometry, "omega", lambda a: seen.append(a) or omega(a))
+        a = solve_turning_value(RotationNumber(p, q))
+        assert len(seen) == len(set(seen)) > 2
+        # and the root is that of the plain residual, evaluated afresh at each point
+        target, lo = RotationNumber(p, q).closure_angle, 0.01
+        while omega(lo) >= target:
+            lo *= 0.5
+        assert a == find_root_monotone(lambda x: omega(x) - target, lo, pi / 4.0)
+
 
 class TestArcLength:
     @pytest.mark.parametrize("bad", [0.0, pi / 4.0, 1.0])

@@ -496,6 +496,23 @@ class TestCountBelow:
             count_below(torus_23, n_grid=2 ** 21)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("n_grid, error", [(1022, None), (1023, ValueError),
+                                               (128, GridTooCoarse)])
+    def test_requested_grid_checked_before_anything_is_assembled(self, tori, monkeypatch,
+                                                                 n_grid, error):
+        # the requested grid is assembled last, but checked first
+        called = []
+        metric = spectral.phase_metric
+        monkeypatch.setattr(spectral, "phase_metric",
+                            lambda a, u: called.append(u.size) or metric(a, u))
+        if error is None:
+            count_below(tori[(5, 9)], n_grid=n_grid)
+            assert called == [2 * n_grid + 1, n_grid + 1]  # the doubled grid first
+        else:
+            with pytest.raises(error):
+                count_below(tori[(5, 9)], n_grid=n_grid)
+            assert called == []
+
     def test_memory_does_not_grow_with_l_max(self, torus_23):
         # the modes are assembled one at a time, so l_max adds time, not memory
         def peak(l_max):
@@ -605,6 +622,64 @@ class TestCountBelowClassification:
         assert report.counts_by_grid == {256: 20, 512: 20}
         assert report.n2 == 20
         assert report.verdict is False
+
+    # The band is measured once, on the doubled grid (512 rows here), and
+    # both grids are counted against it.  There the anchors sit 1e-6 from 2,
+    # so the band is 1e-5 (plus 2e-13); on the requested grid (256 rows) they
+    # sit `factor` times as far.  `extra` lies below 2 on both grids.
+    @staticmethod
+    def _anchors_displaced(factor, extra):
+        pad = list(np.arange(3.0, 20.0))
+
+        def spectrum_of(l, n):
+            shift = factor * 1e-6 if n == 256 else 1e-6
+            return {
+                0: [0.0, 0.5, extra, 2.0 - shift, 2.0 + shift] + pad,
+                1: [2.0 + 0.5 * shift] + pad,
+                2: [5.0] + pad,
+                3: [7.0] + pad,
+            }[l]
+        return spectrum_of
+
+    def test_anchors_of_a_second_order_grid_count_as_the_threshold(self, torus_23, monkeypatch):
+        # 4 times the doubled grid's displacement, as in the second-order
+        # regime: 0.4 band from 2, inside the band on both grids
+        self._doctor(monkeypatch, self._anchors_displaced(4.0, 0.7))
+        report = count_below(torus_23, n_grid=256)
+        assert report.counts_by_grid == {256: 3, 512: 3}
+        assert report.tolerance_band == pytest.approx(1e-5, rel=1e-6)
+        assert report.verdict is True
+
+    def test_anchors_outside_the_doubled_grids_band_are_counted_below(self, torus_23, monkeypatch):
+        # 12 times: the requested grid's lower l = 0 anchor, 2 - 1.2e-5, lies
+        # below 2 - band, so that grid counts it and the counts differ
+        self._doctor(monkeypatch, self._anchors_displaced(12.0, 0.7))
+        report = count_below(torus_23, n_grid=256)
+        assert report.counts_by_grid == {256: 4, 512: 3}
+        assert report.n2 == 3
+        assert report.verdict is False
+
+    def test_value_between_the_two_grids_bands_counted_on_both(self, torus_23, monkeypatch):
+        # 2 - 3 band lies outside the doubled grid's band but would lie inside
+        # one measured on the requested grid's anchors (4 times as wide)
+        self._doctor(monkeypatch, self._anchors_displaced(4.0, 2.0 - 3e-5))
+        report = count_below(torus_23, n_grid=256)
+        assert report.counts_by_grid == {256: 3, 512: 3}
+        assert report.verdict is True
+
+
+class TestCountBelowLanczosRuns:
+    def test_three_anchor_runs_on_the_doubled_grid_alone(self, torus_23, monkeypatch):
+        # on 2/3 each window holds just its anchor, so the anchors are the only runs
+        halves = []
+        shift_invert = spectral._shift_invert
+        monkeypatch.setattr(spectral, "_shift_invert",
+                            lambda d, *args, **kwargs: halves.append(d.size)
+                            or shift_invert(d, *args, **kwargs))
+        report = count_below(torus_23, n_grid=2048)
+        assert report.verdict is True
+        # the doubled grid's halves have 2049 and 2047 rows, the requested grid's 1025 and 1023
+        assert sorted(halves) == [2047, 2049, 2049]
 
 
 def _lowest_above(problem, sigma):
