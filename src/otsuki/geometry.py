@@ -400,11 +400,17 @@ class _PhaseCycle:
         self.advance = float(f[1, -1])
         self._coef = _quintic_power(self.knots, f, df, ddf)
 
-    def theta_of_phase(self, u):
-        """theta at phase u, summed from its Fourier series (Horner's rule in e^{iu})."""
+    def theta_on_grid(self, du: float, n: int) -> np.ndarray:
+        """theta at ``u_j = j du``, j < n, on whole u-cycles ``n du = 2 pi m`` (any grid without waves).
+
+        There ``e^{iku_j} = e^{2 pi i (mk mod n) j / n}``: one inverse FFT of b_k placed at mk mod n.
+        """
         slope, b = self._theta_series
-        waves = np.polynomial.polynomial.polyval(np.exp(1j * u), b)
-        return slope * u + 2.0 * (waves.real - b.real.sum())
+        index = (round(n * du / (2.0 * pi)) * np.arange(b.size)) % n
+        spread = np.zeros(n, dtype=complex)
+        np.add.at(spread, index, b)
+        waves = np.fft.ifft(spread, norm="forward").real  # Re sum_k b_k e^{iku_j}
+        return slope * du * np.arange(n) + 2.0 * (waves - b.real.sum())
 
     def _evaluate(self, row: int, s, slope: bool = False):
         """u (row 0) or theta (row 1) at offsets s in ``[0, period)`` into a cycle.

@@ -23,30 +23,22 @@ on both sides give a symmetric cyclic tridiagonal A on ``w = J^{1/2} h``:
     A_{j,j+1} = -c_{j+1/2} / du^2 / sqrt(J_j J_{j+1})
     A_{j,j}   = (c_{j+1/2} + c_{j-1/2}) / du^2 / J_j + l^2 / sin(phi_j)^2
 
-(indices mod n).  phi and J are even about the turning point u = 0, so A
-commutes with the reflection of node j to node n - j, and in an
-orthonormal basis of even and odd grid functions it is the direct sum of
+(indices mod n).  phi and J are even about the turning point u = 0, so in
+an orthonormal basis of even and odd grid functions A is the direct sum of
 two plain symmetric tridiagonals of about n / 2 rows each, the even and
-the odd half of the mode.  A is never formed: the halves are assembled
-from the nodes 0 .. n/2 and the midpoints between them
-(:class:`SLProblem`), and every count and every solve works on one half.
-Eigenvalues below sigma are counted, not computed: their number is the sum
-of the two halves' Sturm counts (backward stable), one pass over a half's
-rows per shift in one call of LAPACK's ``dlaebz`` for all the shifts a
-caller needs (:func:`_sturm_counts`).  Shift-invert Lanczos iteration on a
-half, with LAPACK's tridiagonal LDL^T (a definite shift) or
-partial-pivoting LU (an indefinite one) as its solve (:func:`_inverse`),
-is used only where eigenvalues or eigenvectors themselves are needed;
-Lanczos then never multiplies by A itself (see :func:`_shift_invert`), and
-stops once the eigenvalues, not the eigenvectors, are at rounding level
-(``_LANCZOS_TOL``).  :func:`eigen_low` shifts both halves of a mode to a
-dyadic sigma just below its ground, placed by a few Sturm counts, asks
-each half only for its share of the eigenpairs, which interlacing bounds,
-and unfolds its eigenvectors onto the grid only when they are read.
-:func:`count_below` counts two grids against one guard band, measured on
-the finer, where all its Lanczos runs are made, each shifted to the
-threshold and asking a half for as many eigenvalues as a Sturm count there
-says it must (:func:`_ground_eigenvalue`).  Grids are capped at ``_MAX_GRID`` rows.
+the odd half of the mode (:class:`SLProblem`), assembled from the nodes
+0 .. n/2 and the midpoints between them.  Eigenvalues below sigma are
+counted, not computed: the sum of the halves' Sturm counts (backward
+stable), one pass over the rows per shift (:func:`_sturm_counts`).
+Shift-invert Lanczos on a half (:func:`_shift_invert`, :func:`_inverse`)
+is used only where eigenvalues or eigenvectors themselves are needed, and
+stops once the eigenvalues are at rounding level (``_LANCZOS_TOL``).
+:func:`eigen_low` shifts both halves of a mode just below its ground and
+asks each for its share of the eigenpairs.  :func:`count_below` counts two
+grids against one guard band, measured on the finer from the three
+eigenvalues at 2 whose eigenfunctions are known in closed form, each by
+one Rayleigh-quotient step from its eigenfunction; it runs Lanczos only
+for windows and shoulders.  Grids are capped at ``_MAX_GRID`` rows.
 """
 
 from __future__ import annotations
@@ -60,7 +52,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, dstebz
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .geometry import OtsukiTorus, phase_metric
@@ -87,12 +79,11 @@ _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 
-# Largest grid assembled, in rows.  The tracemalloc peak of count_below per
-# row of its doubled grid grows with q, as the l = 1 ground run keeps 2m + 1
-# Lanczos vectors for a cluster of m ~ q / 2 values: about 100 B for the five
-# tori at their resolving grids (222 B, 0.47 GB at the cap, where a ground run
-# keeps ARPACK's 20), 154 B for 17/33, 876 B for 50/99, 1195 B for 70/139 (5 GB
-# at the cap).  l_max does not change it: modes above l = 1 are held one at a time.
+# Largest grid assembled, in rows.  The tracemalloc peak of count_below per row of
+# its doubled grid is about 100 B for the five tori at their resolving grids (0.19 GB
+# at the cap), but grows with q where Lanczos solves windows of l = 1 values, keeping
+# 2m + 1 vectors for m of them: 182 B for 17/33, 904 B for 50/99 and 1225 B for
+# 70/139 at theirs (2.6 GB at the cap).  Modes above l = 1 are held one at a time.
 _MAX_GRID = 2 ** 21
 
 
@@ -206,49 +197,61 @@ def _phase_step(torus: OtsukiTorus, n_grid: int) -> float:
     return 2.0 * math.pi * torus.t0 / torus.profile.cycle.period / n_grid
 
 
-def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int
-                    ) -> Iterator[SLProblem]:
-    """:func:`assemble` for each listed mode, evaluating phi and J once.
+def _phase_points(torus: OtsukiTorus, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """phi and J at ``u = k du / 2``, k <= n_grid: nodes (even k) and midpoints; every other for n_grid / 2."""
+    return phase_metric(torus.profile.a, 0.5 * _phase_step(torus, n_grid) * np.arange(n_grid + 1))
 
-    Checked at once; made one at a time, as asked for, so a caller holds
-    nothing before the first and, keeping none, one mode's diagonal at a time.
-    """
+
+def _coefficients(torus: OtsukiTorus, n_grid: int, points=None) -> tuple[np.ndarray, ...]:
+    """sin(phi)^2 and J at the nodes 0 .. n_grid / 2, and ``c / du^2`` at the midpoints between them."""
+    phi, J = _phase_points(torus, n_grid) if points is None else points
+    du = _phase_step(torus, n_grid)
+    sin_sq = np.sin(phi) ** 2
+    return sin_sq[::2], J[::2], (4.0 * math.pi ** 2 / du ** 2) * sin_sq[1::2] / J[1::2]
+
+
+def _check_grid(torus: OtsukiTorus, modes: Sequence[int], n_grid: int) -> None:
+    """Refuse a negative mode, and a grid :func:`assemble` does not take, before anything is allocated."""
     if any(l < 0 for l in modes):
         raise ValueError("angular mode l must be non-negative")
     p = torus.profile.theta_winding
     if n_grid < 64 or n_grid < 32 * p:
         raise GridTooCoarse(f"n_grid must be >= max(64, 32 p = {32 * p})")
-    _check_grid_size(n_grid)
+    if n_grid > _MAX_GRID:
+        raise ValueError(f"a grid of {n_grid} rows exceeds the limit of {_MAX_GRID} rows (at peak "
+                         f"about 100 bytes per row for small q, 1.2 kB at q = 139)")
     if n_grid % 2:
         raise ValueError(f"n_grid must be even, got {n_grid}")
 
+
+def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int,
+                    points=None) -> Iterator[SLProblem]:
+    """:func:`assemble` for each listed mode, evaluating phi and J once (or reading ``points``).
+
+    Checked at once; made one at a time, as asked for, so a caller holds
+    nothing before the first and, keeping none, one mode's diagonal at a time.
+    ``points`` are those of :func:`_phase_points`, if the caller has them.
+    """
+    _check_grid(torus, modes, n_grid)
+
     def problems():
-        du = _phase_step(torus, n_grid)
-        # the even half's nodes 0 .. r and the midpoints between them, in one pass
-        r = n_grid // 2
-        phi, J = phase_metric(torus.profile.a, du * np.concatenate(
-            [np.arange(r + 1), np.arange(r) + 0.5]))
-        sin_sq = np.sin(phi) ** 2
-        flux = (4.0 * math.pi ** 2 / du ** 2) * sin_sq[r + 1:] / J[r + 1:]  # c / du^2 at the midpoints
-        sin_sq, J = sin_sq[:r + 1], J[:r + 1]
+        sin_sq, J, flux = _coefficients(torus, n_grid, points)
         off = -flux / np.sqrt(J[:-1] * J[1:])
         # flux at j + 1/2 plus flux at j - 1/2; the flux is even about the nodes 0 and r
         stiffness = (np.append(flux, flux[-1]) + np.insert(flux, 0, flux[0])) / J
         e_even = off.copy()
         e_even[[0, -1]] *= _SQRT2  # the couplings into the fixed points
-        del phi, J, flux  # not held while the generator waits
+        del J, flux  # not held while the generator waits
         for l in modes:
             d = stiffness + (l * l) / sin_sq
             yield SLProblem(l=l, n_grid=n_grid, even=(d, e_even), odd=(d[1:-1], off[1:-1]))
     return problems()
 
 
-def _check_grid_size(n_grid: int) -> None:
-    """Refuse a grid of more than ``_MAX_GRID`` rows before anything is allocated."""
-    if n_grid > _MAX_GRID:
-        raise ValueError(f"a grid of {n_grid} rows exceeds the limit of "
-                         f"{_MAX_GRID} rows (at peak about 220 bytes per row for small q, "
-                         f"growing with q to about 1.2 kB at q = 139)")
+def _direct_sum(problem: SLProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The mode as one tridiagonal ``(d, e)``, its two halves uncoupled: for Sturm counts alone."""
+    (d, e), (d_odd, e_odd) = problem.even, problem.odd
+    return np.concatenate([d, d_odd]), np.concatenate([e, [0.0], e_odd])
 
 
 def count_sign_changes(values: np.ndarray) -> int:
@@ -270,35 +273,26 @@ def count_sign_changes(values: np.ndarray) -> int:
 def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     """The k smallest eigenpairs of the discretized problem.
 
-    Shift-invert Lanczos on each half of the mode, both shifted to one
-    dyadic sigma just below the mode's ground (:func:`_shift_below_ground`,
-    a few Sturm counts on the even half, whose ground is the mode's), each
-    half asked only for its share of the k.  With no eigenvalue below
-    sigma the eigenvalues nearest it are the smallest, and T - sigma I is
-    definite, so every solve is an LDL^T; a shift close to the wanted
-    values makes Lanczos converge fast.  The halves interlace: the odd half
-    is the even half without its first and last rows, so by Cauchy
-    interlacing ``mu_j <= nu_j <= mu_{j+2}`` for the even values mu and the
-    odd values nu.  Hence the odd half's ground lies above the even half's,
-    above sigma too, and the k smallest of the mode hold at most
-    ``k // 2 + 1`` even and ``k // 2`` odd values; those are the shares
-    asked for (k + 1 or k pairs in all; k = 1 runs the even half only).  A
-    run asking for m pairs uses ``max(3m, 20)`` Lanczos vectors: ARPACK's
-    default ``max(2m + 1, 20)`` for m <= 6, and wider above, where the
-    default does not converge when the share ends inside a tight cluster
-    (the l = 3 values of 9/16 come 8 to a half; k = 16 at 4096 rows).  The
-    k smallest of the returned values are kept.  Their eigenvectors, and
-    so the zero counts, are unfolded onto the grid only when first read
-    (:class:`SLSpectrum`); until then the result holds the half runs'
-    vectors, about ``n / 2 x (k + 1)`` values where the unfolded ones are
-    ``n x k``.
+    Shift-invert Lanczos on each half, both shifted to one dyadic sigma just
+    below the mode's ground (:func:`_shift_below_ground`), where T - sigma I
+    is definite (an LDL^T solve) and the wanted values dominate.  The odd
+    half is the even half without its first and last rows, so by Cauchy
+    interlacing ``mu_j <= nu_j <= mu_{j+2}`` (even mu, odd nu), and the k
+    smallest hold at most ``k // 2 + 1`` even and ``k // 2`` odd values:
+    the shares asked for (k = 1 runs the even half only).  A run for m
+    pairs uses ``max(3m, 20)`` Lanczos vectors, wider than ARPACK's default
+    above m = 6, where that does not converge when a share ends inside a
+    tight cluster (l = 3 of 9/16, k = 16 at 4096 rows).  The k smallest
+    returned values are kept, and their eigenvectors unfolded onto the grid
+    only when first read (:class:`SLSpectrum`): until then the result holds
+    the half runs' vectors, about ``n / 2 x (k + 1)`` values, not ``n x k``.
     """
     n = problem.n_grid
     if k < 1 or k > n // 4:
         raise ValueError(f"k must lie in [1, n_grid / 4 = {n // 4}]")
     shares = (k // 2 + 1, k // 2)
     sigma = _shift_below_ground(*problem.even)
-    runs = [_shift_invert(d, e, sigma, m, "LM", max(3 * m, 20), maxiter=10000,
+    runs = [_shift_invert(d, e, sigma, m, max(3 * m, 20), maxiter=10000,
                           vectors=True)
             for (d, e), m in zip((problem.even, problem.odd), shares) if m]
     vals = np.concatenate([run[0] for run in runs])
@@ -316,20 +310,16 @@ _GROUND_BRACKET = 1.0 / 64.0
 def _shift_below_ground(d: np.ndarray, e: np.ndarray) -> float:
     """A dyadic shift sigma just below the ground of the tridiagonal ``(d, e)``, by Sturm counts.
 
-    The ground is bracketed by ``lo``, with no eigenvalue below it, and
-    ``hi``, with one.  lo starts at -1, below which an assembled mode has
-    no eigenvalue (it is positive semidefinite), or for other bands at a
-    power of two below Gershgorin's lower bound; hi climbs through 0, 2,
-    6, 14, ... until a count is positive, and the bracket then shrinks to
-    its quarter and three-quarter points until its width is at most
-    ``(1 + |hi|) * _GROUND_BRACKET``.  Each :func:`_sturm_counts` call
-    counts at two points, one pass over the rows each.  The shift is one
-    bracket width below lo, so the ground lies one to two widths above it
-    and T - sigma I is definite by a margin far above rounding; at lo
-    itself the ground can sit within rounding (the l = 0 ground is 0, a
-    probe).  Every probe, and so sigma, is a dyadic number of a few bits:
-    ``d - sigma`` is exact on every row, where a shift like 2.001 rounds on
-    each row and biases every eigenvalue by up to half an ulp of ``max|d|``.
+    lo, with no eigenvalue below it, starts at -1 (an assembled mode is
+    positive semidefinite; other bands start a power of two below
+    Gershgorin's bound), and hi, with one, climbs through 0, 2, 6, 14, ...;
+    the bracket then shrinks to its quarter points until its width is at
+    most ``(1 + |hi|) * _GROUND_BRACKET``, two probes per
+    :func:`_sturm_counts` call.  sigma is one width below lo, so
+    T - sigma I is definite by a margin far above rounding.  Every probe is
+    a dyadic number of a few bits, so ``d - sigma`` is exact on every row,
+    where a shift like 2.001 would bias every eigenvalue by up to half an
+    ulp of ``max|d|``.
     """
     def split(probes):
         # lo rises through the probes with no eigenvalue below them, hi falls to the first with one
@@ -355,24 +345,18 @@ def _shift_below_ground(d: np.ndarray, e: np.ndarray) -> float:
     return 2.0 * lo - hi
 
 
-def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str,
+def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int,
                   ncv: int | None = None, maxiter: int | None = None,
                   vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """k eigenvalues (eigenpairs with ``vectors``) of the tridiagonal ``(d, e)`` about sigma.
+    """The k eigenvalues (eigenpairs with ``vectors``) of the tridiagonal ``(d, e)`` nearest sigma.
 
-    Shift-invert Lanczos: ``which`` selects among the transformed values
-    1 / (lambda - sigma), "LM" the k eigenvalues nearest sigma, "SA" the k
-    nearest below it when at least k lie below.  Where the wanted values
-    dominate the transformed spectrum, a Krylov space of ``ncv = 2k + 1``
-    vectors suffices; ``ncv=None`` takes ARPACK's default
-    ``max(2k + 1, 20)``.  Returned as eigsh returns them, unsorted.
-    Every run stops at the tolerance ``_LANCZOS_TOL``, which leaves the
-    eigenvalues at rounding level wherever the relative gap to the next
-    one exceeds about 1e-8 (see its comment).
-
-    eigsh applies only ``OPinv`` (:func:`_inverse`); it never multiplies
-    by T.  So T is passed as a shape-only operator whose product raises.
-    The start vector is fixed, making repeated runs identical.
+    Shift-invert Lanczos on ``1 / (lambda - sigma)``.  Where the wanted
+    values dominate the transformed spectrum, ``ncv = 2k + 1`` Lanczos
+    vectors suffice; ``ncv=None`` takes ARPACK's ``max(2k + 1, 20)``.
+    Returned unsorted, at the tolerance ``_LANCZOS_TOL`` (see its comment).
+    eigsh applies only ``OPinv`` (:func:`_inverse`), so T is passed as a
+    shape-only operator whose product raises.  The start vector is fixed,
+    making repeated runs identical.
     """
     n = d.size
 
@@ -383,7 +367,7 @@ def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str
     operator, inverse = LinearOperator((n, n), matvec=no_product, dtype=float), _inverse(d, e, sigma)
 
     def run(ncv):
-        return eigsh(operator, k=k, sigma=sigma, which=which, v0=v0, tol=_LANCZOS_TOL,
+        return eigsh(operator, k=k, sigma=sigma, v0=v0, tol=_LANCZOS_TOL,
                      ncv=None if ncv is None else min(n, ncv), maxiter=maxiter,
                      return_eigenvectors=vectors, OPinv=inverse)
 
@@ -402,19 +386,12 @@ def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int, which: str
 def _inverse(d: np.ndarray, e: np.ndarray, sigma: float) -> LinearOperator:
     """(T - sigma I)^{-1} for the tridiagonal T = ``(d, e)``, the OPinv of shift-invert eigsh.
 
-    LAPACK's LDL^T factorization (``dpttrf``) and its solve (``dpttrs``)
-    where T - sigma I is positive definite, about twice as fast as the LU
-    (0.23 against 0.45 ms a solve at 32769 rows, on one core of a 2-core
-    x86-64 VM); elsewhere, as ``dpttrf``
-    reports at its first non-positive pivot, the partial-pivoting LU
-    (``dgttrf``, ``dgttrs``).  LAPACK's own pivot check chooses: the shift
-    of :func:`eigen_low` is definite, at least a bracket width below the
-    ground (:func:`_shift_below_ground`), the shifts at the threshold of
-    :func:`count_below` are indefinite wherever eigenvalues lie below it.
-    ``d - sigma`` is exact for the few-bit dyadic shifts of
-    :func:`eigen_low`, so its solves are those of T itself shifted, not of
-    a copy rounded on every row.  Raises
-    :class:`SolverFailure` if the LU has an exactly zero pivot.
+    LAPACK's LDL^T (``dpttrf``, ``dpttrs``) where T - sigma I is positive
+    definite, about twice as fast as the LU (0.23 against 0.45 ms a solve
+    at 32769 rows, on one core of a 2-core x86-64 VM), as the shifts of
+    :func:`eigen_low` are; elsewhere, as ``dpttrf`` reports at its first
+    non-positive pivot, the partial-pivoting LU (``dgttrf``, ``dgttrs``).
+    Raises :class:`SolverFailure` if the LU has an exactly zero pivot.
     """
     n = d.size
     *ldl, info = dpttrf(d - sigma, e)
@@ -428,40 +405,7 @@ def _inverse(d: np.ndarray, e: np.ndarray, sigma: float) -> LinearOperator:
 
 def _eigenvalues_near(d: np.ndarray, e: np.ndarray, k: int, sigma: float) -> np.ndarray:
     """The k eigenvalues of the tridiagonal ``(d, e)`` nearest sigma, ascending (shift-invert Lanczos)."""
-    return np.sort(_shift_invert(d, e, sigma, k, "LM", 2 * k + 1))
-
-
-def _ground_eigenvalue(d: np.ndarray, e: np.ndarray, sigma: float) -> float:
-    """The smallest eigenvalue of the tridiagonal ``(d, e)``, by Lanczos about sigma.
-
-    The Sturm count gives the number m of eigenvalues below sigma.
-    Shift-invert maps exactly those to the m negative values
-    1 / (lambda - sigma), so Lanczos asks for the m smallest transformed
-    values ("SA") and the ground is the least of them; with m = 0 the
-    eigenvalue nearest sigma is the ground.  This is exact for any sigma,
-    and accurate far above the ground too (the l = 0 ground, 0, at sigma
-    = 2: 3.5e-13 on 2/3 at 1024 rows and -2.3e-10 on 5/9 at 131072, where
-    :func:`eigen_low` gives 2.1e-13 and -1.5e-11), but fast only for sigma
-    near the ground: then the m values dominate the transformed spectrum
-    and ``2m + 1`` Lanczos vectors suffice, even in a cluster where the
-    eigenvalue nearest sigma is not the ground (the even half of l = 1 on
-    11/21 at 2048: m = 5).  With
-    m = 0 the ground need not dominate (on 2/3, l = 2, it lies 0.009 below
-    a pair), so ARPACK's default Krylov dimension is kept.
-    The ground state of a periodic problem is even, so for a mode this is
-    called on its even half.
-    Raises :class:`SolverFailure` unless the returned eigenvalues lie on the
-    side of sigma the count says: exactly m below it.
-    """
-    m = int(_sturm_counts(d, e, [sigma])[0])
-    if m:
-        vals = np.sort(_shift_invert(d, e, sigma, m, "SA", 2 * m + 1))
-    else:
-        vals = np.sort(_shift_invert(d, e, sigma, 1, "LM"))
-    if np.count_nonzero(vals < sigma) != m:
-        raise SolverFailure(f"Lanczos eigenvalues {vals} near sigma={sigma!r} "
-                            f"disagree with the Sturm count {m} below it")
-    return float(vals[0])
+    return np.sort(_shift_invert(d, e, sigma, k, 2 * k + 1))
 
 
 def _lapack_routine(name: str) -> int:
@@ -518,57 +462,77 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.n
     return nab[:len(bounds)].astype(int)
 
 
-def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
-                                  ) -> tuple[float, float, float]:
-    """Relative residuals of the three coordinate-restriction eigenfunctions.
+def _known_eigenfunctions(torus: OtsukiTorus, n_grid: int, points) -> list[np.ndarray]:
+    """The three eigenfunctions at 2 that are known in closed form, on the grid and folded.
 
     The ambient coordinate functions restrict to eigenfunctions of the
-    surface Laplacian with eigenvalue 2; after separation of variables this
-    means sin(phi) solves the l = 1 problem and cos(phi) cos(theta) and
-    cos(phi) sin(theta) solve the l = 0 problem, all at lambda = 2.  Each
-    is taken at the nodes u_j in the symmetric form ``w = J^{1/2} v``, with
-    theta(u) summed from the geodesic's phase series, and folded onto its
-    half of the mode (:class:`SLProblem`): the even sin(phi) and
-    cos(phi) cos(theta) onto the even half, the odd cos(phi) sin(theta) onto
-    the odd one.  The fold is orthonormal, so ``||A w - 2 w|| / ||w||`` is
-    that of the half.  Returns the three in that order; each vanishes at
-    the order of the discretization, so the triple measures the spectral
-    accuracy of the grid.
+    surface Laplacian with eigenvalue 2: sin(phi) of the l = 1 problem,
+    cos(phi) cos(theta) and cos(phi) sin(theta) of the l = 0 problem.  Each
+    is taken at the nodes 0 .. n_grid / 2 as ``w = J^{1/2} v``, with theta
+    from the phase series (:meth:`_PhaseCycle.theta_on_grid`), and folded
+    onto its half (:class:`SLProblem`): the even halves of l = 1 and l = 0
+    for the even sin(phi) and cos(phi) cos(theta), the odd half of l = 0 for
+    cos(phi) sin(theta).  ``points`` are those of :func:`_phase_points`.
     """
-    l0, l1 = _assemble_modes(torus, (0, 1), n_grid)
-    u = _phase_step(torus, n_grid) * np.arange(n_grid // 2 + 1)
-    phi, J = phase_metric(torus.profile.a, u)
-    theta = torus.profile.cycle.theta_of_phase(u)
+    phi, J = (x[::2] for x in points)
+    theta = torus.profile.cycle.theta_on_grid(_phase_step(torus, n_grid), n_grid)[:phi.size]
     w = np.sqrt(J) * np.array([np.sin(phi), np.cos(phi) * np.cos(theta),
                                np.cos(phi) * np.sin(theta)])
     w[:, 1:-1] *= _SQRT2  # the paired nodes
+    return [w[0], w[1], w[2, 1:-1]]
+
+
+def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
+                                  ) -> tuple[float, float, float]:
+    """Relative residuals ``||A w - 2 w|| / ||w||`` of the three :func:`_known_eigenfunctions`.
+
+    Each is that of its half (the fold is orthonormal), taken in flux form
+    on ``h = J^{-1/2} w``, which does not cancel terms of size
+    ``max|main| |w|`` as ``A w - 2 w`` does:
+
+        sum_pm c_{j+-1/2} (h_j - h_{j+-1}) / (du^2 sqrt J_j) + (l^2 / sin(phi_j)^2 - 2) w_j.
+
+    Each vanishes at the order of the discretization, so the triple
+    measures the spectral accuracy of the grid.
+    """
+    points = _phase_points(torus, n_grid)
+    sin_sq, J, flux = _coefficients(torus, n_grid, points)
+    fold = np.full(J.size, _SQRT2)
+    fold[[0, -1]] = 1.0
     residuals = []
-    for (d, e), y in ((l1.even, w[0]), (l0.even, w[1]), (l0.odd, w[2, 1:-1])):
-        Ty = d * y
-        Ty[:-1] += e * y[1:]
-        Ty[1:] += e * y[:-1]
-        residuals.append(float(np.linalg.norm(Ty - 2.0 * y) / np.linalg.norm(y)))
+    for l, w in zip((1, 0, 0), _known_eigenfunctions(torus, n_grid, points)):
+        edge = (J.size - w.size) // 2  # the odd one is 0 at the nodes 0 and r
+        y = np.pad(w, edge)
+        F = -flux * np.diff(y / (fold * np.sqrt(J)))  # c (h_j - h_{j+1}), mirrored past 0 and r
+        r = fold * (np.append(F, -F[-1]) - np.insert(F, 0, -F[0])) / np.sqrt(J) + (
+            l * l / sin_sq - 2.0) * y
+        residuals.append(float(np.sqrt(np.sum(r[edge:J.size - edge] ** 2) / np.sum(w * w))))
     return tuple(residuals)
 
 
-def _band_from_anchors(l0_near: np.ndarray, l1_ground: float, threshold: float) -> float:
-    """Guard band from the measured displacement of the threshold anchors.
+def _rayleigh_step(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """An eigenvalue of the tridiagonal ``(d, e)`` near an approximate eigenvector w, and a radius.
 
-    Three eigenvalues equal the threshold analytically: the l = 1 ground
-    state and the two l = 0 eigenvalues nearest the threshold.  Their
-    positions on the doubled grid of :func:`count_below` measure how far
-    the discretization moves an eigenvalue that sits exactly at the
-    threshold; ten times the worst displacement is the band that classifies
-    both grids' counts (the requested grid moves it about four times as far).
-
-    On fine grids the displacements approach the rounding noise of the
-    shift-invert eigenvalues, so the band's trailing digits are noise
-    there, and below the floating-point floor ``eps * max|main|`` (main
-    the diagonal of A) the band measures rounding alone
-    (:func:`count_below` refuses that).
+    One step of Rayleigh-quotient iteration (Parlett, *The Symmetric
+    Eigenvalue Problem*, ch. 4): w's Rayleigh quotient rho, the LU solve
+    ``x = (T - rho I)^{-1} w`` and ``rho' = rho + (x.w) / (x.x)``, the
+    Rayleigh quotient of x.  An eigenvalue lies within the radius
+    ``||T x - rho' x|| / ||x|| = ||w - (x.w / x.x) x|| / ||x||`` of rho'
+    (Krylov-Weinstein); an exactly singular LU makes rho one (radius 0).
+    Inner products are ``np.sum(x * y)``: a threaded BLAS ``ddot`` can
+    stall on long vectors after ARPACK's runs.
     """
-    d0 = float(np.max(np.abs(l0_near - threshold)))
-    return 10.0 * max(d0, abs(l1_ground - threshold)) + 1e-13 * threshold
+    Tw = d * w
+    Tw[:-1] += e * w[1:]
+    Tw[1:] += e * w[:-1]
+    rho = float(np.sum(w * Tw) / np.sum(w * w))
+    *lu, info = dgttrf(e, d - rho, e)
+    if info > 0:
+        return rho, 0.0
+    x = dgttrs(*lu, w)[0]
+    xx = np.sum(x * x)
+    step = np.sum(x * w) / xx
+    return rho + float(step), float(np.sqrt(np.sum((w - step * x) ** 2) / xx))
 
 
 def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
@@ -576,32 +540,32 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     """Count surface eigenvalues strictly below ``threshold`` and verify 2p - 1.
 
     For each mode l = 0 .. l_max the eigenvalues below ``threshold - band``
-    are counted exactly, as two Sturm counts, one per half of the mode
-    (:class:`SLProblem`), and weighted 1 (l = 0) or 2 (l > 0), where the band
-    absorbs the eigenvalues that equal the threshold analytically (see
-    :func:`_band_from_anchors`), measured once, on the doubled grid
-    ``2 n_grid``; both grids are counted against it and must agree (a
-    requested grid that is not yet second order, its anchors outside the
-    band, does not).  One :func:`_sturm_counts` call per half and grid
-    counts below every shift the grid needs: ``threshold - band`` and
-    ``threshold`` on both, and on the doubled grid also ``threshold + band``
-    and ``threshold - 2 band``, for the window and the shoulder.  Lanczos
-    iteration, on the doubled grid alone, computes only eigenvalues that
-    are reported: the three anchors, the eigenvalues within the band of the
-    threshold, and those in the shoulder when the count is ambiguous, each
-    run asking one half for just the number its counts say (the l = 1
-    ground anchor through :func:`_ground_eigenvalue`).  A half whose window
-    holds just its anchor reuses the anchor run, so no run is made twice.
-    That modes above l_max cannot contribute is not assumed: the count
-    below the threshold is checked to be zero for l = 2 .. l_max on both
-    grids (lambda_0(l) increases strictly in l, so the scan terminates).
+    are counted by Sturm counts and weighted 1 (l = 0) or 2 (l > 0).  The
+    band is ten times the worst displacement of the three anchors, the
+    eigenvalues equal to 2 analytically, on the doubled grid ``2 n_grid``,
+    where phi and J are evaluated once for both grids.  Both grids are
+    counted against it and must agree: in the second-order regime the
+    requested grid's anchors sit at about 0.4 band, before it outside.
+    Each anchor is one Rayleigh-quotient step from its eigenfunction
+    (:func:`_known_eigenfunctions`, :func:`_rayleigh_step`), refused if its
+    radius exceeds both its displacement and the floor ``eps * max|main|``,
+    and confirmed by Sturm counts at ``value -+ max(radius, floor)``; the
+    l = 1 ground is bisected for if values lie below or the radius is above
+    the floor (its step can end in the cluster above it on coarse thin tori).
+    A doubled-grid half takes one :func:`_sturm_counts` call, at
+    ``threshold -+ band``, ``threshold``, ``threshold - 2 band`` and an
+    l = 0 anchor's ends, once a mode l >= 2 is seen to have values below
+    ``threshold + band`` at all; the requested grid takes one per mode.
+    Lanczos, on the doubled grid alone, computes only the window values
+    besides an anchor and the shoulder values (none on the five benchmark
+    tori).  No mode l = 2 .. l_max may have a value below the threshold on
+    either grid (lambda_0(l) increases strictly in l, so no higher one can).
 
     Raises
     ------
     ValueError
-        If the doubled grid ``2 n_grid`` exceeds ``_MAX_GRID`` rows, which
-        is checked before anything is assembled, or if ``n_grid`` is odd,
-        which is checked before any solve.
+        If the doubled grid ``2 n_grid`` exceeds ``_MAX_GRID`` rows, or if
+        ``n_grid`` is odd, both checked before anything is evaluated.
     AmbiguousCount
         If on the doubled grid some eigenvalue falls in the shoulder
         ``[threshold - 2 band, threshold - band)``, where "below" versus
@@ -610,67 +574,97 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
         the l = 1 mode (main the diagonal of A) there, where the anchors'
         displacement is rounding and no count is reliable (2/3 from
         ``n_grid = 65536``).
+    SolverFailure
+        If an anchor is refused or not confirmed.
     """
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
-    _check_grid_size(2 * n_grid)
     claimed = torus.eigenvalue_index
-    grids = [n_grid, 2 * n_grid]
-    # both grids checked now; the requested one is assembled once the doubled one is done
-    requested, doubled = (_assemble_modes(torus, range(l_max + 1), n) for n in grids)
+    grids, modes = [n_grid, 2 * n_grid], range(l_max + 1)
+    for n in reversed(grids):  # both checked before anything is evaluated
+        _check_grid(torus, modes, n)
+    points = _phase_points(torus, grids[1])
+    # the requested grid is assembled once the doubled one is done, from every other point
+    requested = _assemble_modes(torus, modes, n_grid, tuple(x[::2] for x in points))
+    doubled = _assemble_modes(torus, modes, grids[1], points)
     # the modes one at a time: only l = 0 and l = 1 are held throughout
     l0, l1 = next(doubled), next(doubled)
     # eps * max|main| of l = 1, main the diagonal of A: the even half holds all its values
     floor = _EPS * float(np.max(np.abs(l1.even[0])))
-    # the anchors: in each l = 0 half the eigenvalue nearest the threshold (cos phi
-    # cos theta is even, cos phi sin theta odd), and the l = 1 ground, which is even
-    l0_near = np.array([_eigenvalues_near(d, e, 1, threshold)[0]
-                        for d, e in (l0.even, l0.odd)])
-    l1_ground = _ground_eigenvalue(*l1.even, threshold)
-    band = _band_from_anchors(l0_near, l1_ground, threshold)
+    # the anchors by (l, side), sin phi, cos phi cos theta, cos phi sin theta, and their intervals
+    refined = {key: _rayleigh_step(*half, w) for key, half, w in zip(
+        ((1, 0), (0, 0), (0, 1)), (l1.even, l0.even, l0.odd),
+        _known_eigenfunctions(torus, grids[1], points))}
+    anchors = {key: value for key, (value, _) in refined.items()}
+    ends = {key: [value - max(radius, floor), value + max(radius, floor)]
+            for key, (value, radius) in refined.items()}
+    for key, (value, radius) in refined.items():
+        if radius > max(abs(value - threshold), floor):
+            raise SolverFailure(f"the anchor {value!r} of l = {key[0]}, half {key[1]}, at n_grid "
+                                f"= {grids[1]} is uncertain by {radius:.3e}, more than its displacement")
+
+    def confirm(key, below):  # an eigenvalue of the anchor's half between its ends
+        if below[0] == below[1]:
+            raise SolverFailure(f"no eigenvalue of l = {key[0]}, half {key[1]}, lies within {ends[key]} "
+                                f"at n_grid = {grids[1]}, around its anchor {anchors[key]!r}")
+
+    # the ground is settled first: sin phi's step can end in the l = 1 cluster above it
+    # (thin tori, coarse grids), so it is bisected for unless at the floor with none below
+    below_ground = _sturm_counts(*l1.even, ends[1, 0])
+    if below_ground[0] or refined[1, 0][1] > floor:
+        anchors[1, 0] = float(dstebz(*l1.even, 2, 0.0, 0.0, 1, 1, 2.0 * _TINY, "E")[1][0])
+    else:
+        confirm((1, 0), below_ground)
+    # rounding moves the anchors on fine grids, so the band's trailing digits are noise there
+    band = 10.0 * max(abs(v - threshold) for v in anchors.values()) + 1e-13 * threshold
     if band < floor:
         raise AmbiguousCount(
             f"the guard band {band:.3e} at n_grid = {grids[-1]} is below the "
             f"floating-point floor eps * max|main| = {floor:.3e}: rounding, "
             f"not the discretization, moves the anchors there; use a coarser grid")
-    anchors = {(0, 0): l0_near[0], (0, 1): l0_near[1], (1, 0): l1_ground}
     counts_by_grid = dict.fromkeys(grids, 0)  # the requested grid first, as verify prints it
     truncation_confirmed = True
 
-    def count(problem: SLProblem, *shifts: float) -> list[np.ndarray]:
-        # both halves' Sturm counts below threshold - band, threshold and the
-        # shifts; adds the count to its grid's and checks the truncation
+    def count(problem: SLProblem, halves, shifts) -> list[np.ndarray]:
+        # Sturm counts below threshold - band, threshold and shifts; adds to the grid's count
         nonlocal truncation_confirmed
-        below, below_threshold, *outer = np.array(
-            [_sturm_counts(d, e, [threshold - band, threshold, *shifts])
-             for d, e in (problem.even, problem.odd)]).T
-        counts_by_grid[problem.n_grid] += (1 if problem.l == 0 else 2) * int(below.sum())
-        if problem.l >= 2 and below_threshold.any():
+        found = [_sturm_counts(d, e, [threshold - band, threshold, *extra])
+                 for (d, e), extra in zip(halves, shifts)]
+        counts_by_grid[problem.n_grid] += (1 if problem.l == 0 else 2) * sum(int(c[0]) for c in found)
+        if problem.l >= 2 and any(c[1] for c in found):
             truncation_confirmed = False
-        return [below, *outer]
+        return found
 
     near: list[tuple[int, int, float]] = []
     shoulder: list[tuple[int, float]] = []
     for problem in chain((l0, l1), doubled):
+        if problem.l >= 2 and not _sturm_counts(*_direct_sum(problem), [threshold + band])[0]:
+            continue  # no value below the window: nothing to count, report or check
         l, halves = problem.l, (problem.even, problem.odd)
-        below, below_window, below_shoulder = count(problem, threshold + band, threshold - 2.0 * band)
         window, in_shoulder = [], []
-        for side, ((d, e), n_window, n_shoulder) in enumerate(zip(
-                halves, below_window - below, below - below_shoulder)):
+        # also at the ends of an l = 0 anchor's interval, on its half
+        found = count(problem, halves, [[threshold + band, threshold - 2.0 * band,
+                                          *(ends[l, side] if l == 0 else [])] for side in (0, 1)])
+        for side, ((d, e), (below, _, below_window, below_shoulder, *at_ends)) in enumerate(
+                zip(halves, found)):
+            if at_ends:
+                confirm((l, side), at_ends)
+            n_window, n_shoulder = below_window - below, below - below_shoulder
             if n_window == 1 and (l, side) in anchors:
-                window.append(anchors[l, side])  # the anchor run above found it
+                window.append(anchors[l, side])
             elif n_window:
                 window.extend(_eigenvalues_near(d, e, n_window, threshold))
             if n_shoulder:
                 in_shoulder.extend(_eigenvalues_near(d, e, n_shoulder, threshold - 1.5 * band))
-        near += [(l, int(below.sum()) + rank, float(v)) for rank, v in enumerate(sorted(window))]
+        below = sum(int(c[0]) for c in found)
+        near += [(l, below + rank, float(v)) for rank, v in enumerate(sorted(window))]
         shoulder += [(l, round(float(v), 12)) for v in sorted(in_shoulder)]
     if shoulder:
         raise AmbiguousCount(
             f"eigenvalues {shoulder} lie within [threshold - 2 band, "
             f"threshold - band) at n_grid = {grids[-1]}; refine the grid")
     for problem in requested:
-        count(problem)
+        count(problem, [_direct_sum(problem)], [[]])
     stable = len(set(counts_by_grid.values())) == 1
     n2 = counts_by_grid[grids[-1]]
     verdict = stable and n2 == claimed and truncation_confirmed

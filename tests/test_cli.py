@@ -313,11 +313,24 @@ def _valid_labels(q_max):
 
 @pytest.mark.slow
 def test_every_label_up_to_q_100_verifies_at_defaults(capsys):
+    # and reports the counts pinned in tests/data/verify_q100.json: n2, the
+    # verdict, the counts by grid and the (l, index) of each value near 2
+    pinned = json.loads((Path(__file__).parent / "data" / "verify_q100.json").read_text())
     labels = _valid_labels(100)
     assert len(labels) == 630
-    failed = [(p, q, code) for p, q in labels
-              if (code := run(capsys, "verify", str(p), str(q))[0]) != 0]
+    failed, changed = [], []
+    for p, q in labels:
+        code, out, _ = run(capsys, "verify", str(p), str(q), "--format", "json")
+        if code != 0:
+            failed.append((p, q, code))
+            continue
+        record = json.loads(out)
+        report = {key: record[key] for key in ("n2", "verdict", "counts_by_grid")}
+        report["near"] = [[e["l"], e["index"]] for e in record["eigenvalues_near_threshold"]]
+        if report != pinned[f"{p}/{q}"]:
+            changed.append((p, q))
     assert failed == []
+    assert changed == []
 
 
 class TestMesh:

@@ -459,12 +459,29 @@ class TestPhaseSeries:
     @pytest.mark.parametrize("p,q", [(2, 3), (5, 9), (50, 99)])
     def test_theta_of_phase_matches_the_knot_table(self, p, q):
         # the direct sum of theta's series against its FFT sum at the knots,
-        # and the closure theta(2 pi q) = 2 pi p
+        # and the closure theta(2 pi q) = 2 pi p; then the grid evaluator
+        # against the direct sum, at the knots and over the q cycles of a
+        # period at 256 rows a cycle, twice the resolving grid
         a = solve_turning_value(RotationNumber(p, q))
         _, f, _, _, _ = geometry._phase_knot_table(a)
         cycle = geometry._PhaseCycle(a)
-        np.testing.assert_allclose(cycle.theta_of_phase(f[0]), f[1], rtol=0.0, atol=1e-12)
-        assert abs(cycle.theta_of_phase(2.0 * pi * q) - 2.0 * pi * p) <= 1e-9
+        np.testing.assert_allclose(theta_of_phase(cycle, f[0]), f[1], rtol=0.0, atol=1e-12)
+        assert abs(theta_of_phase(cycle, 2.0 * pi * q) - 2.0 * pi * p) <= 1e-9
+        knots = geometry._KNOTS
+        np.testing.assert_allclose(cycle.theta_on_grid(2.0 * pi / knots, knots), f[1, :-1],
+                                   rtol=0.0, atol=1e-12)
+        n = 2 * max(2048, 1 << (256 * q - 1).bit_length())
+        du = 2.0 * pi * q / n
+        np.testing.assert_allclose(cycle.theta_on_grid(du, n),
+                                   theta_of_phase(cycle, du * np.arange(n)),
+                                   rtol=0.0, atol=1e-14 * 2.0 * pi * p)
+
+    def test_theta_on_grid_of_the_clifford_circle(self, clifford):
+        # no waves: theta = slope u on any grid, not only on whole u-cycles
+        cycle = clifford.profile.cycle
+        du = clifford.t0 / cycle.period * 2.0 * pi / 256
+        np.testing.assert_allclose(cycle.theta_on_grid(du, 256),
+                                   theta_of_phase(cycle, du * np.arange(256)), rtol=0.0, atol=1e-15)
 
     def test_phase_metric_against_the_arc_length_quadrature(self, torus_23):
         # the mean of J over a u-cycle is the cycle's length over 2 pi,
@@ -477,6 +494,13 @@ class TestPhaseSeries:
         monkeypatch.setattr(geometry, "_MAX_SERIES_NODES", 512)
         with pytest.raises(geometry.ClosureFailure, match="tail"):
             geometry._phase_knot_table(solve_turning_value(RotationNumber(48, 95)))
+
+
+def theta_of_phase(cycle, u):
+    """theta at phase u, its Fourier series summed directly (Horner's rule in e^{iu})."""
+    slope, b = cycle._theta_series
+    waves = np.polynomial.polynomial.polyval(np.exp(1j * u), b)
+    return slope * u + 2.0 * (waves.real - b.real.sum())
 
 
 def embedding_point(torus, alpha, t):

@@ -507,7 +507,7 @@ class TestCountBelow:
                             lambda a, u: called.append(u.size) or metric(a, u))
         if error is None:
             count_below(tori[(5, 9)], n_grid=n_grid)
-            assert called == [2 * n_grid + 1, n_grid + 1]  # the doubled grid first
+            assert called == [2 * n_grid + 1]  # the doubled grid's points serve both grids
         else:
             with pytest.raises(error):
                 count_below(tori[(5, 9)], n_grid=n_grid)
@@ -537,18 +537,33 @@ class TestCountBelowClassification:
     Each mode is assembled as two diagonal halves: the doctored eigenvalues
     of the mode, padded with values far above the threshold, alternate
     between the even and the odd half, so each l = 0 anchor at the
-    threshold has a half of its own and the l = 1 ground is even.
+    threshold has a half of its own and the l = 1 ground is even.  The
+    known eigenfunctions are the unit vectors of the anchor rows: the
+    ground of the even l = 1 half, and in each l = 0 half the value
+    nearest the threshold.
     """
 
     @staticmethod
     def _doctor(monkeypatch, spectrum_of):
-        def fake_modes(torus, modes, n_grid):
+        def halves(l, n_grid):
+            low = np.array(spectrum_of(l, n_grid), dtype=float)
+            d = np.concatenate([low, 20.0 + np.arange(n_grid - low.size)])
+            return [(half, np.zeros(half.size - 1)) for half in (d[0::2], d[1::2])]
+
+        def fake_modes(torus, modes, n_grid, points=None):
             for l in modes:
-                low = np.array(spectrum_of(l, n_grid), dtype=float)
-                d = np.concatenate([low, 20.0 + np.arange(n_grid - low.size)])
-                even, odd = ((half, np.zeros(half.size - 1)) for half in (d[0::2], d[1::2]))
+                even, odd = halves(l, n_grid)
                 yield spectral.SLProblem(l=l, n_grid=n_grid, even=even, odd=odd)
+
+        def fake_eigenfunctions(torus, n_grid, points):
+            (l1_even, _), _ = halves(1, n_grid)
+            (l0_even, _), (l0_odd, _) = halves(0, n_grid)
+            rows = [np.argmin(l1_even), np.argmin(np.abs(l0_even - 2.0)),
+                    np.argmin(np.abs(l0_odd - 2.0))]
+            return [np.eye(d.size)[row] for d, row in zip((l1_even, l0_even, l0_odd), rows)]
+
         monkeypatch.setattr(spectral, "_assemble_modes", fake_modes)
+        monkeypatch.setattr(spectral, "_known_eigenfunctions", fake_eigenfunctions)
 
     def test_shoulder_value_raises_ambiguous(self, torus_23, monkeypatch):
         # anchors displaced by 1e-6 set a 1e-5 band; 1.999985 sits in the
@@ -669,17 +684,30 @@ class TestCountBelowClassification:
 
 
 class TestCountBelowLanczosRuns:
-    def test_three_anchor_runs_on_the_doubled_grid_alone(self, torus_23, monkeypatch):
-        # on 2/3 each window holds just its anchor, so the anchors are the only runs
+    @staticmethod
+    def _runs(monkeypatch):
         halves = []
         shift_invert = spectral._shift_invert
         monkeypatch.setattr(spectral, "_shift_invert",
                             lambda d, *args, **kwargs: halves.append(d.size)
                             or shift_invert(d, *args, **kwargs))
-        report = count_below(torus_23, n_grid=2048)
-        assert report.verdict is True
-        # the doubled grid's halves have 2049 and 2047 rows, the requested grid's 1025 and 1023
-        assert sorted(halves) == [2047, 2049, 2049]
+        return halves
+
+    @pytest.mark.parametrize("label, n", [((2, 3), 2048), ((3, 5), 2048), ((4, 7), 2048),
+                                          ((5, 8), 2048), ((5, 9), 2048), ((5, 9), 65536)],
+                             ids=["2/3", "3/5", "4/7", "5/8", "5/9", "5/9@65536"])
+    def test_no_lanczos_run_on_the_benchmark_tori(self, tori, label, n, monkeypatch):
+        # each window holds just its anchor, and the anchors come from their
+        # known eigenfunctions by one Rayleigh-quotient step
+        halves = self._runs(monkeypatch)
+        assert count_below(tori[label], n_grid=n).verdict is True
+        assert halves == []
+
+    def test_window_runs_on_the_doubled_grid_alone(self, monkeypatch):
+        # the l = 1 cluster of 17/33 fills a window of each half beyond its anchor
+        halves = self._runs(monkeypatch)
+        assert count_below(build_torus(RotationNumber(17, 33)), n_grid=16384).verdict is True
+        assert sorted(halves) == [16383, 16385]
 
 
 def _lowest_above(problem, sigma):
@@ -789,47 +817,113 @@ class TestInertiaAgainstLanczos:
 
 
 class TestGroundEigenvalue:
-    """The l = 1 ground anchor: Lanczos at the threshold on the even half, sized by its count."""
+    """The anchors by one Rayleigh-quotient step from their known eigenfunctions, and Lanczos near 2."""
 
     @staticmethod
     def _diagonal(low, n=64):
         return np.concatenate([low, 20.0 + np.arange(n - len(low))]), np.zeros(n - 1)
 
     def test_several_below_the_shift(self):
+        # an exact eigenvector makes T - rho I exactly singular: rho is the eigenvalue
         half = self._diagonal([1.99, 1.9, 2.5, 1.95])
         assert spectral._sturm_counts(*half, [2.0])[0] == 3
-        assert abs(spectral._ground_eigenvalue(*half, 2.0) - 1.9) <= 1e-12
+        assert spectral._rayleigh_step(*half, np.eye(64)[1]) == (1.9, 0.0)
 
     def test_none_below_the_shift(self):
         half = self._diagonal([2.5, 2.1])
         assert spectral._sturm_counts(*half, [2.0])[0] == 0
-        assert abs(spectral._ground_eigenvalue(*half, 2.0) - 2.1) <= 1e-12
+        assert spectral._rayleigh_step(*half, np.eye(64)[1]) == (2.1, 0.0)
+        # a perturbed one: rho is off by 4e-7, the step by rounding, within its radius
+        value, radius = spectral._rayleigh_step(*half, np.eye(64)[1] + 1e-3 * np.eye(64)[0])
+        assert abs(value - 2.1) <= 1e-15 and radius <= 1e-9
 
-    def test_lanczos_disagreeing_with_the_count_raises(self, monkeypatch):
-        half = self._diagonal([1.99, 1.9, 2.5, 1.95])
-        monkeypatch.setattr(spectral, "_shift_invert",
-                            lambda d, e, sigma, k, which, ncv: np.array([1.9, 1.95, 2.5]))
-        with pytest.raises(spectral.SolverFailure, match="Sturm count 3"):
-            spectral._ground_eigenvalue(*half, 2.0)
+    @staticmethod
+    def _anchors_and_lanczos(torus, n):
+        """The three refined anchors on n rows, and Lanczos values for each: the l = 1
+        ground from eigen_low, and the value nearest 2 in each l = 0 half."""
+        l0, l1 = assemble(torus, 0, n), assemble(torus, 1, n)
+        pairs = zip((l1.even, l0.even, l0.odd),
+                    spectral._known_eigenfunctions(torus, n, spectral._phase_points(torus, n)))
+        refined = [spectral._rayleigh_step(*half, w)[0] for half, w in pairs]
+        lanczos = [eigen_low(l1, 1).eigenvalues[0]] + [
+            spectral._eigenvalues_near(d, e, 1, 2.0)[0] for d, e in (l0.even, l0.odd)]
+        return refined, lanczos, spectral._EPS * float(np.max(np.abs(l1.even[0])))
 
-    @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9), (6, 11), (7, 13)],
-                             ids=lambda pq: f"{pq[0]}/{pq[1]}")
-    def test_matches_eigen_low(self, tori, label):
+    @pytest.mark.parametrize("label, n", [
+        ((2, 3), 2048), ((3, 5), 2048), ((4, 7), 2048), ((5, 8), 2048), ((5, 9), 2048),
+        ((6, 11), 2048), ((7, 13), 2048), ((5, 9), 65536), ((17, 33), 16384), ((26, 51), 2048)],
+        ids=["2/3", "3/5", "4/7", "5/8", "5/9", "6/11", "7/13", "5/9@65536", "17/33@16384",
+             "26/51@2048"])
+    def test_matches_eigen_low(self, tori, label, n):
+        # on the doubled grid of count_below, within eps * max|main| of Lanczos
         torus = tori.get(label) or build_torus(RotationNumber(*label))
-        problem = assemble(torus, 1, 2048)
-        expected = eigen_low(problem, 1).eigenvalues[0]
-        got = spectral._ground_eigenvalue(*problem.even, 2.0)
-        assert abs(got - expected) <= 1e-10
+        refined, lanczos, floor = self._anchors_and_lanczos(torus, 2 * n)
+        assert np.all(np.abs(np.subtract(refined, lanczos)) <= floor), (refined, lanczos, floor)
 
     @pytest.mark.parametrize("label, n", [((2, 3), 1024), ((5, 9), 8192)],
                              ids=["2/3@1024", "5/9@8192"])
     def test_shift_far_above_the_ground(self, tori, label, n):
-        # the l = 0 ground is 0 (the constants); at 2 the even half has m > 0
-        # values below the shift, spread over [0, 2)
+        # the l = 0 anchors at 2 lie far above the l = 0 ground, 0, with many
+        # values of their halves below them; one step from the known
+        # eigenfunction still finds the one nearest 2
         problem = assemble(tori[label], 0, n)
         assert spectral._sturm_counts(*problem.even, [2.0])[0] > 1
-        got = spectral._ground_eigenvalue(*problem.even, 2.0)
-        assert abs(got - eigen_low(problem, 1).eigenvalues[0]) <= 1e-10
+        refined, lanczos, floor = self._anchors_and_lanczos(tori[label], n)
+        assert np.all(np.abs(np.subtract(refined, lanczos)[1:]) <= floor)
+
+    def test_clifford_circle(self, clifford):
+        # a series without waves: theta = slope u on a grid that spans no whole u-cycle
+        refined, lanczos, floor = self._anchors_and_lanczos(clifford, 4096)
+        assert np.all(np.abs(np.subtract(refined, lanczos)) <= floor)
+
+    @pytest.mark.parametrize("label", [(26, 51), (28, 55)], ids=["26/51", "28/55"])
+    def test_cluster_ground_is_bisected_for(self, label, monkeypatch):
+        # at 2048 rows sin phi's step ends in the l = 1 cluster above the
+        # ground; count_below, doubling 1024 rows, bisects for the ground instead
+        torus = build_torus(RotationNumber(*label))
+        l1 = assemble(torus, 1, 2048)
+        ground = scipy.linalg.eigvalsh_tridiagonal(*l1.even, select="i", select_range=(0, 0))[0]
+        floor = spectral._EPS * float(np.max(np.abs(l1.even[0])))
+        w = spectral._known_eigenfunctions(torus, 2048, spectral._phase_points(torus, 2048))[0]
+        assert spectral._rayleigh_step(*l1.even, w)[0] - ground > 1e3 * floor
+        bisected = []
+        dstebz = spectral.dstebz
+        monkeypatch.setattr(spectral, "dstebz", lambda *args: bisected.append(
+            dstebz(*args)[1][0]) or dstebz(*args))
+        assert count_below(torus, n_grid=1024).verdict is True
+        assert len(bisected) == 1 and abs(bisected[0] - ground) <= floor
+
+    def test_sin_2phi_in_place_of_sin_phi_raises(self, torus_23, monkeypatch):
+        # a function that is no eigenfunction leaves its step's radius above
+        # its displacement from 2
+        known = spectral._known_eigenfunctions
+
+        def swapped(torus, n, points):
+            phi, J = (x[::2] for x in points)
+            w = np.sqrt(J) * np.sin(2.0 * phi)
+            w[1:-1] *= math.sqrt(2.0)
+            return [w] + known(torus, n, points)[1:]
+
+        monkeypatch.setattr(spectral, "_known_eigenfunctions", swapped)
+        with pytest.raises(spectral.SolverFailure, match="uncertain"):
+            count_below(torus_23, n_grid=2048)
+
+    @pytest.mark.parametrize("side, shift", [((1, 0), -1e-3), ((0, 0), 1e-3), ((0, 1), -1e-3)],
+                             ids=["l1 ground", "l0 even", "l0 odd"])
+    def test_unconfirmed_anchor_raises(self, torus_23, monkeypatch, side, shift):
+        # one anchor moved off every eigenvalue of its half, its radius kept
+        step = spectral._rayleigh_step
+        calls = []
+
+        def moved(d, e, w):
+            value, radius = step(d, e, w)
+            calls.append(d.size)  # the l = 1 ground first, then the l = 0 halves
+            moves = len(calls) == 1 + [(1, 0), (0, 0), (0, 1)].index(side)
+            return value + (shift if moves else 0.0), radius
+
+        monkeypatch.setattr(spectral, "_rayleigh_step", moved)
+        with pytest.raises(spectral.SolverFailure, match="no eigenvalue"):
+            count_below(torus_23, n_grid=2048)
 
     @pytest.mark.parametrize("label, side", [((26, 51), 0), ((26, 51), 1), ((28, 55), 0)],
                              ids=["26/51 even", "26/51 odd", "28/55 even"])
@@ -851,7 +945,7 @@ class TestGroundEigenvalue:
         exact = 2.5 - 2.0 * np.cos(np.arange(1, n + 1) * pi / (n + 1))
         assert spectral._sturm_counts(*half, [2.0])[0] == np.sum(exact < 2.0) == 27
         nearest = spectral._eigenvalues_near(*half, 1, 2.0)[0]
-        ground = spectral._ground_eigenvalue(*half, 2.0)
+        ground, _ = spectral._rayleigh_step(*half, np.sin(np.arange(1, n + 1) * pi / (n + 1)))
         assert nearest - ground > 1e-3
         assert abs(ground - exact[0]) <= 1e-12
 
