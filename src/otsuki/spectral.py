@@ -29,12 +29,14 @@ two plain symmetric tridiagonals of about n / 2 rows each, the even and
 the odd half of the mode (:class:`SLProblem`), assembled from the nodes
 0 .. n/2 and the midpoints between them.  Eigenvalues below sigma are
 counted, not computed: the sum of the halves' Sturm counts (backward
-stable), one pass over the rows per shift (:func:`_sturm_counts`).
-Shift-invert Lanczos on a half (:func:`_shift_invert`, :func:`_inverse`)
-is used only where eigenvalues or eigenvectors themselves are needed, and
-stops once the eigenvalues are at rounding level (``_LANCZOS_TOL``).
-:func:`eigen_low` shifts both halves of a mode just below its ground and
-asks each for its share of the eigenpairs.  :func:`count_below` counts two
+stable), one walk over the rows for all the shifts a caller reads
+(:func:`_sturm_counts`).  Shift-invert Lanczos on a half
+(:func:`_shift_invert`, :func:`_inverse`) is used only where eigenvalues
+themselves are needed, returns no vectors, and stops once the eigenvalues
+are at rounding level (``_LANCZOS_TOL``).  :func:`eigen_low` shifts both
+halves of a mode just below its ground and asks each for its share of the
+eigenvalues; their eigenvectors are computed by inverse iteration only
+when first read (:class:`SLSpectrum`).  :func:`count_below` counts two
 grids against one guard band, measured on the finer from the three
 eigenvalues at 2 whose eigenfunctions are known in closed form, each by
 one Rayleigh-quotient step from its eigenfunction; it runs Lanczos only
@@ -52,7 +54,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs, dstebz
+from scipy.linalg.lapack import dgeqrf, dgttrf, dgttrs, dorgqr, dpttrf, dpttrs, dstebz
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .geometry import OtsukiTorus, phase_metric
@@ -72,12 +74,11 @@ _EIGSH_SEED = 20120524  # fixed Lanczos start vector: identical runs bit for bit
 # (Parlett, The Symmetric Eigenvalue Problem, ch. 11), a relative error of
 # tol^2 / (relative gap): at rounding level for any relative gap above about
 # 1e-8, so tol = 0 (machine epsilon, ARPACK's default) only adds restarts.
-# The Ritz vector is within an angle tol / (relative gap): it loses digits
-# only inside tight clusters, where zero counts are ill-determined anyway.
 _LANCZOS_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
 
 # Largest grid assembled, in rows.  The tracemalloc peak of count_below per row of
 # its doubled grid is about 100 B for the five tori at their resolving grids (0.19 GB
@@ -96,7 +97,8 @@ class SolverFailure(RuntimeError):
 
     Singular means an exactly zero pivot in the LU of a half's T - sigma I:
     sigma is then an eigenvalue in floating point, and no shift-invert run
-    about it is defined.
+    about it is defined.  Eigenvectors also need T - sigma I definite at the
+    Lanczos shift sigma.
     """
 
 
@@ -126,40 +128,42 @@ class SLProblem:
 class SLSpectrum:
     """Low eigenpairs of one mode, sorted ascending.
 
-    :func:`eigen_low` fills in the eigenvalues and keeps the eigenvectors
-    of each half of the mode as its Lanczos runs return them.
-    ``eigenvectors`` unfolds those onto the grid on first read, and then
-    drops them; ``zero_counts`` is computed from ``eigenvectors`` on first
-    read.  A caller that reads only the eigenvalues unfolds nothing.
+    :func:`eigen_low` fills in the eigenvalues and keeps the mode's two
+    halves, the half of each kept value and its Lanczos shift.
+    ``eigenvectors`` computes the eigenvectors of each half at its kept
+    values on first read (:func:`_half_eigenvectors`), unfolds them onto
+    the grid and drops the halves; ``zero_counts`` is computed from
+    ``eigenvectors`` on first read.  A caller that reads only the
+    eigenvalues computes no eigenvector.
     """
 
     l: int
     eigenvalues: np.ndarray
     n_grid: int
-    # eigenvectors of the even and (if run) the odd half, columns as eigsh
-    # returned them; None once unfolded
-    _half_vectors: list[np.ndarray] | None = field(repr=False)
-    # positions of the kept values among the even run's values and then the odd run's
-    _order: np.ndarray = field(repr=False)
+    # the even and the odd half (d, e) of the mode; None once the eigenvectors are built
+    _halves: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(repr=False)
+    # True where a kept value is the odd half's
+    _odd: np.ndarray = field(repr=False)
+    # the shift of the Lanczos runs, below the ground: T - sigma I is definite on both halves
+    _sigma: float = field(repr=False)
 
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Column i is the unit grid eigenvector ``w = J^{1/2} h`` of ``eigenvalues[i]``, even or odd in u."""
-        n, k = self.n_grid, self._order.size
-        even_share = self._half_vectors[0].shape[1]
-        parity = self._order >= even_share  # the odd run's values follow the even run's
-        column = self._order - even_share * parity
-        # unfold: half rows to grid nodes (the odd half starts at node 1), then
-        # 1 / sqrt 2 on paired nodes and the mirror image, negated for odd columns
-        vecs = np.zeros((n, k))
-        for side, half_vecs in enumerate(self._half_vectors):
-            kept = np.flatnonzero(parity == side)
-            vecs[side:side + half_vecs.shape[0], kept] = half_vecs[:, column[kept]]
-        paired = vecs[1:n // 2]
+        n = self.n_grid
+        # built as rows: half rows to grid nodes (the odd half starts at node 1), then
+        # 1 / sqrt 2 on paired nodes and the mirror image, negated for odd vectors
+        vecs = np.zeros((self.eigenvalues.size, n))
+        for side, (d, e) in enumerate(self._halves):
+            kept = np.flatnonzero(self._odd == side)
+            if kept.size:
+                vecs[kept, side:side + d.size] = _half_eigenvectors(
+                    d, e, self.eigenvalues[kept], self._sigma)
+        paired = vecs[:, 1:n // 2]
         paired /= _SQRT2
-        np.multiply(paired[::-1], np.where(parity, -1.0, 1.0), out=vecs[n // 2 + 1:])
-        self._half_vectors = None
-        return vecs
+        np.multiply(paired[:, ::-1], np.where(self._odd, -1.0, 1.0)[:, None], out=vecs[:, n // 2 + 1:])
+        self._halves = None
+        return vecs.T
 
     @cached_property
     def zero_counts(self) -> list[int]:
@@ -280,25 +284,63 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     interlacing ``mu_j <= nu_j <= mu_{j+2}`` (even mu, odd nu), and the k
     smallest hold at most ``k // 2 + 1`` even and ``k // 2`` odd values:
     the shares asked for (k = 1 runs the even half only).  A run for m
-    pairs uses ``max(3m, 20)`` Lanczos vectors, wider than ARPACK's default
+    values uses ``max(3m, 20)`` Lanczos vectors, wider than ARPACK's default
     above m = 6, where that does not converge when a share ends inside a
-    tight cluster (l = 3 of 9/16, k = 16 at 4096 rows).  The k smallest
-    returned values are kept, and their eigenvectors unfolded onto the grid
-    only when first read (:class:`SLSpectrum`): until then the result holds
-    the half runs' vectors, about ``n / 2 x (k + 1)`` values, not ``n x k``.
+    tight cluster (l = 3 of 9/16, k = 16 at 4096 rows).  The runs return
+    eigenvalues only, and the k smallest are kept.  Eigenvectors are
+    computed only when first read (:class:`SLSpectrum`): until then the
+    result holds the kept values and references to the mode's halves, no
+    vector.
     """
     n = problem.n_grid
     if k < 1 or k > n // 4:
         raise ValueError(f"k must lie in [1, n_grid / 4 = {n // 4}]")
     shares = (k // 2 + 1, k // 2)
     sigma = _shift_below_ground(*problem.even)
-    runs = [_shift_invert(d, e, sigma, m, max(3 * m, 20), maxiter=10000,
-                          vectors=True)
-            for (d, e), m in zip((problem.even, problem.odd), shares) if m]
-    vals = np.concatenate([run[0] for run in runs])
-    order = np.argsort(vals, kind="stable")[:k]
+    vals = np.concatenate([_shift_invert(d, e, sigma, m, max(3 * m, 20), maxiter=10000)
+                           for (d, e), m in zip((problem.even, problem.odd), shares) if m])
+    order = np.argsort(vals, kind="stable")[:k]  # the odd run's values follow the even run's
     return SLSpectrum(l=problem.l, eigenvalues=vals[order], n_grid=n,
-                      _half_vectors=[run[1] for run in runs], _order=order)
+                      _halves=(problem.even, problem.odd), _odd=order >= shares[0],
+                      _sigma=sigma)
+
+
+def _half_eigenvectors(d: np.ndarray, e: np.ndarray, values: np.ndarray,
+                       sigma: float) -> np.ndarray:
+    """Orthonormal eigenvectors of the tridiagonal ``(d, e)`` at its eigenvalues ``values``, as rows.
+
+    One step of inverse iteration per value in the form of the MRRR
+    algorithm (Dhillon and Parlett, *Linear Algebra Appl.* 387, 2004; LAPACK
+    ``dlar1v``): the twisted factorization of ``L D L^T - (lambda - sigma) I``
+    from the definite ``L D L^T = T - sigma I`` (``dpttrf``), and its null
+    vector.  Its qd transforms are relatively stable, so a vector resolves
+    the relative gaps of ``lambda - sigma``, as the Lanczos runs did; an LU
+    of the indefinite T - lambda I resolves only gaps above about
+    ``eps * max|d|``.  One QR then makes the vectors orthonormal.
+    """
+    n = d.size
+    D, L, info = dpttrf(d - sigma, e)
+    if info:
+        raise SolverFailure(f"T - sigma I at sigma={sigma!r}, order {n}: not definite")
+    LD = L * D[:-1]
+    LLD = L * LD
+    vecs = np.zeros((len(values), n))  # its transpose, Fortran-ordered, is the QR's input
+    work, support = np.empty(4 * n), np.empty(2, dtype=np.intc)
+    pivmin = ctypes.c_double(_TINY * max(1.0, float(np.max(e * e, initial=0.0))))
+    size, first = ctypes.c_int(n), ctypes.c_int(1)  # the whole range 1 .. n
+    gaptol = ctypes.c_double(0.0)  # keeps every entry of the vector
+    wantnc, negcnt = ctypes.c_int(0), ctypes.c_int()
+    shift, twist = ctypes.c_double(), ctypes.c_int()
+    ztz, mingma, nrminv, resid, rqcorr = (ctypes.c_double() for _ in range(5))  # not read
+    ref = ctypes.byref
+    factors = [x.ctypes.data for x in (D, L, LD, LLD)]
+    for row, value in zip(vecs, values):
+        shift.value, twist.value = value - sigma, 0  # twist 0: dlar1v chooses it
+        _DLAR1V(ref(size), ref(first), ref(size), ref(shift), *factors, ref(pivmin), ref(gaptol),
+                row.ctypes.data, ref(wantnc), ref(negcnt), ref(ztz), ref(mingma), ref(twist),
+                support.ctypes.data, ref(nrminv), ref(resid), ref(rqcorr), work.ctypes.data)
+    qr, tau, *_ = dgeqrf(vecs.T, overwrite_a=1)
+    return dorgqr(qr, tau, overwrite_a=1)[0].T
 
 
 # The width, relative to 1 + |its upper end|, to which _shift_below_ground
@@ -346,9 +388,8 @@ def _shift_below_ground(d: np.ndarray, e: np.ndarray) -> float:
 
 
 def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int,
-                  ncv: int | None = None, maxiter: int | None = None,
-                  vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """The k eigenvalues (eigenpairs with ``vectors``) of the tridiagonal ``(d, e)`` nearest sigma.
+                  ncv: int | None = None, maxiter: int | None = None) -> np.ndarray:
+    """The k eigenvalues of the tridiagonal ``(d, e)`` nearest sigma.
 
     Shift-invert Lanczos on ``1 / (lambda - sigma)``.  Where the wanted
     values dominate the transformed spectrum, ``ncv = 2k + 1`` Lanczos
@@ -369,7 +410,7 @@ def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int,
     def run(ncv):
         return eigsh(operator, k=k, sigma=sigma, v0=v0, tol=_LANCZOS_TOL,
                      ncv=None if ncv is None else min(n, ncv), maxiter=maxiter,
-                     return_eigenvectors=vectors, OPinv=inverse)
+                     return_eigenvectors=False, OPinv=inverse)
 
     try:
         try:
@@ -421,6 +462,9 @@ def _lapack_routine(name: str) -> int:
 # DLAEBZ(IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2,
 # NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO), every argument by reference
 _DLAEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)(_lapack_routine("dlaebz"))
+# DLAR1V(N, B1, BN, LAMBDA, D, L, LD, LLD, PIVMIN, GAPTOL, Z, WANTNC, NEGCNT, ZTZ, MINGMA,
+# R, ISUPPZ, NRMINV, RESID, RQCORR, WORK), every argument by reference
+_DLAR1V = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(_lapack_routine("dlar1v"))
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.ndarray:
@@ -432,14 +476,17 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.n
     section 2.4.4).  A mode's count is the sum of this count over its two
     halves (:class:`SLProblem`), since A is their orthogonal direct sum; unlike
     a factorization, the count needs no regular T - sigma I.  One call of
-    LAPACK's ``dlaebz`` (IJOB = 1) makes one pass over the rows per shift,
-    where a ``dstebz`` call made several for one count.  The arithmetic is
-    that of ``dstebz``, so the counts are too: the same recurrence,
-    couplings below its splitting threshold dropped, the same ``pivmin``,
-    and each shift lowered to the floating-point number just below it,
-    since the recurrence counts an eigenvalue equal to its bound as below.
-    dlaebz counts at both ends of each interval it is given, so an odd
-    number of shifts costs one pass more.
+    the vector branch of LAPACK's ``dlaebz`` (IJOB = 3, NBMIN = 1, one
+    iteration) walks the rows once, every shift advancing row by row
+    together, where a ``dstebz`` call made several passes for one count.
+    The arithmetic is that of ``dstebz``'s bisection, so the counts are too:
+    the same recurrence and ``pivmin`` (a pivot at or below it counts, and
+    continues as ``-pivmin``), couplings below its splitting threshold
+    dropped, and each shift lowered to the floating-point number just below
+    it, since the recurrence counts an eigenvalue equal to its bound as
+    below.  Each shift is the C of one interval whose lower end is a
+    sentinel (AB = -huge, NAB = -1) and whose target NVAL is -1: no interval
+    converges or moves, and each count lands in ``NAB(:, 2)``.
     """
     d = np.ascontiguousarray(d, dtype=float)
     e2 = np.square(e, dtype=float)
@@ -447,37 +494,48 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.n
         raise ValueError(f"{d.size} diagonal entries need {d.size - 1} couplings")
     e2[np.abs(d[1:] * d[:-1]) * _EPS ** 2 + _TINY > e2] = 0.0  # dstebz's splitting
     pivmin = ctypes.c_double(_TINY * max(1.0, float(e2.max(initial=0.0))))
-    bounds = [math.nextafter(sigma, -math.inf) for sigma in shifts]
-    # the intervals' lower ends, then their upper ends (AB and NAB are
-    # column-major MMAX x 2 arrays), padded to even length
-    ab = np.array(bounds + bounds[-1:] * (len(bounds) % 2))
-    nab = np.empty(ab.size, dtype=np.intc)
-    ints = [ctypes.c_int(v) for v in (1, 0, d.size, ab.size // 2, ab.size // 2, 0)]
-    zero, unused, info = ctypes.c_double(0.0), ctypes.c_int(0), ctypes.c_int(0)
+    m = len(shifts)
+    # the real arrays AB (m x 2, column-major), C and WORK end to end, and so
+    # the integer arrays NVAL, NAB (m x 2) and IWORK
+    reals = np.full(4 * m, -_HUGE)
+    reals[2 * m:3 * m] = [math.nextafter(sigma, -math.inf) for sigma in shifts]
+    ints = np.full(4 * m, -1, dtype=np.intc)
+    at, int_at, e2_at = reals.ctypes.data, ints.ctypes.data, e2.ctypes.data
+    real_size, int_size = reals.itemsize * m, ints.itemsize * m
+    args = [ctypes.c_int(v) for v in (3, 1, d.size, m, m, 1)]
+    zero, mout, info = ctypes.c_double(0.0), ctypes.c_int(0), ctypes.c_int(0)
     ref = ctypes.byref
-    e2_at, ab_at = e2.ctypes.data, ab.ctypes.data
-    _DLAEBZ(*map(ref, ints), ref(zero), ref(zero), ref(pivmin),
-            d.ctypes.data, e2_at, e2_at, ref(unused), ab_at, ab_at,  # E: not read
-            ref(unused), nab.ctypes.data, ab_at, ref(unused), ref(info))
-    return nab[:len(bounds)].astype(int)
+    _DLAEBZ(*map(ref, args), ref(zero), ref(zero), ref(pivmin),
+            d.ctypes.data, e2_at, e2_at, int_at, at, at + 2 * real_size,  # E: not read
+            ref(mout), int_at + int_size, at + 3 * real_size, int_at + 3 * int_size, ref(info))
+    return ints[2 * m:3 * m].astype(int)
 
 
-def _known_eigenfunctions(torus: OtsukiTorus, n_grid: int, points) -> list[np.ndarray]:
-    """The three eigenfunctions at 2 that are known in closed form, on the grid and folded.
+def _nodal_eigenfunctions(torus: OtsukiTorus, n_grid: int, points) -> np.ndarray:
+    """sin(phi), cos(phi) cos(theta) and cos(phi) sin(theta) at the nodes 0 .. n_grid / 2, as rows.
 
     The ambient coordinate functions restrict to eigenfunctions of the
     surface Laplacian with eigenvalue 2: sin(phi) of the l = 1 problem,
-    cos(phi) cos(theta) and cos(phi) sin(theta) of the l = 0 problem.  Each
-    is taken at the nodes 0 .. n_grid / 2 as ``w = J^{1/2} v``, with theta
-    from the phase series (:meth:`_PhaseCycle.theta_on_grid`), and folded
-    onto its half (:class:`SLProblem`): the even halves of l = 1 and l = 0
-    for the even sin(phi) and cos(phi) cos(theta), the odd half of l = 0 for
+    cos(phi) cos(theta) and cos(phi) sin(theta) of the l = 0 problem.  theta
+    comes from the phase series (:meth:`_PhaseCycle.theta_on_grid`); the
+    odd cos(phi) sin(theta) is set to 0 at the nodes 0 and r, where it
+    vanishes.  ``points`` are those of :func:`_phase_points`.
+    """
+    phi = points[0][::2]
+    theta = torus.profile.cycle.theta_on_grid(_phase_step(torus, n_grid), n_grid)[:phi.size]
+    h = np.array([np.sin(phi), np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta)])
+    h[2, [0, -1]] = 0.0
+    return h
+
+
+def _known_eigenfunctions(torus: OtsukiTorus, n_grid: int, points) -> list[np.ndarray]:
+    """The three :func:`_nodal_eigenfunctions` as ``w = J^{1/2} h``, folded onto their halves.
+
+    The even halves (:class:`SLProblem`) of l = 1 and l = 0 take the even
+    sin(phi) and cos(phi) cos(theta), the odd half of l = 0 takes
     cos(phi) sin(theta).  ``points`` are those of :func:`_phase_points`.
     """
-    phi, J = (x[::2] for x in points)
-    theta = torus.profile.cycle.theta_on_grid(_phase_step(torus, n_grid), n_grid)[:phi.size]
-    w = np.sqrt(J) * np.array([np.sin(phi), np.cos(phi) * np.cos(theta),
-                               np.cos(phi) * np.sin(theta)])
+    w = np.sqrt(points[1][::2]) * _nodal_eigenfunctions(torus, n_grid, points)
     w[:, 1:-1] *= _SQRT2  # the paired nodes
     return [w[0], w[1], w[2, 1:-1]]
 
@@ -487,8 +545,10 @@ def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
     """Relative residuals ``||A w - 2 w|| / ||w||`` of the three :func:`_known_eigenfunctions`.
 
     Each is that of its half (the fold is orthonormal), taken in flux form
-    on ``h = J^{-1/2} w``, which does not cancel terms of size
-    ``max|main| |w|`` as ``A w - 2 w`` does:
+    on h evaluated at the nodes (:func:`_nodal_eigenfunctions`), which does
+    not cancel terms of size ``max|main| |w|`` as ``A w - 2 w`` does, nor
+    amplify the rounding of the folded w by a second difference as an h
+    unfolded from it would:
 
         sum_pm c_{j+-1/2} (h_j - h_{j+-1}) / (du^2 sqrt J_j) + (l^2 / sin(phi_j)^2 - 2) w_j.
 
@@ -497,16 +557,17 @@ def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
     """
     points = _phase_points(torus, n_grid)
     sin_sq, J, flux = _coefficients(torus, n_grid, points)
+    root_J = np.sqrt(J)
     fold = np.full(J.size, _SQRT2)
     fold[[0, -1]] = 1.0
     residuals = []
-    for l, w in zip((1, 0, 0), _known_eigenfunctions(torus, n_grid, points)):
-        edge = (J.size - w.size) // 2  # the odd one is 0 at the nodes 0 and r
-        y = np.pad(w, edge)
-        F = -flux * np.diff(y / (fold * np.sqrt(J)))  # c (h_j - h_{j+1}), mirrored past 0 and r
-        r = fold * (np.append(F, -F[-1]) - np.insert(F, 0, -F[0])) / np.sqrt(J) + (
-            l * l / sin_sq - 2.0) * y
-        residuals.append(float(np.sqrt(np.sum(r[edge:J.size - edge] ** 2) / np.sum(w * w))))
+    for l, edge, h in zip((1, 0, 0), (0, 0, 1), _nodal_eigenfunctions(torus, n_grid, points)):
+        F = -flux * np.diff(h)  # c (h_j - h_{j+1}), mirrored past 0 and r
+        r = fold * ((np.append(F, -F[-1]) - np.insert(F, 0, -F[0])) / root_J
+                    + (l * l / sin_sq - 2.0) * root_J * h)
+        inner = slice(edge, J.size - edge)  # the odd half omits the nodes 0 and r
+        residuals.append(float(np.sqrt(np.sum(r[inner] ** 2)
+                                       / np.sum((fold * root_J * h)[inner] ** 2))))
     return tuple(residuals)
 
 
@@ -553,9 +614,11 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     l = 1 ground is bisected for if values lie below or the radius is above
     the floor (its step can end in the cluster above it on coarse thin tori).
     A doubled-grid half takes one :func:`_sturm_counts` call, at
-    ``threshold -+ band``, ``threshold``, ``threshold - 2 band`` and an
-    l = 0 anchor's ends, once a mode l >= 2 is seen to have values below
-    ``threshold + band`` at all; the requested grid takes one per mode.
+    ``threshold -+ band``, ``threshold - 2 band`` and an l = 0 anchor's
+    ends, once a mode l >= 2 is seen to have values below
+    ``threshold + band`` at all; the requested grid takes one per mode, at
+    ``threshold - band``.  The count at ``threshold`` itself is taken only
+    where it is read, for the truncation check of the modes l >= 2.
     Lanczos, on the doubled grid alone, computes only the window values
     besides an anchor and the shoulder values (none on the five benchmark
     tori).  No mode l = 2 .. l_max may have a value below the threshold on
@@ -626,12 +689,14 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     truncation_confirmed = True
 
     def count(problem: SLProblem, halves, shifts) -> list[np.ndarray]:
-        # Sturm counts below threshold - band, threshold and shifts; adds to the grid's count
+        # Sturm counts below threshold - band and shifts, and for l >= 2 last below
+        # threshold, the truncation check; adds to the grid's count
         nonlocal truncation_confirmed
-        found = [_sturm_counts(d, e, [threshold - band, threshold, *extra])
+        check = [threshold] if problem.l >= 2 else []
+        found = [_sturm_counts(d, e, [threshold - band, *extra, *check])
                  for (d, e), extra in zip(halves, shifts)]
         counts_by_grid[problem.n_grid] += (1 if problem.l == 0 else 2) * sum(int(c[0]) for c in found)
-        if problem.l >= 2 and any(c[1] for c in found):
+        if check and any(c[-1] for c in found):
             truncation_confirmed = False
         return found
 
@@ -645,10 +710,10 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
         # also at the ends of an l = 0 anchor's interval, on its half
         found = count(problem, halves, [[threshold + band, threshold - 2.0 * band,
                                           *(ends[l, side] if l == 0 else [])] for side in (0, 1)])
-        for side, ((d, e), (below, _, below_window, below_shoulder, *at_ends)) in enumerate(
+        for side, ((d, e), (below, below_window, below_shoulder, *rest)) in enumerate(
                 zip(halves, found)):
-            if at_ends:
-                confirm((l, side), at_ends)
+            if l == 0:
+                confirm((l, side), rest)
             n_window, n_shoulder = below_window - below, below - below_shoulder
             if n_window == 1 and (l, side) in anchors:
                 window.append(anchors[l, side])

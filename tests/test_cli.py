@@ -222,7 +222,7 @@ class TestSpectrum:
             fine = problem.n_grid == 4096
             vals = np.array([0.0, 0.5, 0.5 - (1e-13 if fine else 0.0), 1.0])
             return spectral.SLSpectrum(l=0, eigenvalues=vals, n_grid=problem.n_grid,
-                                       _half_vectors=None, _order=np.arange(4))
+                                       _halves=None, _odd=np.zeros(4, dtype=bool), _sigma=-1.0)
 
         monkeypatch.setattr(spectral, "eigen_low", fake_eigen_low)
         monkeypatch.setattr(spectral.SLSpectrum, "zero_counts", [0, 2, 2, 4])

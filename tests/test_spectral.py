@@ -389,6 +389,8 @@ class TestShiftBelowGround:
 
 
 class TestLazyEigenvectors:
+    """eigen_low returns eigenvalues only; inverse iteration builds the vectors on first read."""
+
     def test_unfolded_only_when_read(self, torus_23):
         n, k = 65536, 8
         problem = assemble(torus_23, 0, n)
@@ -399,12 +401,54 @@ class TestLazyEigenvectors:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        # the half runs' vectors, about n / 2 x (k + 1), not the unfolded n x k
-        assert held < n * k * 8
+        assert held < n  # no vector until one is read: not an eighth of one
         vecs = spectrum.eigenvectors
         assert vecs.shape == (n, k)
         assert spectrum.eigenvectors is vecs
         assert spectrum.zero_counts == [0, 2, 2, 4, 4, 6, 6, 8]
+
+    @pytest.mark.parametrize("label, l, k, n", [
+        ((9, 16), 3, 16, 4096), ((26, 51), 1, 12, 65536), ((16, 31), 3, 9, 65536), ((5, 9), 0, 8, 65536)],
+        ids=["9/16 l3 k16", "26/51 l1 k12", "16/31 l3 k9", "5/9 l0 k8"])
+    def test_orthonormal_with_rounding_residuals(self, tori, label, l, k, n, monkeypatch):
+        # tight clusters among them: the l = 3 values of 16/31 agree to 6e-12
+        # relative, closer than rounding at 65536 rows
+        torus = tori.get(label) or build_torus(RotationNumber(*label))
+        problem = assemble(torus, l, n)
+        asked = []
+        eigsh = spectral.eigsh
+        monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: asked.append(
+            kwargs["return_eigenvectors"]) or eigsh(*args, **kwargs))
+        spectrum = eigen_low(problem, k)
+        assert asked and not any(asked)  # ARPACK is never asked for vectors
+        runs = len(asked)
+        vecs = spectrum.eigenvectors
+        assert len(asked) == runs  # and reading them runs no Lanczos
+        np.testing.assert_allclose(vecs.T @ vecs, np.eye(k), rtol=0, atol=1e-14)
+        # residuals on the cyclic bands of the full grid, an independent oracle
+        main, off = _cyclic_bands(torus, l, n)
+        product = (main[:, None] * vecs + off[:, None] * np.roll(vecs, -1, axis=0)
+                   + np.roll(off[:, None] * vecs, 1, axis=0))
+        norm = np.max(np.abs(main) + np.abs(off) + np.abs(np.roll(off, 1)))
+        residuals = np.linalg.norm(product - vecs * spectrum.eigenvalues, axis=0)
+        assert residuals.max() <= 1e-12 * norm
+
+    def test_shift_above_the_ground_refused(self, torus_23):
+        # the vectors need L D L^T of T - sigma I, definite only below the ground
+        spectrum = eigen_low(assemble(torus_23, 0, 256), 2)
+        spectrum._sigma = 1.0
+        with pytest.raises(spectral.SolverFailure, match="not definite"):
+            spectrum.eigenvectors
+
+    @pytest.mark.parametrize("label, l, n", [((5, 9), 3, 131072), ((26, 51), 2, 65536), ((50, 99), 2, 32768)],
+                             ids=["5/9 l3", "26/51 l2", "50/99 l2"])
+    def test_zero_counts_inside_a_cluster_the_values_resolve(self, tori, label, l, n):
+        # values 1e-9 apart, about 1e-10 relative, where eps * max|main| is
+        # 1e-8 or more: an LU of T - lambda I does not separate their vectors
+        # (0 4 2 4 6 6 4 8 for 5/9), the relatively stable twisted
+        # factorization from the definite L D L^T at the Lanczos shift does
+        torus = tori.get(label) or build_torus(RotationNumber(*label))
+        assert eigen_low(assemble(torus, l, n), 8).zero_counts == [0, 2, 2, 4, 4, 6, 6, 8]
 
 
 class TestLanczosStoppingRule:
@@ -452,6 +496,14 @@ class TestEigenvalueConvergence:
 
 
 class TestKnownEigenfunctionResiduals:
+    def test_sin_phi_residual_second_order_at_a_fine_grid(self, torus_23):
+        # h = sin phi evaluated at the nodes: at 65536 rows its residual stays
+        # within 1.5 times the second-order extrapolation from 2048 rows (1.35
+        # times), where an h unfolded from the folded w reads 1.67 times
+        coarse = known_eigenfunction_residuals(torus_23, 2048)[0]
+        fine = known_eigenfunction_residuals(torus_23, 65536)[0]
+        assert fine <= 1.5 * coarse / 32 ** 2
+
     def test_residuals_small_and_second_order(self, torus_23):
         coarse = known_eigenfunction_residuals(torus_23, 1024)
         fine = known_eigenfunction_residuals(torus_23, 2048)
@@ -768,6 +820,26 @@ class TestSturmCounts:
             for d, e in (problem.even, problem.odd):
                 expected = [_dstebz_count(d, e, sigma) for sigma in shifts]
                 assert list(spectral._sturm_counts(d, e, shifts)) == expected, l
+
+    def test_exact_zero_pivot(self):
+        # the second pivot of T - 0 I is +0, counted as dstebz counts it:
+        # one eigenvalue below 0 (det T = -1); dlarrc counts 2 here
+        d, e = np.array([1.0, 1.0, 5.0]), np.array([1.0, 1.0])
+        assert list(spectral._sturm_counts(d, e, [0.0])) == [1] == [_dstebz_count(d, e, 0.0)]
+
+    @pytest.mark.parametrize("rotation, n", SIXTEEN_CASES,
+                             ids=lambda x: f"{x.p}/{x.q}" if isinstance(x, RotationNumber) else str(x))
+    def test_one_call_equals_one_shift_calls(self, rotation, n):
+        # k = 1 .. 8 shifts, odd and even counts, unsorted, at eigenvalues'
+        # distances from 2 that the guard band probes
+        shifts = [2.0, 0.5, 12.0, 2.0 - 1e-6, 6.0, 2.0 + 1e-6, 0.0, 2.0 - 2e-6]
+        torus = build_torus(rotation)
+        for l in range(4):
+            problem = assemble(torus, l, n)
+            for d, e in (problem.even, problem.odd):
+                single = [int(spectral._sturm_counts(d, e, [sigma])[0]) for sigma in shifts]
+                for k in range(1, 9):
+                    assert list(spectral._sturm_counts(d, e, shifts[:k])) == single[:k], (l, k)
 
     def test_couplings_must_match_the_diagonal(self):
         with pytest.raises(ValueError, match="couplings"):
