@@ -21,7 +21,8 @@ Only spectrum and verify import the spectral module, and with it scipy;
 the other subcommands need numpy alone and do not pay scipy's import.
 spectrum prints Richardson-extrapolated eigenvalues from grids n and 2n,
 or, with a note on stderr, the values of grid 2n where the extrapolated
-ones would not ascend.
+ones would not ascend.  verify prints each mode's values at 2 as one index
+range and its two ends.
 
 Exit codes: 0 success (and verification passed), 1 verification failed,
 2 invalid input, an output file that cannot be written, or a computation
@@ -308,8 +309,8 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         "counts_by_grid": {str(n): c for n, c in report.counts_by_grid.items()},
         "truncation_confirmed": report.truncation_confirmed,
         "eigenvalues_near_threshold": [
-            {"l": l, "index": i, "value": v}
-            for l, i, v in report.eigenvalues_near_2],
+            {"l": l, "first": first, "last": last, "lowest": lowest, "highest": highest}
+            for l, first, last, lowest, highest in report.eigenvalues_near_2],
     }
     code = 0 if report.verdict else 1
     if args.format == "json":
@@ -322,8 +323,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
              f"  higher modes confirmed above threshold: "
              f"{report.truncation_confirmed}",
              "  eigenvalues at the threshold:"]
-    for l, i, v in report.eigenvalues_near_2:
-        lines.append(f"    lambda_{i}({l}) = {_fmt(v)}")
+    for l, first, last, lowest, highest in report.eigenvalues_near_2:
+        lines.append(f"    lambda_{first}({l}) = {_fmt(lowest)}" if first == last else
+                     f"    lambda_{first}..{last}({l}) in [{_fmt(lowest)}, {_fmt(highest)}]")
     lines.append(f"  verdict: {'PASS' if report.verdict else 'FAIL'}")
     return code, "\n".join(lines) + "\n"
 

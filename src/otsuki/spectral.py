@@ -30,17 +30,16 @@ the odd half of the mode (:class:`SLProblem`), assembled from the nodes
 0 .. n/2 and the midpoints between them.  Eigenvalues below sigma are
 counted, not computed: the sum of the halves' Sturm counts (backward
 stable), one walk over the rows for all the shifts a caller reads
-(:func:`_sturm_counts`).  Shift-invert Lanczos on a half
-(:func:`_shift_invert`, :func:`_inverse`) is used only where eigenvalues
-themselves are needed, returns no vectors, and stops once the eigenvalues
-are at rounding level (``_LANCZOS_TOL``).  :func:`eigen_low` shifts both
-halves of a mode just below its ground and asks each for its share of the
-eigenvalues; their eigenvectors are computed by inverse iteration only
-when first read (:class:`SLSpectrum`).  :func:`count_below` counts two
-grids against one guard band, measured on the finer from the three
-eigenvalues at 2 whose eigenfunctions are known in closed form, each by
-one Rayleigh-quotient step from its eigenfunction; it runs Lanczos only
-for windows and shoulders.  Grids are capped at ``_MAX_GRID`` rows.
+(:func:`_sturm_counts`).  :func:`eigen_low` shifts both halves of a mode
+just below its ground and asks shift-invert Lanczos on each
+(:func:`_shift_invert`) for its share of the eigenvalues alone, to
+rounding level; the eigenvectors come by inverse iteration when first
+read (:class:`SLSpectrum`).  :func:`count_below` counts two grids against
+one guard band, measured on the finer from the three eigenvalues at 2
+whose eigenfunctions are known in closed form, by one Rayleigh-quotient
+step each; the other values it reports, a window's or a shoulder's ends,
+are bisected for on the Sturm counts (:func:`_bisect`).  Grids are
+capped at ``_MAX_GRID`` rows.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgeqrf, dgttrf, dgttrs, dorgqr, dpttrf, dpttrs, dstebz
+from scipy.linalg.lapack import dgeqrf, dgttrf, dgttrs, dorgqr, dpttrf, dpttrs
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .geometry import OtsukiTorus, phase_metric
@@ -80,11 +79,9 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
-# Largest grid assembled, in rows.  The tracemalloc peak of count_below per row of
-# its doubled grid is about 100 B for the five tori at their resolving grids (0.19 GB
-# at the cap), but grows with q where Lanczos solves windows of l = 1 values, keeping
-# 2m + 1 vectors for m of them: 182 B for 17/33, 904 B for 50/99 and 1225 B for
-# 70/139 at theirs (2.6 GB at the cap).  Modes above l = 1 are held one at a time.
+# Largest grid assembled, in rows.  The tracemalloc peak of count_below per row of its
+# doubled grid is 96 to 106 B whatever q (the five tori and 17/33 to 100/199 at their
+# resolving grids), 0.22 GB at the cap.  Modes above l = 1 are held one at a time.
 _MAX_GRID = 2 ** 21
 
 
@@ -93,12 +90,10 @@ class GridTooCoarse(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """The eigensolver failed or contradicts a Sturm count, or a shifted half is singular.
+    """The eigensolver failed or contradicts a Sturm count, or a shift is not below a half's spectrum.
 
-    Singular means an exactly zero pivot in the LU of a half's T - sigma I:
-    sigma is then an eigenvalue in floating point, and no shift-invert run
-    about it is defined.  Eigenvectors also need T - sigma I definite at the
-    Lanczos shift sigma.
+    Shift-invert Lanczos and the eigenvectors need T - sigma I definite at
+    the Lanczos shift sigma.
     """
 
 
@@ -177,7 +172,8 @@ class VerificationReport:
 
     n2: int
     claimed: int
-    eigenvalues_near_2: list[tuple[int, int, float]]
+    # per mode l with values in [2 - band, 2 + band) on the doubled grid: (l, first, last, lowest, highest)
+    eigenvalues_near_2: list[tuple[int, int, int, float, float]]
     tolerance_band: float
     grids_used: list[int]
     verdict: bool
@@ -223,7 +219,7 @@ def _check_grid(torus: OtsukiTorus, modes: Sequence[int], n_grid: int) -> None:
         raise GridTooCoarse(f"n_grid must be >= max(64, 32 p = {32 * p})")
     if n_grid > _MAX_GRID:
         raise ValueError(f"a grid of {n_grid} rows exceeds the limit of {_MAX_GRID} rows (at peak "
-                         f"about 100 bytes per row for small q, 1.2 kB at q = 139)")
+                         f"about 100 bytes per row)")
     if n_grid % 2:
         raise ValueError(f"n_grid must be even, got {n_grid}")
 
@@ -297,7 +293,7 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
         raise ValueError(f"k must lie in [1, n_grid / 4 = {n // 4}]")
     shares = (k // 2 + 1, k // 2)
     sigma = _shift_below_ground(*problem.even)
-    vals = np.concatenate([_shift_invert(d, e, sigma, m, max(3 * m, 20), maxiter=10000)
+    vals = np.concatenate([_shift_invert(d, e, sigma, m)
                            for (d, e), m in zip((problem.even, problem.odd), shares) if m])
     order = np.argsort(vals, kind="stable")[:k]  # the odd run's values follow the even run's
     return SLSpectrum(l=problem.l, eigenvalues=vals[order], n_grid=n,
@@ -387,17 +383,13 @@ def _shift_below_ground(d: np.ndarray, e: np.ndarray) -> float:
     return 2.0 * lo - hi
 
 
-def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int,
-                  ncv: int | None = None, maxiter: int | None = None) -> np.ndarray:
-    """The k eigenvalues of the tridiagonal ``(d, e)`` nearest sigma.
+def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of the tridiagonal ``(d, e)``, unsorted, for a shift sigma below them all.
 
-    Shift-invert Lanczos on ``1 / (lambda - sigma)``.  Where the wanted
-    values dominate the transformed spectrum, ``ncv = 2k + 1`` Lanczos
-    vectors suffice; ``ncv=None`` takes ARPACK's ``max(2k + 1, 20)``.
-    Returned unsorted, at the tolerance ``_LANCZOS_TOL`` (see its comment).
-    eigsh applies only ``OPinv`` (:func:`_inverse`), so T is passed as a
-    shape-only operator whose product raises.  The start vector is fixed,
-    making repeated runs identical.
+    Shift-invert Lanczos with ``max(3k, 20)`` vectors (see :func:`eigen_low`)
+    to the tolerance ``_LANCZOS_TOL``.  eigsh applies only ``OPinv``
+    (:func:`_inverse`), so T is a shape-only operator whose product raises.
+    The start vector is fixed, making repeated runs identical.
     """
     n = d.size
 
@@ -405,20 +397,10 @@ def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int,
         raise RuntimeError("shift-invert Lanczos multiplied by the operator itself")
 
     v0 = np.random.default_rng(_EIGSH_SEED).standard_normal(n)
-    operator, inverse = LinearOperator((n, n), matvec=no_product, dtype=float), _inverse(d, e, sigma)
-
-    def run(ncv):
-        return eigsh(operator, k=k, sigma=sigma, v0=v0, tol=_LANCZOS_TOL,
-                     ncv=None if ncv is None else min(n, ncv), maxiter=maxiter,
-                     return_eigenvectors=False, OPinv=inverse)
-
     try:
-        try:
-            return run(ncv)
-        except ArpackNoConvergence:
-            if ncv is None or ncv >= max(2 * k + 1, 20):
-                raise
-            return run(None)  # a narrow Krylov space can stall inside a tight cluster
+        return eigsh(LinearOperator((n, n), matvec=no_product, dtype=float), k=k, sigma=sigma,
+                     v0=v0, tol=_LANCZOS_TOL, ncv=min(n, max(3 * k, 20)), maxiter=10000,
+                     return_eigenvectors=False, OPinv=_inverse(d, e, sigma))
     except (ArpackNoConvergence, ArpackError) as exc:
         raise SolverFailure(f"eigensolver failed near sigma={sigma!r}, "
                             f"order {n}: {exc}") from exc
@@ -427,26 +409,14 @@ def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int,
 def _inverse(d: np.ndarray, e: np.ndarray, sigma: float) -> LinearOperator:
     """(T - sigma I)^{-1} for the tridiagonal T = ``(d, e)``, the OPinv of shift-invert eigsh.
 
-    LAPACK's LDL^T (``dpttrf``, ``dpttrs``) where T - sigma I is positive
-    definite, about twice as fast as the LU (0.23 against 0.45 ms a solve
-    at 32769 rows, on one core of a 2-core x86-64 VM), as the shifts of
-    :func:`eigen_low` are; elsewhere, as ``dpttrf`` reports at its first
-    non-positive pivot, the partial-pivoting LU (``dgttrf``, ``dgttrs``).
-    Raises :class:`SolverFailure` if the LU has an exactly zero pivot.
+    LAPACK's LDL^T (``dpttrf``, ``dpttrs``), for a shift below the spectrum:
+    SolverFailure where ``dpttrf`` meets a non-positive pivot.
     """
     n = d.size
     *ldl, info = dpttrf(d - sigma, e)
-    if not info:
-        return LinearOperator((n, n), matvec=lambda b: dpttrs(*ldl, b)[0], dtype=float)
-    *lu, info = dgttrf(e, d - sigma, e)
-    if info > 0:
-        raise SolverFailure(f"T - sigma I at sigma={sigma!r}, order {n}: singular")
-    return LinearOperator((n, n), matvec=lambda b: dgttrs(*lu, b)[0], dtype=float)
-
-
-def _eigenvalues_near(d: np.ndarray, e: np.ndarray, k: int, sigma: float) -> np.ndarray:
-    """The k eigenvalues of the tridiagonal ``(d, e)`` nearest sigma, ascending (shift-invert Lanczos)."""
-    return np.sort(_shift_invert(d, e, sigma, k, 2 * k + 1))
+    if info:
+        raise SolverFailure(f"T - sigma I at sigma={sigma!r}, order {n}: not definite")
+    return LinearOperator((n, n), matvec=lambda b: dpttrs(*ldl, b)[0], dtype=float)
 
 
 def _lapack_routine(name: str) -> int:
@@ -509,6 +479,29 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.n
             d.ctypes.data, e2_at, e2_at, int_at, at, at + 2 * real_size,  # E: not read
             ref(mout), int_at + int_size, at + 3 * real_size, int_at + 3 * int_size, ref(info))
     return ints[2 * m:3 * m].astype(int)
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, indices: Sequence[int], lo: float, hi: float) -> np.ndarray:
+    """The eigenvalues of the tridiagonal ``(d, e)`` in ``[lo, hi)`` at the distinct 0-based ``indices``, ascending.
+
+    Sturm-sequence bisection (Barth, Martin and Wilkinson, *Numer. Math.* 9, 1967): a bracket
+    holds the eigenvalue of index i while ``count(lo) <= i < count(hi)``.  One
+    :func:`_sturm_counts` call at the midpoints of all open brackets halves each, until each
+    is two adjacent doubles, whose lower end is the eigenvalue (the count is of values
+    strictly below).  SolverFailure if ``[lo, hi)`` misses an index.
+    """
+    indices = np.unique(indices)
+    below = _sturm_counts(d, e, [lo, hi])
+    if not below[0] <= indices.min() <= indices.max() < below[1]:
+        raise SolverFailure(f"[{lo!r}, {hi!r}) holds the indices {below[0]} .. {below[1] - 1} "
+                            f"of order {d.size}, not {indices.tolist()}")
+    lo, hi = np.full(indices.size, float(lo)), np.full(indices.size, float(hi))
+    while (open_ := np.flatnonzero(np.nextafter(lo, hi) < hi)).size:
+        mid = 0.5 * (lo[open_] + hi[open_])
+        above = _sturm_counts(d, e, mid) > indices[open_]
+        hi[open_[above]] = mid[above]
+        lo[open_[~above]] = mid[~above]
+    return lo
 
 
 def _nodal_eigenfunctions(torus: OtsukiTorus, n_grid: int, points) -> np.ndarray:
@@ -611,18 +604,19 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     (:func:`_known_eigenfunctions`, :func:`_rayleigh_step`), refused if its
     radius exceeds both its displacement and the floor ``eps * max|main|``,
     and confirmed by Sturm counts at ``value -+ max(radius, floor)``; the
-    l = 1 ground is bisected for if values lie below or the radius is above
-    the floor (its step can end in the cluster above it on coarse thin tori).
-    A doubled-grid half takes one :func:`_sturm_counts` call, at
-    ``threshold -+ band``, ``threshold - 2 band`` and an l = 0 anchor's
-    ends, once a mode l >= 2 is seen to have values below
-    ``threshold + band`` at all; the requested grid takes one per mode, at
-    ``threshold - band``.  The count at ``threshold`` itself is taken only
-    where it is read, for the truncation check of the modes l >= 2.
-    Lanczos, on the doubled grid alone, computes only the window values
-    besides an anchor and the shoulder values (none on the five benchmark
-    tori).  No mode l = 2 .. l_max may have a value below the threshold on
-    either grid (lambda_0(l) increases strictly in l, so no higher one can).
+    l = 1 ground is bisected for (:func:`_bisect`) if values lie below or
+    the radius is above the floor (its step can end in the cluster above it
+    on coarse thin tori).  A doubled-grid half takes one
+    :func:`_sturm_counts` call, at ``threshold -+ band``, ``threshold - 2
+    band`` and an l = 0 anchor's ends, the requested grid one per mode, at
+    ``threshold - band``; modes l >= 2 also at ``threshold``, where no value
+    may lie (the truncation check).  Each grid stops at its first mode
+    l >= 2 with no value below ``threshold + band`` (doubled) or
+    ``threshold`` (requested): mode l + 1 adds a positive diagonal to mode
+    l, so by Weyl's inequality no later mode has one.  A mode's window, its
+    values in ``[threshold - band, threshold + band)`` on the doubled grid,
+    is reported by its indices and its ends: its anchors if it holds
+    nothing else, else bisected for, as a shoulder's ends are.
 
     Raises
     ------
@@ -672,10 +666,10 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
                                 f"at n_grid = {grids[1]}, around its anchor {anchors[key]!r}")
 
     # the ground is settled first: sin phi's step can end in the l = 1 cluster above it
-    # (thin tori, coarse grids), so it is bisected for unless at the floor with none below
+    # (thin tori, coarse grids), so it is bisected for, above 0, unless at the floor with none below
     below_ground = _sturm_counts(*l1.even, ends[1, 0])
     if below_ground[0] or refined[1, 0][1] > floor:
-        anchors[1, 0] = float(dstebz(*l1.even, 2, 0.0, 0.0, 1, 1, 2.0 * _TINY, "E")[1][0])
+        anchors[1, 0] = float(_bisect(*l1.even, [0], 0.0, ends[1, 0][1])[0])
     else:
         confirm((1, 0), below_ground)
     # rounding moves the anchors on fine grids, so the band's trailing digits are noise there
@@ -689,8 +683,7 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     truncation_confirmed = True
 
     def count(problem: SLProblem, halves, shifts) -> list[np.ndarray]:
-        # Sturm counts below threshold - band and shifts, and for l >= 2 last below
-        # threshold, the truncation check; adds to the grid's count
+        # Sturm counts below threshold - band, shifts and (l >= 2, truncation check) threshold
         nonlocal truncation_confirmed
         check = [threshold] if problem.l >= 2 else []
         found = [_sturm_counts(d, e, [threshold - band, *extra, *check])
@@ -700,36 +693,39 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
             truncation_confirmed = False
         return found
 
-    near: list[tuple[int, int, float]] = []
+    near: list[tuple[int, int, int, float, float]] = []
     shoulder: list[tuple[int, float]] = []
     for problem in chain((l0, l1), doubled):
         if problem.l >= 2 and not _sturm_counts(*_direct_sum(problem), [threshold + band])[0]:
-            continue  # no value below the window: nothing to count, report or check
-        l, halves = problem.l, (problem.even, problem.odd)
-        window, in_shoulder = [], []
+            break  # no value below the window, nor in any later mode
+        l = problem.l
         # also at the ends of an l = 0 anchor's interval, on its half
-        found = count(problem, halves, [[threshold + band, threshold - 2.0 * band,
-                                          *(ends[l, side] if l == 0 else [])] for side in (0, 1)])
-        for side, ((d, e), (below, below_window, below_shoulder, *rest)) in enumerate(
-                zip(halves, found)):
-            if l == 0:
-                confirm((l, side), rest)
-            n_window, n_shoulder = below_window - below, below - below_shoulder
-            if n_window == 1 and (l, side) in anchors:
-                window.append(anchors[l, side])
-            elif n_window:
-                window.extend(_eigenvalues_near(d, e, n_window, threshold))
-            if n_shoulder:
-                in_shoulder.extend(_eigenvalues_near(d, e, n_shoulder, threshold - 1.5 * band))
-        below = sum(int(c[0]) for c in found)
-        near += [(l, below + rank, float(v)) for rank, v in enumerate(sorted(window))]
-        shoulder += [(l, round(float(v), 12)) for v in sorted(in_shoulder)]
+        found = count(problem, (problem.even, problem.odd),
+                      [[threshold + band, threshold - 2.0 * band, *(ends[l, side] if l == 0 else [])]
+                       for side in (0, 1)])
+        for side, c in enumerate(found if l == 0 else []):
+            confirm((l, side), c[3:])
+        # per mode: the values below threshold - band, threshold + band and threshold - 2 band
+        below, window_top, shoulder_bottom = (sum(int(c[i]) for c in found) for i in range(3))
+        if window_top > below:
+            if all(c[1] - c[0] == ((l, side) in anchors) for side, c in enumerate(found)):
+                values = [anchors[l, side] for side in (0, 1) if (l, side) in anchors]
+            else:
+                values = _bisect(*_direct_sum(problem), [below, window_top - 1],
+                                 threshold - band, threshold + band)
+            near.append((l, below, window_top - 1, float(min(values)), float(max(values))))
+        if below > shoulder_bottom:
+            values = _bisect(*_direct_sum(problem), [shoulder_bottom, below - 1],
+                             threshold - 2.0 * band, threshold - band)
+            shoulder += [(l, round(float(v), 12)) for v in values]
     if shoulder:
         raise AmbiguousCount(
             f"eigenvalues {shoulder} lie within [threshold - 2 band, "
             f"threshold - band) at n_grid = {grids[-1]}; refine the grid")
     for problem in requested:
-        count(problem, [_direct_sum(problem)], [[]])
+        found = count(problem, [_direct_sum(problem)], [[]])
+        if problem.l >= 2 and not found[0][-1]:
+            break  # no value below the threshold, nor in any later mode
     stable = len(set(counts_by_grid.values())) == 1
     n2 = counts_by_grid[grids[-1]]
     verdict = stable and n2 == claimed and truncation_confirmed

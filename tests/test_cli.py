@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -285,8 +286,8 @@ class TestVerify:
         assert record["verdict"] == "pass"
         assert record["grids"] == [1024, 2048]
         assert record["counts_by_grid"] == {"1024": 3, "2048": 3}
-        found = {(e["l"], e["index"]) for e in record["eigenvalues_near_threshold"]}
-        assert {(0, 3), (0, 4), (1, 0)} <= found
+        found = [(e["l"], e["first"], e["last"]) for e in record["eigenvalues_near_threshold"]]
+        assert found == [(0, 3, 4), (1, 0, 0)]
 
     @pytest.mark.parametrize("p, q, grid", [(9, 16, 4096), (11, 20, 8192), (17, 33, 16384)])
     def test_thin_torus_passes_at_defaults(self, capsys, p, q, grid):
@@ -326,11 +327,24 @@ def test_every_label_up_to_q_100_verifies_at_defaults(capsys):
             continue
         record = json.loads(out)
         report = {key: record[key] for key in ("n2", "verdict", "counts_by_grid")}
-        report["near"] = [[e["l"], e["index"]] for e in record["eigenvalues_near_threshold"]]
+        report["near"] = [[e["l"], index] for e in record["eigenvalues_near_threshold"]
+                          for index in range(e["first"], e["last"] + 1)]
         if report != pinned[f"{p}/{q}"]:
             changed.append((p, q))
     assert failed == []
     assert changed == []
+
+
+@pytest.mark.slow
+def test_thin_labels_verify_at_defaults(capsys):
+    # 70/139, 100/199 and 40 labels with 100 < q <= 200 drawn with a fixed seed
+    drawn = random.Random(28).sample([pq for pq in _valid_labels(200) if pq[1] > 100], 40)
+    failed = []
+    for p, q in [(70, 139), (100, 199)] + drawn:
+        code, out, _ = run(capsys, "verify", str(p), str(q), "--format", "json")
+        if code != 0 or json.loads(out)["n2"] != 2 * p - 1:
+            failed.append((p, q, code))
+    assert failed == []
 
 
 class TestMesh:

@@ -195,31 +195,22 @@ class TestOperatorMatrix:
 
 
 class TestInverse:
-    def test_ldlt_exactly_where_the_shift_is_definite(self, torus_23, monkeypatch):
-        used = []
-
-        def recording(name):
-            solve = getattr(spectral, name)
-
-            def wrapped(*args):
-                used.append(name)
-                return solve(*args)
-            return wrapped
-
-        for name in ("dpttrs", "dgttrs"):
-            monkeypatch.setattr(spectral, name, recording(name))
+    def test_ldlt_exactly_where_the_shift_is_definite(self, torus_23):
+        # l = 0 at 2 is indefinite, at -1 definite; l = 2 lies above 2.  Only
+        # the definite shifts of eigen_low are solved; an indefinite one raises
         lapack = scipy.linalg.lapack
         b = np.random.default_rng(3).standard_normal(513)
         definite_seen = set()
-        # l = 0 at 2 is indefinite, at -1 definite; l = 2 lies above 2
         for l in (0, 2):
             d, e = assemble(torus_23, l, 1024).even
             for sigma in (-1.0, 2.0):
                 definite = spectral._sturm_counts(d, e, [sigma])[0] == 0
                 definite_seen.add(definite)
-                used.clear()
+                if not definite:
+                    with pytest.raises(spectral.SolverFailure, match="not definite"):
+                        spectral._inverse(d, e, sigma)
+                    continue
                 x = spectral._inverse(d, e, sigma).matvec(b)
-                assert used == ["dpttrs" if definite else "dgttrs"], (l, sigma)
                 *lu, _ = lapack.dgttrf(e, d - sigma, e)
                 reference = lapack.dgttrs(*lu, b)[0]
                 assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
@@ -474,7 +465,8 @@ class TestLanczosStoppingRule:
         def digits():
             report = count_below(tori[label], n_grid=2048)
             return (report.tolerance_band.hex(),
-                    [(l, i, v.hex()) for l, i, v in report.eigenvalues_near_2])
+                    [(l, first, last, lowest.hex(), highest.hex())
+                     for l, first, last, lowest, highest in report.eigenvalues_near_2])
 
         loose = digits()
         monkeypatch.setattr(spectral, "_LANCZOS_TOL", 0.0)
@@ -530,13 +522,24 @@ class TestCountBelow:
         assert len(set(report.counts_by_grid.values())) == 1
         assert report.truncation_confirmed is True
         assert report.tolerance_band < 1e-3
-        anchors = {(l, i) for l, i, _ in report.eigenvalues_near_2}
-        assert {(0, 3), (0, 4), (1, 0)} <= anchors
+        assert [(l, first, last) for l, first, last, _, _ in report.eigenvalues_near_2] == [
+            (0, 3, 4), (1, 0, 0)]
 
     def test_count_is_stable_in_l_max(self, torus_23):
         r2 = count_below(torus_23, l_max=2, n_grid=1024)
         r3 = count_below(torus_23, l_max=3, n_grid=1024)
         assert r2.n2 == r3.n2 == 3
+
+    def test_stops_at_the_first_quiet_mode(self, torus_23, monkeypatch):
+        # l = 2 of 2/3 has no value below 2 + band: no later mode is assembled
+        expected = count_below(torus_23, l_max=3)
+        assembled = []
+        problem = spectral.SLProblem
+        monkeypatch.setattr(spectral, "SLProblem",
+                            lambda **kwargs: assembled.append(kwargs["n_grid"]) or problem(**kwargs))
+        report = count_below(torus_23, l_max=10 ** 6)
+        assert report == expected
+        assert max(assembled.count(n) for n in report.grids_used) <= 4
 
     def test_l_max_floor(self, torus_23):
         with pytest.raises(ValueError):
@@ -749,17 +752,27 @@ class TestCountBelowLanczosRuns:
                                           ((5, 8), 2048), ((5, 9), 2048), ((5, 9), 65536)],
                              ids=["2/3", "3/5", "4/7", "5/8", "5/9", "5/9@65536"])
     def test_no_lanczos_run_on_the_benchmark_tori(self, tori, label, n, monkeypatch):
-        # each window holds just its anchor, and the anchors come from their
-        # known eigenfunctions by one Rayleigh-quotient step
+        # each window holds just its anchors, which come from their known
+        # eigenfunctions by one Rayleigh-quotient step: nothing is bisected for
         halves = self._runs(monkeypatch)
+        bisect = spectral._bisect
+        monkeypatch.setattr(spectral, "_bisect", lambda d, *args: halves.append(d.size)
+                            or bisect(d, *args))
         assert count_below(tori[label], n_grid=n).verdict is True
         assert halves == []
 
-    def test_window_runs_on_the_doubled_grid_alone(self, monkeypatch):
-        # the l = 1 cluster of 17/33 fills a window of each half beyond its anchor
-        halves = self._runs(monkeypatch)
-        assert count_below(build_torus(RotationNumber(17, 33)), n_grid=16384).verdict is True
-        assert sorted(halves) == [16383, 16385]
+    def test_no_lanczos_run_on_thin_tori(self, monkeypatch):
+        # the l = 1 clusters fill windows beyond their anchors (11 values of
+        # 14/27, 99 of 50/99); their ends are bisected for on Sturm counts
+        def refused(*args, **kwargs):
+            raise AssertionError("count_below ran shift-invert Lanczos")
+
+        monkeypatch.setattr(spectral, "_shift_invert", refused)
+        for label in [(14, 27), (17, 33), (26, 51), (50, 99)]:
+            torus = build_torus(RotationNumber(*label))
+            report = count_below(torus, n_grid=resolving_grid(torus))
+            assert report.verdict is True, label
+            assert any(l == 1 and last > first for l, first, last, _, _ in report.eigenvalues_near_2)
 
 
 def _lowest_above(problem, sigma):
@@ -770,6 +783,18 @@ def _lowest_above(problem, sigma):
         if vals[-1] > sigma:
             return vals
         k *= 2
+
+
+def _nearest(d, e, sigma):
+    """The eigenvalue of the tridiagonal ``(d, e)`` nearest sigma, by dstebz (:func:`_bisected`)."""
+    values = _bisected(d, e, "v", (sigma - 0.5, sigma + 0.5))
+    return values[np.argmin(np.abs(values - sigma))]
+
+
+def _bisected(d, e, select, select_range):
+    """Eigenvalues of the tridiagonal ``(d, e)`` by LAPACK's dstebz, to full precision (abstol 2 tiny)."""
+    return scipy.linalg.eigvalsh_tridiagonal(d, e, select=select, select_range=select_range,
+                                             tol=2.0 * np.finfo(float).tiny)
 
 
 def _dstebz_count(d, e, sigma):
@@ -786,6 +811,44 @@ def _dstebz_count(d, e, sigma):
 SIXTEEN_CASES = [(rotation, 2048) for rotation in _valid_labels(13)] + [
     (RotationNumber(3, 5), 4096), (RotationNumber(4, 7), 16384),
     (RotationNumber(5, 8), 4096), (RotationNumber(5, 9), 65536)]
+
+
+class TestBisect:
+    """Sturm bisection for eigenvalues at given indices, on the dlaebz kernel."""
+
+    def test_matches_dstebz_on_random_tridiagonals(self):
+        rng = np.random.default_rng(28)
+        for trial in range(100):
+            n = int(rng.integers(2, 100))
+            d, e = rng.standard_normal(n) * 10.0, rng.standard_normal(n - 1)
+            if trial % 4 == 0:
+                e[rng.random(e.size) < 0.3] = 0.0  # split into blocks
+            indices = sorted(set(rng.integers(0, n, 3).tolist()))
+            got = spectral._bisect(d, e, indices, -100.0, 100.0)
+            np.testing.assert_allclose(got, _bisected(d, e, "i", (indices[0], indices[-1]))[
+                np.subtract(indices, indices[0])], rtol=0.0, atol=4 * spectral._EPS * 100.0)
+
+    def test_brackets_end_as_adjacent_doubles(self):
+        # a diagonal matrix: each eigenvalue is its entry, exactly
+        d = np.array([2.0 - 3e-6, 2.0 + 1e-6, 2.0, 1.0, np.nextafter(2.0, 3.0)])
+        got = spectral._bisect(d, np.zeros(4), [1, 2, 3], 2.0 - 1e-5, 2.0 + 1e-5)
+        assert list(got) == [2.0 - 3e-6, 2.0, np.nextafter(2.0, 3.0)]
+
+    def test_inside_a_cluster(self):
+        # the first l = 1 band of 26/51 at 2048 rows: 51 values within 1e-4
+        problem = assemble(build_torus(RotationNumber(26, 51)), 1, 2048)
+        d, e = spectral._direct_sum(problem)
+        indices = list(range(spectral._sturm_counts(d, e, [2.0])[0]))
+        assert len(indices) == 51
+        got = spectral._bisect(d, e, indices, 1.99, 2.0)
+        np.testing.assert_allclose(got, _bisected(d, e, "i", (indices[0], indices[-1])),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("indices", [[0], [2], [0, 1]])
+    def test_bracket_without_its_index_raises(self, indices):
+        d = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(spectral.SolverFailure, match="holds the indices"):
+            spectral._bisect(d, np.zeros(2), indices, 1.5, 2.5)
 
 
 class TestSturmCounts:
@@ -853,8 +916,6 @@ class TestInertiaAgainstLanczos:
         half = np.array([1.0, 2.0, 3.0]), np.zeros(2)
         assert spectral._sturm_counts(*half, [2.5])[0] == 2
         assert spectral._sturm_counts(*half, [2.0])[0] == 1  # strictly below
-        with pytest.raises(spectral.SolverFailure, match="singular"):
-            spectral._eigenvalues_near(*half, 1, 2.0)
 
     @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)],
                              ids=lambda pq: f"{pq[0]}/{pq[1]}")
@@ -870,26 +931,33 @@ class TestInertiaAgainstLanczos:
                     expected = np.sum(vals < sigma)
                     assert _count(problem, sigma) == expected, (n, l, sigma)
 
-    def test_near_threshold_list_matches_lanczos_on_14_27(self):
-        # 11 l = 1 values lie in the band at 14/27's resolving grid: windows
-        # beyond the anchors
-        torus = build_torus(RotationNumber(14, 27))
+    @pytest.mark.parametrize("label, l1_window", [((14, 27), 11), ((17, 33), 9), ((50, 99), 99)],
+                             ids=["14/27", "17/33", "50/99"])
+    def test_near_threshold_ranges_match_eigvalsh(self, label, l1_window):
+        # the l = 1 values in the band at the resolving grid form a window
+        # beyond the anchor; each mode's window against LAPACK's dstebz on
+        # the doubled grid: its indices, and the values at its ends
+        torus = build_torus(RotationNumber(*label))
         report = count_below(torus, n_grid=resolving_grid(torus))
         band = report.tolerance_band
         expected = []
         for l in range(4):
-            vals = _lowest_above(assemble(torus, l, report.grids_used[-1]), 2.0 + band)
-            expected += [(l, i, v) for i, v in enumerate(vals) if abs(v - 2.0) <= band]
+            d, e = spectral._direct_sum(assemble(torus, l, report.grids_used[-1]))
+            window = _bisected(d, e, "v", (2.0 - band, 2.0 + band))
+            if window.size:
+                first = _bisected(d, e, "v", (-1.0, 2.0 - band)).size
+                last = first + window.size - 1
+                ends = _bisected(d, e, "i", (first, last))[[0, -1]]
+                expected.append((l, first, last, *ends))
         got = report.eigenvalues_near_2
-        assert len(got) == 13
-        assert sum(l == 1 for l, _, _ in got) == 11
-        assert [(l, i) for l, i, _ in got] == [(l, i) for l, i, _ in expected]
-        np.testing.assert_allclose([v for _, _, v in got], [v for _, _, v in expected],
+        assert [(l, first, last) for l, first, last, _, _ in got] == [x[:3] for x in expected]
+        assert [last - first + 1 for l, first, last, _, _ in got if l == 1] == [l1_window]
+        np.testing.assert_allclose([x[3:] for x in got], [x[3:] for x in expected],
                                    rtol=0.0, atol=1e-9)
 
 
 class TestGroundEigenvalue:
-    """The anchors by one Rayleigh-quotient step from their known eigenfunctions, and Lanczos near 2."""
+    """The anchors by one Rayleigh-quotient step from their known eigenfunctions."""
 
     @staticmethod
     def _diagonal(low, n=64):
@@ -911,14 +979,14 @@ class TestGroundEigenvalue:
 
     @staticmethod
     def _anchors_and_lanczos(torus, n):
-        """The three refined anchors on n rows, and Lanczos values for each: the l = 1
-        ground from eigen_low, and the value nearest 2 in each l = 0 half."""
+        """The three refined anchors on n rows, and an independent value for each: the
+        l = 1 ground from eigen_low, and the value nearest 2 in each l = 0 half by dstebz."""
         l0, l1 = assemble(torus, 0, n), assemble(torus, 1, n)
         pairs = zip((l1.even, l0.even, l0.odd),
                     spectral._known_eigenfunctions(torus, n, spectral._phase_points(torus, n)))
         refined = [spectral._rayleigh_step(*half, w)[0] for half, w in pairs]
         lanczos = [eigen_low(l1, 1).eigenvalues[0]] + [
-            spectral._eigenvalues_near(d, e, 1, 2.0)[0] for d, e in (l0.even, l0.odd)]
+            _nearest(d, e, 2.0) for d, e in (l0.even, l0.odd)]
         return refined, lanczos, spectral._EPS * float(np.max(np.abs(l1.even[0])))
 
     @pytest.mark.parametrize("label, n", [
@@ -959,9 +1027,15 @@ class TestGroundEigenvalue:
         w = spectral._known_eigenfunctions(torus, 2048, spectral._phase_points(torus, 2048))[0]
         assert spectral._rayleigh_step(*l1.even, w)[0] - ground > 1e3 * floor
         bisected = []
-        dstebz = spectral.dstebz
-        monkeypatch.setattr(spectral, "dstebz", lambda *args: bisected.append(
-            dstebz(*args)[1][0]) or dstebz(*args))
+        bisect = spectral._bisect
+
+        def recording(d, e, indices, lo, hi):
+            values = bisect(d, e, indices, lo, hi)
+            if lo == 0.0:  # the ground's bracket; the windows' lie about 2
+                bisected.append(values[0])
+            return values
+
+        monkeypatch.setattr(spectral, "_bisect", recording)
         assert count_below(torus, n_grid=1024).verdict is True
         assert len(bisected) == 1 and abs(bisected[0] - ground) <= floor
 
@@ -997,17 +1071,6 @@ class TestGroundEigenvalue:
         with pytest.raises(spectral.SolverFailure, match="no eigenvalue"):
             count_below(torus_23, n_grid=2048)
 
-    @pytest.mark.parametrize("label, side", [((26, 51), 0), ((26, 51), 1), ((28, 55), 0)],
-                             ids=["26/51 even", "26/51 odd", "28/55 even"])
-    def test_one_value_run_inside_a_cluster(self, label, side):
-        # three Lanczos vectors stall in the l = 1 cluster at 2048 rows; the
-        # run is retried at ARPACK's default size
-        problem = assemble(build_torus(RotationNumber(*label)), 1, 2048)
-        d, e = (problem.even, problem.odd)[side]
-        dense = scipy.linalg.eigvalsh_tridiagonal(d, e)
-        nearest = dense[np.argmin(np.abs(dense - 2.0))]
-        assert abs(spectral._eigenvalues_near(d, e, 1, 2.0)[0] - nearest) <= 1e-9
-
     def test_nearest_to_the_threshold_is_not_the_ground_of_a_coupled_half(self):
         # T = tridiag(-1, 2.5, -1) of order 64 has the eigenvalues
         # 2.5 - 2 cos(k pi / 65): 27 lie below 2, the nearest at 1.975, the
@@ -1016,7 +1079,7 @@ class TestGroundEigenvalue:
         half = np.full(n, 2.5), -np.ones(n - 1)
         exact = 2.5 - 2.0 * np.cos(np.arange(1, n + 1) * pi / (n + 1))
         assert spectral._sturm_counts(*half, [2.0])[0] == np.sum(exact < 2.0) == 27
-        nearest = spectral._eigenvalues_near(*half, 1, 2.0)[0]
+        nearest = _nearest(*half, 2.0)
         ground, _ = spectral._rayleigh_step(*half, np.sin(np.arange(1, n + 1) * pi / (n + 1)))
         assert nearest - ground > 1e-3
         assert abs(ground - exact[0]) <= 1e-12
@@ -1049,6 +1112,10 @@ class TestBorderedFactorization:
                 T = _tridiagonal(d, e)
                 for sigma in (-1.0, 2.0):
                     b = rng.standard_normal(d.size)
+                    if spectral._sturm_counts(d, e, [sigma])[0]:  # not definite: refused
+                        with pytest.raises(spectral.SolverFailure, match="not definite"):
+                            spectral._inverse(d, e, sigma)
+                        continue
                     x = spectral._inverse(d, e, sigma).matvec(b)
                     residual = T @ x - sigma * x - b
                     assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(b), (l, sigma)
