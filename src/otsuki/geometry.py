@@ -19,10 +19,12 @@ The geodesic is not integrated.  In the turning phase ``u``, defined by
 :func:`phase_metric`).  One ``u``-cycle covers two arcs, from ``phi = a``
 to ``pi/2 - a`` and back, and a period is ``q`` cycles.  Term-by-term
 integration of the Fourier series of the two rates gives ``t(u)`` and
-``theta(u)``; ``u(t)`` and ``theta(t)`` are then piecewise-quintic Hermite
-interpolants on the knots ``t(u_m)`` of a uniform ``u`` grid (see
-:class:`_PhaseCycle`).  The spectral problems are posed in ``u`` too, on
-``phi`` and ``J = dt/du`` from :func:`phase_metric`.
+``theta(u)``, and the period and theta's closure; ``u(t)`` and
+``theta(t)`` are then piecewise-quintic Hermite interpolants on the knots
+``t(u_m)`` of a uniform ``u`` grid, built only when a value along the
+geodesic is first asked for (see :class:`_PhaseCycle`).  The spectral
+problems are posed in ``u`` too, on ``phi`` and ``J = dt/du`` from
+:func:`phase_metric`, and read no interpolant.
 """
 
 from __future__ import annotations
@@ -133,17 +135,20 @@ class GeodesicProfile:
     """One period of the closed geodesic, with uniform arc-length samples.
 
     The continuous queries ``phi_at`` and ``theta_at`` and the samples all
-    come from the phase interpolant ``cycle`` (:class:`_PhaseCycle`).  The
-    sample arrays ``t``, ``phi``, ``theta``, ``phi_dot`` and ``theta_dot``
-    hold ``n_samples + 1`` rows, the last one the period closure at
-    ``t = t0``; they are evaluated on first read and then kept, so a
-    profile whose samples are not read (as by :func:`build_torus` and the
-    spectral problems) allocates none of them.  ``speed_error`` and
-    ``momentum_error``, also computed on first read, measure the samples
-    against the first integrals of the geodesic.  ``closure_phi_error`` is
-    ``max(|phi(L) - (pi/2 - a)|, |dphi/dt(L)|)`` at the end
-    ``L = t0 / arcs_per_period`` of the first arc, and
-    ``closure_theta_error`` is ``|theta(t0) - 2 pi p|``.
+    come from the phase interpolant of ``cycle`` (:class:`_PhaseCycle`),
+    which is built on their first read.  The sample arrays ``t``, ``phi``,
+    ``theta``, ``phi_dot`` and ``theta_dot`` hold ``n_samples + 1`` rows,
+    the last one the period closure at ``t = t0``; they are evaluated on
+    first read and then kept, so a profile whose samples are not read (as
+    by :func:`build_torus` and the spectral problems) allocates none of
+    them, nor the interpolant.  ``speed_error`` and ``momentum_error``,
+    also computed on first read, measure the samples against the first
+    integrals of the geodesic.  ``closure_theta_error`` is
+    ``|theta(t0) - 2 pi p|`` from the phase series, ``advance t0 / period``
+    for ``theta(t0)``.  ``closure_phi_error`` is
+    ``max(|phi(L) - (pi/2 - a)|, |dphi/dt(L)|)`` on the interpolant at the
+    end ``L = t0 / arcs_per_period`` of the first arc; reading it builds
+    the interpolant, which measures it then.
     """
 
     rotation: Optional[RotationNumber]
@@ -152,9 +157,11 @@ class GeodesicProfile:
     t0: float
     n_samples: int
     arcs_per_period: int
-    closure_phi_error: float
     closure_theta_error: float
     cycle: _PhaseCycle = field(repr=False)
+
+    closure_phi_error = property(lambda self: self.cycle._interpolant[2],
+                                 doc="phi's closure error at the end of the first arc.")
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, ...]:
@@ -318,31 +325,31 @@ def phase_metric(a: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``dtheta/du = c J / G(phi)``, the integrand of :func:`omega`.  ``h = 0``
     gives the Clifford circle.
     """
+    return _phase_metric_trig(a, u)[:2]
+
+
+def _phase_metric_trig(a: float, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`phase_metric`, with the ``sin(phi)`` and ``cos(phi)`` it evaluates: phi, J, sin phi, cos phi."""
     h = CLIFFORD_TURNING_VALUE - a
     phi = CLIFFORD_TURNING_VALUE - h * np.cos(u)
     # np.sinc(x) = sin(pi x) / (pi x)
     R = np.sqrt(np.sinc((4.0 * h / pi) * np.sin(0.5 * u) ** 2)
                 * np.sinc((4.0 * h / pi) * np.cos(0.5 * u) ** 2))
-    return phi, 2.0 * pi * np.sin(phi) ** 2 * np.cos(phi) / R
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+    return phi, 2.0 * pi * sin_phi ** 2 * cos_phi / R, sin_phi, cos_phi
 
 
-def _phase_knot_table(a: float):
-    """Knots ``tau_m = t(u_m)`` of one u-cycle, u(t), theta(t) with two t-derivatives there, and theta's series.
+def _phase_series(a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier coefficients ``c`` of ``J = dt/du`` and ``dtheta/du`` over a u-cycle, and of their integrals.
 
-    The Fourier series of ``J = dt/du`` and ``dtheta/du``
-    (:func:`phase_metric`), integrated term by term and summed by a
-    zero-padded inverse FFT, give ``t(u)``, ``theta(u)``, ``J``,
-    ``dtheta/du`` and their u-derivatives at ``_KNOTS + 1`` uniform ``u_m``;
-    then ``du/dt = 1/J``, ``d2u/dt2 = -J'/J^3``, and likewise for theta by
-    the chain rule.  Last comes ``(slope, b)`` with
-    ``theta(u) = slope u + 2 Re sum_k b_k (e^{iku} - 1)``.
+    Rows of ``f(u) = sum_k c_k e^{iku}`` (:func:`phase_metric`), the
+    Nyquist term dropped, and ``integral_k = c_k / (ik)`` (0 for k = 0).
     The series has as many nodes as its tail needs (see ``_SERIES_NODES``);
     raises :class:`ClosureFailure` if ``_MAX_SERIES_NODES`` are not enough.
     """
-    K, M = _SERIES_NODES, _KNOTS
+    K = _SERIES_NODES
     c_momentum = clairaut_momentum(a)
     while True:
-        # f(u) = sum_k c_k e^{iku}; the Nyquist term is dropped
         phi, J = phase_metric(a, (2.0 * pi / K) * np.arange(K))
         c = np.fft.rfft(np.array([J, c_momentum * J / OrbitMetric.G(phi)]))[:, :K // 2] / K
         tail = float(np.max(np.abs(c[1, -8:])) / c[1, 0].real)
@@ -352,9 +359,24 @@ def _phase_knot_table(a: float):
             raise ClosureFailure(f"the phase series of dtheta/du at a = {a!r} has a "
                                  f"tail of {tail:.3e} at {K} nodes")
         K *= 2
-    ik = 1j * np.arange(K // 2)
     integral = np.zeros_like(c)
-    integral[:, 1:] = c[:, 1:] / ik[1:]
+    integral[:, 1:] = c[:, 1:] / (1j * np.arange(1, K // 2))
+    return c, integral
+
+
+def _phase_knot_table(a: float, series: tuple[np.ndarray, np.ndarray] | None = None):
+    """Knots ``tau_m = t(u_m)`` of one u-cycle, u(t), theta(t) with two t-derivatives there, and theta's series.
+
+    The phase series (:func:`_phase_series`, or ``series`` if given),
+    summed by a zero-padded inverse FFT, gives ``t(u)``, ``theta(u)``,
+    ``J``, ``dtheta/du`` and their u-derivatives at ``_KNOTS + 1`` uniform
+    ``u_m``; then ``du/dt = 1/J``, ``d2u/dt2 = -J'/J^3``, and likewise for
+    theta by the chain rule.  Last comes ``(slope, b)`` with
+    ``theta(u) = slope u + 2 Re sum_k b_k (e^{iku} - 1)``.
+    """
+    c, integral = _phase_series(a) if series is None else series
+    M = _KNOTS
+    ik = 1j * np.arange(c.shape[1])
     table = np.fft.irfft(np.concatenate([integral, c, ik * c]) * M, n=M)
     table = table[:, np.r_[0:M, 0]]  # close the cycle at u = 2 pi
     u = (2.0 * pi / M) * np.arange(M + 1)
@@ -384,21 +406,58 @@ def _quintic_power(knots, f, df, ddf) -> np.ndarray:
                      (6.0 * d0 - 3.0 * d1 + 0.5 * d2) / w ** 5], axis=-2)
 
 
+def _horner(knots: np.ndarray, coef: np.ndarray, s, slope: bool):
+    """The piecewise quintic ``coef`` (:func:`_quintic_power`) at s, and its slope if asked (else 0)."""
+    i = np.clip(np.searchsorted(knots, s, side="right") - 1, 0, _KNOTS - 1)
+    s = s - knots[i]
+    value, derivative = coef[5][i], 0.0
+    for k in range(4, -1, -1):
+        if slope:
+            derivative = derivative * s + value
+        value = value * s + coef[k][i]
+    return value, derivative
+
+
 class _PhaseCycle:
     """u(t) and theta(t) of the geodesic: one u-cycle, extended to all t.
 
-    Quintic Hermite interpolants on the knots of :func:`_phase_knot_table`
-    in power form, evaluated by Horner's rule.  A cycle (two arcs) lasts
-    ``period = 2 pi J_0`` in t and advances theta by ``advance``: ``2 L``
-    and ``2 omega(a)`` as trapezoid sums.
+    Built from the phase series alone (:func:`_phase_series`).  A cycle
+    (two arcs) lasts ``period = 2 pi J_0`` in t and advances theta by
+    ``advance = 2 pi (dtheta/du)_0``: ``2 L`` and ``2 omega(a)`` as
+    trapezoid sums.  u(t) and theta(t) are quintic Hermite interpolants on
+    the knots of :func:`_phase_knot_table` in power form, evaluated by
+    Horner's rule; they are built on their first read (``_interpolant``),
+    and phi's closure is checked there, at ``arc_end``.
     """
 
     def __init__(self, a: float):
-        self.h = CLIFFORD_TURNING_VALUE - a
-        self.knots, f, df, ddf, self._theta_series = _phase_knot_table(a)
-        self.period = float(self.knots[-1])
-        self.advance = float(f[1, -1])
-        self._coef = _quintic_power(self.knots, f, df, ddf)
+        self.a, self.h = a, CLIFFORD_TURNING_VALUE - a
+        self._series = c, integral = _phase_series(a)
+        self._theta_series = (float(c[1, 0].real), integral[1])
+        # the knot table's last abscissa, u = 2 pi, where t and theta close the cycle
+        self.period, self.advance = (float(x) for x in c[:, 0].real * ((2.0 * pi / _KNOTS) * _KNOTS))
+        # the end of the first arc (u = pi); trace_geodesic sets that of the geodesic
+        self.arc_end = 0.5 * self.period
+
+    @cached_property
+    def _interpolant(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The knots, the coefficients of u(t) and theta(t) by row, and phi's closure error.
+
+        The error is ``max(|phi - (pi/2 - a)|, |dphi/dt|)`` on the
+        interpolant at ``arc_end``, where phi must reach its maximum with
+        dphi/dt = 0.  On the series this is an identity, so only a broken
+        interpolant misses it: :class:`ClosureFailure` above 1e-6, before
+        any value is returned.
+        """
+        knots, f, df, ddf, _ = _phase_knot_table(self.a, self._series)
+        coef = _quintic_power(knots, f, df, ddf)
+        u, u_dot = _horner(knots, coef[0], self.arc_end, slope=True)
+        error = max(abs(float(CLIFFORD_TURNING_VALUE - self.h * np.cos(u)) - (pi / 2.0 - self.a)),
+                    abs(float(self.h * np.sin(u) * u_dot)))
+        if error > 1e-6:
+            raise ClosureFailure(f"geodesic failed to close: |phi(L) - (pi/2 - a)| or "
+                                 f"|phi'(L)| = {error:.3e}")
+        return knots, coef, error
 
     def theta_on_grid(self, du: float, n: int) -> np.ndarray:
         """theta at ``u_j = j du``, j < n, on whole u-cycles ``n du = 2 pi m`` (any grid without waves).
@@ -417,15 +476,8 @@ class _PhaseCycle:
 
         With ``slope`` the t-derivative is returned as well.
         """
-        i = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, _KNOTS - 1)
-        s = s - self.knots[i]
-        coef = self._coef[row]
-        value, derivative = coef[5][i], 0.0
-        for k in range(4, -1, -1):
-            if slope:
-                derivative = derivative * s + value
-            value = value * s + coef[k][i]
-        return value, derivative
+        knots, coef, _ = self._interpolant
+        return _horner(knots, coef[row], s, slope)
 
     def phi(self, t):
         """phi at arc length t."""
@@ -456,16 +508,17 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
                    n_samples: int | None = None) -> GeodesicProfile:
     """The closed geodesic turning at phi = a, over one full period.
 
-    Nothing is integrated step by step: the phase interpolant
+    Nothing is integrated step by step: the phase cycle
     (:class:`_PhaseCycle`) gives u(t) and theta(t) in closed form up to
     its series and knots.  A period is ``q`` of its cycles, so
-    ``t0 = q * 2 pi J_0``.  The sample count is decided and checked here,
-    but the uniform arc-length samples, and the speed and Clairaut
-    momentum errors recorded on them, are evaluated only when first read
-    (see :class:`GeodesicProfile`); nothing checks those errors against a
-    tolerance.  Closure is measured from the interpolant alone: at the end
-    of the first arc, where phi must reach its maximum ``pi/2 - a`` with
-    dphi/dt = 0, and in theta at ``t0``.
+    ``t0 = q * 2 pi J_0``.  Only the series is computed here.  The sample
+    count is decided and checked here, but the interpolant, the uniform
+    arc-length samples, and the speed and Clairaut momentum errors
+    recorded on them, are evaluated only when first read (see
+    :class:`GeodesicProfile`); nothing checks the two errors against a
+    tolerance.  theta's closure at ``t0`` is measured here from the
+    series; phi's, at the end of the first arc, where phi must reach its
+    maximum ``pi/2 - a`` with dphi/dt = 0, when the interpolant is built.
 
     ``a = pi/4`` is accepted with ``rotation=None`` and yields the constant
     solution, a Clifford circle of length 2 pi^2 that closes after a single
@@ -480,9 +533,10 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
         below ``16 q`` or above ``2**22``; the thin tori that need more
         are refused, although no sample is evaluated here.
     ClosureFailure
-        If the geodesic misses closure by more than 1e-6 in phi or theta,
-        which signals a turning value inconsistent with the rotation
-        number.
+        If theta misses its closure ``2 pi p`` by more than 1e-6, which
+        signals a turning value inconsistent with the rotation number.
+        The interpolant raises it, on its first build, if phi misses its
+        closure by more than 1e-6.
     """
     clifford = abs(a - CLIFFORD_TURNING_VALUE) <= 1e-12
     if clifford:
@@ -508,26 +562,23 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
                           f"the limit of {_MAX_SAMPLES}")
 
     arcs = 2 * q_eff
-    phi_L, _, phi_dot_L, _ = cycle.state(t0 / arcs)
-    closure_phi = max(abs(float(phi_L) - (pi / 2.0 - a)), abs(float(phi_dot_L)))
-    closure_theta = abs(float(cycle.theta(t0)) - 2.0 * pi * p_eff)
-    if closure_phi > 1e-6 or closure_theta > 1e-6:
+    cycle.arc_end = t0 / arcs  # where the interpolant checks phi's closure when first built
+    closure_theta = abs(cycle.advance * t0 / cycle.period - 2.0 * pi * p_eff)
+    if closure_theta > 1e-6:
         raise ClosureFailure(
-            f"geodesic failed to close: |phi(L) - (pi/2 - a)| or |phi'(L)| = "
-            f"{closure_phi:.3e}, |theta(t0) - 2 pi p| = {closure_theta:.3e}")
+            f"geodesic failed to close: |theta(t0) - 2 pi p| = {closure_theta:.3e}")
 
     return GeodesicProfile(
         rotation=rotation, a=a, c=clairaut_momentum(a), t0=t0, n_samples=n_samples,
-        arcs_per_period=arcs,
-        closure_phi_error=closure_phi, closure_theta_error=closure_theta,
-        cycle=cycle)
+        arcs_per_period=arcs, closure_theta_error=closure_theta, cycle=cycle)
 
 
 def build_torus(rotation: RotationNumber, n_samples: int | None = None) -> OtsukiTorus:
     """Construct the Otsuki torus labeled by ``rotation``.
 
     Solves the closure condition for the turning value, builds the closed
-    geodesic, and cross-checks its period (a trapezoid sum in the phase u)
+    geodesic from its phase series (the interpolant waits for its first
+    read), and cross-checks its period (a trapezoid sum in the phase u)
     against the quadrature arc length (tanh-sinh in phi) to 1e-6 relative
     before deriving the area and the functional value ``2 t0`` attached to
     eigenvalue index ``2p - 1``.

@@ -56,7 +56,7 @@ from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dgeqrf, dgttrf, dgttrs, dorgqr, dpttrf, dpttrs
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from .geometry import OtsukiTorus, phase_metric
+from .geometry import OtsukiTorus, _phase_metric_trig
 
 __all__ = [
     "GridTooCoarse", "SolverFailure", "AmbiguousCount",
@@ -197,23 +197,25 @@ def _phase_step(torus: OtsukiTorus, n_grid: int) -> float:
     return 2.0 * math.pi * torus.t0 / torus.profile.cycle.period / n_grid
 
 
-def _phase_points(torus: OtsukiTorus, n_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """phi and J at ``u = k du / 2``, k <= n_grid: nodes (even k) and midpoints; every other for n_grid / 2."""
-    return phase_metric(torus.profile.a, 0.5 * _phase_step(torus, n_grid) * np.arange(n_grid + 1))
+def _phase_points(torus: OtsukiTorus, n_grid: int) -> tuple[np.ndarray, ...]:
+    """phi, J, sin phi and cos phi at ``u = k du / 2``, k <= n_grid: nodes (even k) and midpoints.
+
+    Every other point is the same for n_grid / 2.
+    """
+    return _phase_metric_trig(torus.profile.a,
+                              0.5 * _phase_step(torus, n_grid) * np.arange(n_grid + 1))
 
 
 def _coefficients(torus: OtsukiTorus, n_grid: int, points=None) -> tuple[np.ndarray, ...]:
     """sin(phi)^2 and J at the nodes 0 .. n_grid / 2, and ``c / du^2`` at the midpoints between them."""
-    phi, J = _phase_points(torus, n_grid) if points is None else points
+    _, J, sin_phi, _ = _phase_points(torus, n_grid) if points is None else points
     du = _phase_step(torus, n_grid)
-    sin_sq = np.sin(phi) ** 2
+    sin_sq = sin_phi ** 2
     return sin_sq[::2], J[::2], (4.0 * math.pi ** 2 / du ** 2) * sin_sq[1::2] / J[1::2]
 
 
-def _check_grid(torus: OtsukiTorus, modes: Sequence[int], n_grid: int) -> None:
-    """Refuse a negative mode, and a grid :func:`assemble` does not take, before anything is allocated."""
-    if any(l < 0 for l in modes):
-        raise ValueError("angular mode l must be non-negative")
+def _check_grid(torus: OtsukiTorus, n_grid: int) -> None:
+    """Refuse a grid :func:`assemble` does not take, before anything is allocated."""
     p = torus.profile.theta_winding
     if n_grid < 64 or n_grid < 32 * p:
         raise GridTooCoarse(f"n_grid must be >= max(64, 32 p = {32 * p})")
@@ -226,19 +228,22 @@ def _check_grid(torus: OtsukiTorus, modes: Sequence[int], n_grid: int) -> None:
 
 def _assemble_modes(torus: OtsukiTorus, modes: Sequence[int], n_grid: int,
                     points=None) -> Iterator[SLProblem]:
-    """:func:`assemble` for each listed mode, evaluating phi and J once (or reading ``points``).
+    """:func:`assemble` for each listed mode, ascending, evaluating phi and J once (or reading ``points``).
 
-    Checked at once; made one at a time, as asked for, so a caller holds
-    nothing before the first and, keeping none, one mode's diagonal at a time.
-    ``points`` are those of :func:`_phase_points`, if the caller has them.
+    Checked at once, a negative mode by the first; made one at a time, as
+    asked for, so a caller holds nothing before the first and, keeping
+    none, one mode's diagonal at a time.  ``points`` are those of
+    :func:`_phase_points`, if the caller has them.
     """
-    _check_grid(torus, modes, n_grid)
+    if modes and modes[0] < 0:
+        raise ValueError("angular mode l must be non-negative")
+    _check_grid(torus, n_grid)
 
     def problems():
         sin_sq, J, flux = _coefficients(torus, n_grid, points)
         off = -flux / np.sqrt(J[:-1] * J[1:])
         # flux at j + 1/2 plus flux at j - 1/2; the flux is even about the nodes 0 and r
-        stiffness = (np.append(flux, flux[-1]) + np.insert(flux, 0, flux[0])) / J
+        stiffness = (np.concatenate([flux, flux[-1:]]) + np.concatenate([flux[:1], flux])) / J
         e_even = off.copy()
         e_even[[0, -1]] *= _SQRT2  # the couplings into the fixed points
         del J, flux  # not held while the generator waits
@@ -514,9 +519,9 @@ def _nodal_eigenfunctions(torus: OtsukiTorus, n_grid: int, points) -> np.ndarray
     odd cos(phi) sin(theta) is set to 0 at the nodes 0 and r, where it
     vanishes.  ``points`` are those of :func:`_phase_points`.
     """
-    phi = points[0][::2]
-    theta = torus.profile.cycle.theta_on_grid(_phase_step(torus, n_grid), n_grid)[:phi.size]
-    h = np.array([np.sin(phi), np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta)])
+    sin_phi, cos_phi = points[2][::2], points[3][::2]
+    theta = torus.profile.cycle.theta_on_grid(_phase_step(torus, n_grid), n_grid)[:sin_phi.size]
+    h = np.array([sin_phi, cos_phi * np.cos(theta), cos_phi * np.sin(theta)])
     h[2, [0, -1]] = 0.0
     return h
 
@@ -556,7 +561,7 @@ def known_eigenfunction_residuals(torus: OtsukiTorus, n_grid: int
     residuals = []
     for l, edge, h in zip((1, 0, 0), (0, 0, 1), _nodal_eigenfunctions(torus, n_grid, points)):
         F = -flux * np.diff(h)  # c (h_j - h_{j+1}), mirrored past 0 and r
-        r = fold * ((np.append(F, -F[-1]) - np.insert(F, 0, -F[0])) / root_J
+        r = fold * ((np.concatenate([F, -F[-1:]]) - np.concatenate([-F[:1], F])) / root_J
                     + (l * l / sin_sq - 2.0) * root_J * h)
         inner = slice(edge, J.size - edge)  # the odd half omits the nodes 0 and r
         residuals.append(float(np.sqrt(np.sum(r[inner] ** 2)
@@ -639,7 +644,7 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     claimed = torus.eigenvalue_index
     grids, modes = [n_grid, 2 * n_grid], range(l_max + 1)
     for n in reversed(grids):  # both checked before anything is evaluated
-        _check_grid(torus, modes, n)
+        _check_grid(torus, n)
     points = _phase_points(torus, grids[1])
     # the requested grid is assembled once the doubled one is done, from every other point
     requested = _assemble_modes(torus, modes, n_grid, tuple(x[::2] for x in points))

@@ -54,6 +54,14 @@ def level_by_level_quadrature(f, a, b):
         f"(last change {abs(estimate - previous):.3e})")
 
 
+def count_interpolant_builds(monkeypatch) -> list:
+    """A list that grows by one entry at each ``geometry._quintic_power`` call: one per interpolant built."""
+    built = []
+    quintic = geometry._quintic_power
+    monkeypatch.setattr(geometry, "_quintic_power", lambda *args: built.append(1) or quintic(*args))
+    return built
+
+
 @pytest.fixture(scope="session")
 def torus_23():
     return geometry.build_torus(geometry.RotationNumber(2, 3))

@@ -17,6 +17,8 @@ import otsuki
 from otsuki import cli, geometry, spectral
 from otsuki.cli import main
 
+from conftest import count_interpolant_builds
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -88,6 +90,17 @@ class TestTable:
         rows = json.loads(out)["rows"]
         assert [(r["p"], r["q"]) for r in rows] == [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9)]
         assert [r["eigenvalue_index"] for r in rows] == [3, 5, 7, 9, 9]
+
+
+@pytest.mark.parametrize("argv", [["solve", "2", "3"], ["solve", "5", "9", "--format", "json"],
+                                  ["table"], ["table", "--format", "csv"]])
+def test_solve_and_table_build_no_interpolant(capsys, monkeypatch, argv):
+    # their tori are built from the phase series alone; geodesic builds one interpolant
+    built = count_interpolant_builds(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert built == []
+    assert run(capsys, "geodesic", "2", "3")[0] == 0
+    assert built == [1]
 
 
 class TestGeodesic:

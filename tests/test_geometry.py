@@ -24,7 +24,7 @@ from otsuki.geometry import (
 )
 from otsuki.numerics import find_root_monotone
 
-from conftest import REFERENCE, level_by_level_quadrature
+from conftest import REFERENCE, count_interpolant_builds, level_by_level_quadrature
 
 
 def E_prime(phi):
@@ -437,9 +437,63 @@ class TestWindowEdges:
         assert torus.eigenvalue_index == 13
 
     def test_inconsistent_turning_value_fails_closure(self):
-        # a turning value that belongs to no 2/3 geodesic cannot close
-        with pytest.raises(geometry.ClosureFailure):
+        # a turning value that belongs to no 2/3 geodesic cannot close; the
+        # series shows it at trace time
+        with pytest.raises(geometry.ClosureFailure, match="theta"):
             trace_geodesic(0.2, RotationNumber(2, 3))
+
+
+class TestLazyInterpolant:
+    """The trace computes the phase series only; the interpolant is built on its first read."""
+
+    def test_first_read_builds_the_interpolant_once(self, monkeypatch):
+        built = count_interpolant_builds(monkeypatch)
+        torus = build_torus(RotationNumber(2, 3))
+        profile = torus.profile
+        assert built == []
+        first = profile.phi_at(1.0)
+        assert len(built) == 1
+        # later reads, of every kind, reuse it
+        profile.phi, profile.theta_at(profile.t0), profile.closure_phi_error
+        embedding_grid(torus, np.zeros(2), np.linspace(0.0, torus.t0, 5))
+        assert profile.phi_at(1.0) == first and len(built) == 1
+        # the samples, read first, build it too
+        build_torus(RotationNumber(3, 5)).profile.phi
+        assert len(built) == 2
+
+    def test_perturbed_half_cycle_knot_fails_on_first_read(self, monkeypatch):
+        # u at the knot u = pi, the end of the first arc, moved by 1e-2: the
+        # series (and so the trace) is sound, the interpolant is not
+        table = geometry._phase_knot_table
+
+        def perturbed(a, series=None):
+            knots, f, df, ddf, theta_series = table(a, series)
+            f = f.copy()
+            f[0, geometry._KNOTS // 2] += 1e-2
+            return knots, f, df, ddf, theta_series
+
+        monkeypatch.setattr(geometry, "_phase_knot_table", perturbed)
+        profile = build_torus(RotationNumber(2, 3)).profile
+        for read in (lambda: profile.phi_at(0.0), lambda: profile.theta,
+                     lambda: profile.cycle.state(0.0), lambda: profile.closure_phi_error):
+            with pytest.raises(geometry.ClosureFailure, match="phi"):
+                read()
+
+    def test_phi_closure_keeps_its_definition(self, tori, clifford):
+        # phi and dphi/dt on the interpolant at the end t0 / (2 q) of the first arc
+        for torus in [*tori.values(), clifford]:
+            profile = torus.profile
+            phi, _, phi_dot, _ = profile.cycle.state(profile.t0 / profile.arcs_per_period)
+            assert profile.closure_phi_error == max(abs(float(phi) - (pi / 2.0 - profile.a)),
+                                                    abs(float(phi_dot)))
+
+    def test_theta_closure_from_the_series(self, tori, clifford):
+        # advance t0 / period against theta(t0) on the interpolant: the same to rounding
+        for torus in [*tori.values(), clifford]:
+            profile = torus.profile
+            theta = float(profile.theta_at(profile.t0))
+            assert abs(profile.closure_theta_error
+                       - abs(theta - 2.0 * pi * profile.theta_winding)) <= 1e-12
 
 
 class TestPhaseSeries:

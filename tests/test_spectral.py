@@ -21,6 +21,8 @@ from otsuki.spectral import (
     resolving_grid,
 )
 
+from conftest import REFERENCE, count_interpolant_builds
+
 
 def _dense(main, off):
     """Dense oracle of the bands: off[j] couples j and j + 1 mod n, in both triangles."""
@@ -155,8 +157,10 @@ class TestAssemble:
             assemble(tori[(5, 9)], 0, 128)  # 32 p = 160
 
     def test_negative_mode_rejected(self, torus_23):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-negative"):
             assemble(torus_23, -1, 256)
+        with pytest.raises(ValueError, match="non-negative"):
+            lambda0_monotone_check(torus_23, [-1, 0], 256)
 
     def test_grid_above_the_cap_rejected(self, torus_23):
         n = spectral._MAX_GRID + 1
@@ -541,6 +545,21 @@ class TestCountBelow:
         assert report == expected
         assert max(assembled.count(n) for n in report.grids_used) <= 4
 
+    def test_l_max_walks_no_range(self, torus_23):
+        # the modes are checked without a walk over range(l_max + 1)
+        expected = count_below(torus_23, l_max=3)
+        start = time.perf_counter()
+        report = count_below(torus_23, l_max=10 ** 7)
+        assert time.perf_counter() - start < 0.5
+        assert report == expected
+
+    def test_builds_no_interpolant(self, monkeypatch):
+        # build_torus and count_below read the phase series and phase_metric alone
+        built = count_interpolant_builds(monkeypatch)
+        for label in REFERENCE:
+            assert count_below(build_torus(RotationNumber(*label))).verdict is True
+        assert built == []
+
     def test_l_max_floor(self, torus_23):
         with pytest.raises(ValueError):
             count_below(torus_23, l_max=1)
@@ -557,8 +576,8 @@ class TestCountBelow:
                                                                  n_grid, error):
         # the requested grid is assembled last, but checked first
         called = []
-        metric = spectral.phase_metric
-        monkeypatch.setattr(spectral, "phase_metric",
+        metric = spectral._phase_metric_trig
+        monkeypatch.setattr(spectral, "_phase_metric_trig",
                             lambda a, u: called.append(u.size) or metric(a, u))
         if error is None:
             count_below(tori[(5, 9)], n_grid=n_grid)
@@ -1045,7 +1064,7 @@ class TestGroundEigenvalue:
         known = spectral._known_eigenfunctions
 
         def swapped(torus, n, points):
-            phi, J = (x[::2] for x in points)
+            phi, J = (x[::2] for x in points[:2])
             w = np.sqrt(J) * np.sin(2.0 * phi)
             w[1:-1] *= math.sqrt(2.0)
             return [w] + known(torus, n, points)[1:]
