@@ -19,6 +19,8 @@ own flags and ignores the others, but an unknown key is refused.
 
 Only spectrum and verify import the spectral module, and with it scipy;
 the other subcommands need numpy alone and do not pay scipy's import.
+Of the two, only spectrum loads ARPACK (scipy.sparse.linalg), for its
+eigenvalues; verify counts them by Sturm sequences alone.
 spectrum prints Richardson-extrapolated eigenvalues from grids n and 2n,
 or, with a note on stderr, the values of grid 2n where the extrapolated
 ones would not ascend.  verify prints each mode's values at 2 as one index

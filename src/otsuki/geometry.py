@@ -22,7 +22,7 @@ integration of the Fourier series of the two rates gives ``t(u)`` and
 ``theta(u)``, and the period and theta's closure; ``u(t)`` and
 ``theta(t)`` are then piecewise-quintic Hermite interpolants on the knots
 ``t(u_m)`` of a uniform ``u`` grid, built only when a value along the
-geodesic is first asked for (see :class:`_PhaseCycle`).  The spectral
+geodesic is first asked for (see :class:`GeodesicProfile`).  The spectral
 problems are posed in ``u`` too, on ``phi`` and ``J = dt/du`` from
 :func:`phase_metric`, and read no interpolant.
 """
@@ -134,21 +134,25 @@ class RotationNumber:
 class GeodesicProfile:
     """One period of the closed geodesic, with uniform arc-length samples.
 
-    The continuous queries ``phi_at`` and ``theta_at`` and the samples all
-    come from the phase interpolant of ``cycle`` (:class:`_PhaseCycle`),
-    which is built on their first read.  The sample arrays ``t``, ``phi``,
-    ``theta``, ``phi_dot`` and ``theta_dot`` hold ``n_samples + 1`` rows,
-    the last one the period closure at ``t = t0``; they are evaluated on
-    first read and then kept, so a profile whose samples are not read (as
-    by :func:`build_torus` and the spectral problems) allocates none of
-    them, nor the interpolant.  ``speed_error`` and ``momentum_error``,
-    also computed on first read, measure the samples against the first
-    integrals of the geodesic.  ``closure_theta_error`` is
-    ``|theta(t0) - 2 pi p|`` from the phase series, ``advance t0 / period``
-    for ``theta(t0)``.  ``closure_phi_error`` is
-    ``max(|phi(L) - (pi/2 - a)|, |dphi/dt(L)|)`` on the interpolant at the
-    end ``L = t0 / arcs_per_period`` of the first arc; reading it builds
-    the interpolant, which measures it then.
+    The geodesic is held as its phase series (:func:`_phase_series`) and
+    two numbers :func:`trace_geodesic` takes from it: ``cycle_period``, the
+    t-length of one u-cycle (two arcs), and ``advance``, theta's gain over
+    it.  ``phi_at``, ``theta_at`` and the samples come from the phase
+    interpolant (quintic Hermite in u(t) and theta(t) on the knots of
+    :func:`_phase_knot_table`, extended from one cycle to all t), built on
+    the first read of a value along the geodesic.  The sample arrays
+    ``t``, ``phi``, ``theta``, ``phi_dot`` and ``theta_dot`` hold
+    ``n_samples + 1`` rows, the last one the period closure at ``t = t0``;
+    they are evaluated on first read and then kept, so a profile whose
+    samples are not read (as by :func:`build_torus` and the spectral
+    problems) allocates none of them, nor the interpolant.
+    ``speed_error`` and ``momentum_error``, also computed on first read,
+    measure the samples against the first integrals of the geodesic.
+    ``closure_theta_error`` is ``|theta(t0) - 2 pi p|`` from the series,
+    with ``theta(t0) = advance t0 / cycle_period``.  ``closure_phi_error``
+    is ``max(|phi(L) - (pi/2 - a)|, |dphi/dt(L)|)`` on the interpolant at
+    the end ``L = t0 / arcs_per_period`` of the first arc, measured when it
+    is built: :class:`ClosureFailure` above 1e-6, before any value.
     """
 
     rotation: Optional[RotationNumber]
@@ -158,16 +162,47 @@ class GeodesicProfile:
     n_samples: int
     arcs_per_period: int
     closure_theta_error: float
-    cycle: _PhaseCycle = field(repr=False)
+    cycle_period: float
+    advance: float
+    _series: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
-    closure_phi_error = property(lambda self: self.cycle._interpolant[2],
+    closure_phi_error = property(lambda self: self._interpolant[2],
                                  doc="phi's closure error at the end of the first arc.")
+
+    @cached_property
+    def _interpolant(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The knots, the coefficients of u(t) and theta(t) by row, and phi's closure error.
+
+        phi must reach its maximum ``pi/2 - a`` with dphi/dt = 0 at the end
+        of the first arc.  On the series this is an identity, so only a
+        broken interpolant misses it.
+        """
+        knots, f, df, ddf = _phase_knot_table(self._series)
+        coef = _quintic_power(knots, f, df, ddf)
+        h = CLIFFORD_TURNING_VALUE - self.a
+        u, u_dot = _horner(knots, coef[0], self.t0 / self.arcs_per_period, slope=True)
+        error = max(abs(float(CLIFFORD_TURNING_VALUE - h * np.cos(u)) - (pi / 2.0 - self.a)),
+                    abs(float(h * np.sin(u) * u_dot)))
+        if error > 1e-6:
+            raise ClosureFailure(f"geodesic failed to close: |phi(L) - (pi/2 - a)| or "
+                                 f"|phi'(L)| = {error:.3e}")
+        return knots, coef, error
+
+    def _state(self, t):
+        """phi, theta, dphi/dt and dtheta/dt at arc length t."""
+        knots, coef, _ = self._interpolant
+        wraps, s = np.divmod(t, self.cycle_period)
+        u, u_dot = _horner(knots, coef[0], s, slope=True)
+        theta, theta_dot = _horner(knots, coef[1], s, slope=True)
+        h = CLIFFORD_TURNING_VALUE - self.a
+        return (CLIFFORD_TURNING_VALUE - h * np.cos(u), theta + wraps * self.advance,
+                h * np.sin(u) * u_dot, theta_dot)
 
     @cached_property
     def _samples(self) -> tuple[np.ndarray, ...]:
         """t, phi, theta, dphi/dt and dtheta/dt at the uniform arc lengths."""
         t = np.linspace(0.0, self.t0, self.n_samples + 1)
-        return (t, *self.cycle.state(t))
+        return (t, *self._state(t))
 
     t = property(lambda self: self._samples[0], doc="Arc lengths j t0 / n_samples.")
     phi = property(lambda self: self._samples[1], doc="phi at the samples.")
@@ -193,11 +228,31 @@ class GeodesicProfile:
 
     def phi_at(self, t):
         """phi along the geodesic, periodically extended; a float for scalar t."""
-        return _scalar_or_array(self.cycle.phi(t))
+        knots, coef, _ = self._interpolant
+        u, _ = _horner(knots, coef[0], np.mod(t, self.cycle_period), slope=False)
+        return _scalar_or_array(CLIFFORD_TURNING_VALUE - (CLIFFORD_TURNING_VALUE - self.a) * np.cos(u))
 
     def theta_at(self, t):
         """theta along the geodesic, increasing by 2 pi p every period; a float for scalar t."""
-        return _scalar_or_array(self.cycle.theta(t))
+        knots, coef, _ = self._interpolant
+        wraps, s = np.divmod(t, self.cycle_period)
+        theta, _ = _horner(knots, coef[1], s, slope=False)
+        return _scalar_or_array(theta + wraps * self.advance)
+
+    def theta_on_grid(self, du: float, n: int) -> np.ndarray:
+        """theta at ``u_j = j du``, j < n, on whole u-cycles ``n du = 2 pi m`` (any grid without waves).
+
+        From the series ``theta(u) = slope u + 2 Re sum_k b_k (e^{iku} - 1)``,
+        where ``e^{iku_j} = e^{2 pi i (mk mod n) j / n}``: one inverse FFT
+        of b_k placed at mk mod n.
+        """
+        c, integral = self._series
+        slope, b = float(c[1, 0].real), integral[1]
+        index = (round(n * du / (2.0 * pi)) * np.arange(b.size)) % n
+        spread = np.zeros(n, dtype=complex)
+        np.add.at(spread, index, b)
+        waves = np.fft.ifft(spread, norm="forward").real  # Re sum_k b_k e^{iku_j}
+        return slope * du * np.arange(n) + 2.0 * (waves - b.real.sum())
 
 
 def _scalar_or_array(values: np.ndarray):
@@ -364,17 +419,16 @@ def _phase_series(a: float) -> tuple[np.ndarray, np.ndarray]:
     return c, integral
 
 
-def _phase_knot_table(a: float, series: tuple[np.ndarray, np.ndarray] | None = None):
-    """Knots ``tau_m = t(u_m)`` of one u-cycle, u(t), theta(t) with two t-derivatives there, and theta's series.
+def _phase_knot_table(series: tuple[np.ndarray, np.ndarray]):
+    """Knots ``tau_m = t(u_m)`` of one u-cycle, and u(t), theta(t) with two t-derivatives there.
 
-    The phase series (:func:`_phase_series`, or ``series`` if given),
-    summed by a zero-padded inverse FFT, gives ``t(u)``, ``theta(u)``,
-    ``J``, ``dtheta/du`` and their u-derivatives at ``_KNOTS + 1`` uniform
-    ``u_m``; then ``du/dt = 1/J``, ``d2u/dt2 = -J'/J^3``, and likewise for
-    theta by the chain rule.  Last comes ``(slope, b)`` with
-    ``theta(u) = slope u + 2 Re sum_k b_k (e^{iku} - 1)``.
+    The phase series (:func:`_phase_series`), summed by a zero-padded
+    inverse FFT, gives ``t(u)``, ``theta(u)``, ``J``, ``dtheta/du`` and
+    their u-derivatives at ``_KNOTS + 1`` uniform ``u_m``; then
+    ``du/dt = 1/J``, ``d2u/dt2 = -J'/J^3``, and likewise for theta by the
+    chain rule.
     """
-    c, integral = _phase_series(a) if series is None else series
+    c, integral = series
     M = _KNOTS
     ik = 1j * np.arange(c.shape[1])
     table = np.fft.irfft(np.concatenate([integral, c, ik * c]) * M, n=M)
@@ -384,8 +438,7 @@ def _phase_knot_table(a: float, series: tuple[np.ndarray, np.ndarray] | None = N
     J, theta_u, J_u, theta_uu = table[2:]
     inv_J = 1.0 / J
     return (t_of_u, np.stack([u, theta_of_u]), np.stack([inv_J, theta_u * inv_J]),
-            np.stack([-J_u, theta_uu * J - theta_u * J_u]) * inv_J ** 3,
-            (float(c[1, 0].real), integral[1]))
+            np.stack([-J_u, theta_uu * J - theta_u * J_u]) * inv_J ** 3)
 
 
 def _quintic_power(knots, f, df, ddf) -> np.ndarray:
@@ -418,87 +471,6 @@ def _horner(knots: np.ndarray, coef: np.ndarray, s, slope: bool):
     return value, derivative
 
 
-class _PhaseCycle:
-    """u(t) and theta(t) of the geodesic: one u-cycle, extended to all t.
-
-    Built from the phase series alone (:func:`_phase_series`).  A cycle
-    (two arcs) lasts ``period = 2 pi J_0`` in t and advances theta by
-    ``advance = 2 pi (dtheta/du)_0``: ``2 L`` and ``2 omega(a)`` as
-    trapezoid sums.  u(t) and theta(t) are quintic Hermite interpolants on
-    the knots of :func:`_phase_knot_table` in power form, evaluated by
-    Horner's rule; they are built on their first read (``_interpolant``),
-    and phi's closure is checked there, at ``arc_end``.
-    """
-
-    def __init__(self, a: float):
-        self.a, self.h = a, CLIFFORD_TURNING_VALUE - a
-        self._series = c, integral = _phase_series(a)
-        self._theta_series = (float(c[1, 0].real), integral[1])
-        # the knot table's last abscissa, u = 2 pi, where t and theta close the cycle
-        self.period, self.advance = (float(x) for x in c[:, 0].real * ((2.0 * pi / _KNOTS) * _KNOTS))
-        # the end of the first arc (u = pi); trace_geodesic sets that of the geodesic
-        self.arc_end = 0.5 * self.period
-
-    @cached_property
-    def _interpolant(self) -> tuple[np.ndarray, np.ndarray, float]:
-        """The knots, the coefficients of u(t) and theta(t) by row, and phi's closure error.
-
-        The error is ``max(|phi - (pi/2 - a)|, |dphi/dt|)`` on the
-        interpolant at ``arc_end``, where phi must reach its maximum with
-        dphi/dt = 0.  On the series this is an identity, so only a broken
-        interpolant misses it: :class:`ClosureFailure` above 1e-6, before
-        any value is returned.
-        """
-        knots, f, df, ddf, _ = _phase_knot_table(self.a, self._series)
-        coef = _quintic_power(knots, f, df, ddf)
-        u, u_dot = _horner(knots, coef[0], self.arc_end, slope=True)
-        error = max(abs(float(CLIFFORD_TURNING_VALUE - self.h * np.cos(u)) - (pi / 2.0 - self.a)),
-                    abs(float(self.h * np.sin(u) * u_dot)))
-        if error > 1e-6:
-            raise ClosureFailure(f"geodesic failed to close: |phi(L) - (pi/2 - a)| or "
-                                 f"|phi'(L)| = {error:.3e}")
-        return knots, coef, error
-
-    def theta_on_grid(self, du: float, n: int) -> np.ndarray:
-        """theta at ``u_j = j du``, j < n, on whole u-cycles ``n du = 2 pi m`` (any grid without waves).
-
-        There ``e^{iku_j} = e^{2 pi i (mk mod n) j / n}``: one inverse FFT of b_k placed at mk mod n.
-        """
-        slope, b = self._theta_series
-        index = (round(n * du / (2.0 * pi)) * np.arange(b.size)) % n
-        spread = np.zeros(n, dtype=complex)
-        np.add.at(spread, index, b)
-        waves = np.fft.ifft(spread, norm="forward").real  # Re sum_k b_k e^{iku_j}
-        return slope * du * np.arange(n) + 2.0 * (waves - b.real.sum())
-
-    def _evaluate(self, row: int, s, slope: bool = False):
-        """u (row 0) or theta (row 1) at offsets s in ``[0, period)`` into a cycle.
-
-        With ``slope`` the t-derivative is returned as well.
-        """
-        knots, coef, _ = self._interpolant
-        return _horner(knots, coef[row], s, slope)
-
-    def phi(self, t):
-        """phi at arc length t."""
-        u, _ = self._evaluate(0, np.mod(t, self.period))
-        return CLIFFORD_TURNING_VALUE - self.h * np.cos(u)
-
-    def theta(self, t):
-        """theta at arc length t."""
-        wraps, s = np.divmod(t, self.period)
-        theta, _ = self._evaluate(1, s)
-        return theta + wraps * self.advance
-
-    def state(self, t):
-        """phi, theta, dphi/dt and dtheta/dt at arc length t."""
-        wraps, s = np.divmod(t, self.period)
-        u, u_dot = self._evaluate(0, s, slope=True)
-        theta, theta_dot = self._evaluate(1, s, slope=True)
-        return (CLIFFORD_TURNING_VALUE - self.h * np.cos(u), theta + wraps * self.advance,
-                self.h * np.sin(u) * u_dot, theta_dot)
-
-
 def default_sample_count(q: int) -> int:
     """Default geodesic samples per period: 512 per arc pair, at least 4096."""
     return max(4096, 512 * q)
@@ -508,10 +480,10 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
                    n_samples: int | None = None) -> GeodesicProfile:
     """The closed geodesic turning at phi = a, over one full period.
 
-    Nothing is integrated step by step: the phase cycle
-    (:class:`_PhaseCycle`) gives u(t) and theta(t) in closed form up to
-    its series and knots.  A period is ``q`` of its cycles, so
-    ``t0 = q * 2 pi J_0``.  Only the series is computed here.  The sample
+    Nothing is integrated step by step: the phase series
+    (:func:`_phase_series`) gives t(u) and theta(u) in closed form, and a
+    period is ``q`` of its u-cycles, so ``t0 = q * 2 pi J_0``.  Only the
+    series is computed here; the profile keeps it.  The sample
     count is decided and checked here, but the interpolant, the uniform
     arc-length samples, and the speed and Clairaut momentum errors
     recorded on them, are evaluated only when first read (see
@@ -551,8 +523,10 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
                 f"turning value {a!r} outside (0, pi/4 - {_NEAR_CLIFFORD_GAP})")
         p_eff, q_eff = rotation.p, rotation.q
 
-    cycle = _PhaseCycle(a)
-    t0 = 2.0 * pi ** 2 if clifford else q_eff * cycle.period
+    series = _phase_series(a)
+    # the knot table's last abscissa, u = 2 pi, where t and theta close the cycle
+    cycle_period, advance = (float(x) for x in series[0][:, 0].real * ((2.0 * pi / _KNOTS) * _KNOTS))
+    t0 = 2.0 * pi ** 2 if clifford else q_eff * cycle_period
     if n_samples is None:
         n_samples = default_sample_count(q_eff)
     if n_samples < 16 * q_eff:
@@ -561,16 +535,15 @@ def trace_geodesic(a: float, rotation: Optional[RotationNumber],
         raise DomainError(f"the geodesic needs {n_samples} samples, more than "
                           f"the limit of {_MAX_SAMPLES}")
 
-    arcs = 2 * q_eff
-    cycle.arc_end = t0 / arcs  # where the interpolant checks phi's closure when first built
-    closure_theta = abs(cycle.advance * t0 / cycle.period - 2.0 * pi * p_eff)
+    closure_theta = abs(advance * t0 / cycle_period - 2.0 * pi * p_eff)
     if closure_theta > 1e-6:
         raise ClosureFailure(
             f"geodesic failed to close: |theta(t0) - 2 pi p| = {closure_theta:.3e}")
 
     return GeodesicProfile(
         rotation=rotation, a=a, c=clairaut_momentum(a), t0=t0, n_samples=n_samples,
-        arcs_per_period=arcs, closure_theta_error=closure_theta, cycle=cycle)
+        arcs_per_period=2 * q_eff, closure_theta_error=closure_theta,
+        cycle_period=cycle_period, advance=advance, _series=series)
 
 
 def build_torus(rotation: RotationNumber, n_samples: int | None = None) -> OtsukiTorus:

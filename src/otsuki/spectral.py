@@ -53,8 +53,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgeqrf, dgttrf, dgttrs, dorgqr, dpttrf, dpttrs
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
+from scipy.linalg.lapack import dgeqrf, dgtsv, dorgqr, dpttrf, dpttrs
 
 from .geometry import OtsukiTorus, _phase_metric_trig
 
@@ -194,7 +193,7 @@ def assemble(torus: OtsukiTorus, l: int, n_grid: int) -> SLProblem:
 
 def _phase_step(torus: OtsukiTorus, n_grid: int) -> float:
     """du of ``n_grid`` rows over a period: ``2 pi q`` in u, ``t0 / J`` for the Clifford circle."""
-    return 2.0 * math.pi * torus.t0 / torus.profile.cycle.period / n_grid
+    return 2.0 * math.pi * torus.t0 / torus.profile.cycle_period / n_grid
 
 
 def _phase_points(torus: OtsukiTorus, n_grid: int) -> tuple[np.ndarray, ...]:
@@ -396,6 +395,7 @@ def _shift_invert(d: np.ndarray, e: np.ndarray, sigma: float, k: int) -> np.ndar
     (:func:`_inverse`), so T is a shape-only operator whose product raises.
     The start vector is fixed, making repeated runs identical.
     """
+    from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
     n = d.size
 
     def no_product(x):
@@ -417,6 +417,7 @@ def _inverse(d: np.ndarray, e: np.ndarray, sigma: float) -> LinearOperator:
     LAPACK's LDL^T (``dpttrf``, ``dpttrs``), for a shift below the spectrum:
     SolverFailure where ``dpttrf`` meets a non-positive pivot.
     """
+    from scipy.sparse.linalg import LinearOperator
     n = d.size
     *ldl, info = dpttrf(d - sigma, e)
     if info:
@@ -515,12 +516,12 @@ def _nodal_eigenfunctions(torus: OtsukiTorus, n_grid: int, points) -> np.ndarray
     The ambient coordinate functions restrict to eigenfunctions of the
     surface Laplacian with eigenvalue 2: sin(phi) of the l = 1 problem,
     cos(phi) cos(theta) and cos(phi) sin(theta) of the l = 0 problem.  theta
-    comes from the phase series (:meth:`_PhaseCycle.theta_on_grid`); the
+    comes from the phase series (:meth:`GeodesicProfile.theta_on_grid`); the
     odd cos(phi) sin(theta) is set to 0 at the nodes 0 and r, where it
     vanishes.  ``points`` are those of :func:`_phase_points`.
     """
     sin_phi, cos_phi = points[2][::2], points[3][::2]
-    theta = torus.profile.cycle.theta_on_grid(_phase_step(torus, n_grid), n_grid)[:sin_phi.size]
+    theta = torus.profile.theta_on_grid(_phase_step(torus, n_grid), n_grid)[:sin_phi.size]
     h = np.array([sin_phi, cos_phi * np.cos(theta), cos_phi * np.sin(theta)])
     h[2, [0, -1]] = 0.0
     return h
@@ -574,7 +575,7 @@ def _rayleigh_step(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> tuple[float, 
 
     One step of Rayleigh-quotient iteration (Parlett, *The Symmetric
     Eigenvalue Problem*, ch. 4): w's Rayleigh quotient rho, the LU solve
-    ``x = (T - rho I)^{-1} w`` and ``rho' = rho + (x.w) / (x.x)``, the
+    ``x = (T - rho I)^{-1} w`` (``dgtsv``) and ``rho' = rho + (x.w) / (x.x)``, the
     Rayleigh quotient of x.  An eigenvalue lies within the radius
     ``||T x - rho' x|| / ||x|| = ||w - (x.w / x.x) x|| / ||x||`` of rho'
     (Krylov-Weinstein); an exactly singular LU makes rho one (radius 0).
@@ -585,10 +586,9 @@ def _rayleigh_step(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> tuple[float, 
     Tw[:-1] += e * w[1:]
     Tw[1:] += e * w[:-1]
     rho = float(np.sum(w * Tw) / np.sum(w * w))
-    *lu, info = dgttrf(e, d - rho, e)
+    *_, x, info = dgtsv(e, d - rho, e, w)
     if info > 0:
         return rho, 0.0
-    x = dgttrs(*lu, w)[0]
     xx = np.sum(x * x)
     step = np.sum(x * w) / xx
     return rho + float(step), float(np.sqrt(np.sum((w - step * x) ** 2) / xx))
@@ -626,8 +626,9 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     Raises
     ------
     ValueError
-        If the doubled grid ``2 n_grid`` exceeds ``_MAX_GRID`` rows, or if
-        ``n_grid`` is odd, both checked before anything is evaluated.
+        If ``threshold`` is not 2, where the anchors that measure the band
+        lie; if the doubled grid ``2 n_grid`` exceeds ``_MAX_GRID`` rows; or
+        if ``n_grid`` is odd: all checked before anything is evaluated.
     AmbiguousCount
         If on the doubled grid some eigenvalue falls in the shoulder
         ``[threshold - 2 band, threshold - band)``, where "below" versus
@@ -639,6 +640,8 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     SolverFailure
         If an anchor is refused or not confirmed.
     """
+    if threshold != 2.0:
+        raise ValueError(f"the threshold must be 2, where the anchors lie, not {threshold!r}")
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
     claimed = torus.eigenvalue_index

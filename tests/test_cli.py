@@ -650,9 +650,10 @@ class TestColdStart:
         assert done.stdout.strip() == ""
 
     def test_scipy_loaded_only_by_the_spectral_subcommands(self):
-        # one fresh interpreter; verify runs last, as the only one that loads scipy
+        # one fresh interpreter; verify and spectrum run last, as the only ones
+        # that load scipy, and spectrum, as the only one that loads ARPACK
         commands = ["solve 2 3", "table", "geodesic 2 3",
-                    "mesh 2 3 --n-alpha 8 --n-t 16", "verify 2 3"]
+                    "mesh 2 3 --n-alpha 8 --n-t 16", "verify 2 3", "spectrum 2 3"]
         src = str(Path(otsuki.__file__).resolve().parents[1])
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -661,12 +662,13 @@ class TestColdStart:
                  "for argv in sys.argv[1:]:\n"
                  "    with contextlib.redirect_stdout(io.StringIO()):\n"
                  "        code = main(argv.split())\n"
-                 "    print(argv, code, 'scipy' in sys.modules)\n")
+                 "    print(argv, code, 'scipy' in sys.modules, 'scipy.sparse.linalg' in sys.modules)\n")
         done = subprocess.run([sys.executable, "-c", probe, *commands], capture_output=True,
                               text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == [
-            f"{argv} 0 {argv.startswith('verify')}" for argv in commands]
+            f"{argv} 0 {argv.split()[0] in ('verify', 'spectrum')} {argv.startswith('spectrum')}"
+            for argv in commands]
 
     def test_package_import_loads_no_module(self):
         src = str(Path(otsuki.__file__).resolve().parents[1])

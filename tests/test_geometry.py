@@ -274,7 +274,7 @@ class TestTraceGeodesic:
         assert profile.n_samples == 9728
         assert peak < 1_000_000
         t = np.linspace(0.0, profile.t0, 9729)
-        phi, _, phi_dot, theta_dot = profile.cycle.state(t)
+        phi, _, phi_dot, theta_dot = profile._state(t)
         np.testing.assert_array_equal(profile.t, t)
         np.testing.assert_array_equal(profile.phi, phi)
         E, G = OrbitMetric.E(phi), OrbitMetric.G(phi)
@@ -391,15 +391,16 @@ class TestOneArcConstruction:
         np.testing.assert_allclose(profile.theta_at(ts), theta, rtol=0.0, atol=1e-10)
 
     def test_closed_form_interpolant_matches_from_derivatives(self, torus_23):
-        cycle = torus_23.profile.cycle
-        knots, f, df, ddf, _ = geometry._phase_knot_table(torus_23.profile.a)
-        ts = np.linspace(0.0, cycle.period, 100_000, endpoint=False)
+        profile = torus_23.profile
+        knots, f, df, ddf = geometry._phase_knot_table(geometry._phase_series(profile.a))
+        _, coef, _ = profile._interpolant
+        ts = np.linspace(0.0, profile.cycle_period, 100_000, endpoint=False)
         for row in (0, 1):
             looped = BPoly.from_derivatives(knots, np.column_stack([f[row], df[row], ddf[row]]))
-            value, slope = cycle._evaluate(row, ts, slope=True)
+            value, slope = geometry._horner(knots, coef[row], ts, slope=True)
             np.testing.assert_allclose(value, looped(ts), rtol=0.0, atol=1e-13)
             np.testing.assert_allclose(slope, looped(ts, 1), rtol=1e-11, atol=0.0)
-            value, slope = cycle._evaluate(row, knots[:-1], slope=True)
+            value, slope = geometry._horner(knots, coef[row], knots[:-1], slope=True)
             np.testing.assert_allclose(value, f[row, :-1], rtol=0.0, atol=1e-15)
             np.testing.assert_allclose(slope, df[row, :-1], rtol=1e-15, atol=0.0)
 
@@ -466,16 +467,16 @@ class TestLazyInterpolant:
         # series (and so the trace) is sound, the interpolant is not
         table = geometry._phase_knot_table
 
-        def perturbed(a, series=None):
-            knots, f, df, ddf, theta_series = table(a, series)
+        def perturbed(series):
+            knots, f, df, ddf = table(series)
             f = f.copy()
             f[0, geometry._KNOTS // 2] += 1e-2
-            return knots, f, df, ddf, theta_series
+            return knots, f, df, ddf
 
         monkeypatch.setattr(geometry, "_phase_knot_table", perturbed)
         profile = build_torus(RotationNumber(2, 3)).profile
         for read in (lambda: profile.phi_at(0.0), lambda: profile.theta,
-                     lambda: profile.cycle.state(0.0), lambda: profile.closure_phi_error):
+                     lambda: profile._state(0.0), lambda: profile.closure_phi_error):
             with pytest.raises(geometry.ClosureFailure, match="phi"):
                 read()
 
@@ -483,7 +484,7 @@ class TestLazyInterpolant:
         # phi and dphi/dt on the interpolant at the end t0 / (2 q) of the first arc
         for torus in [*tori.values(), clifford]:
             profile = torus.profile
-            phi, _, phi_dot, _ = profile.cycle.state(profile.t0 / profile.arcs_per_period)
+            phi, _, phi_dot, _ = profile._state(profile.t0 / profile.arcs_per_period)
             assert profile.closure_phi_error == max(abs(float(phi) - (pi / 2.0 - profile.a)),
                                                     abs(float(phi_dot)))
 
@@ -508,7 +509,8 @@ class TestPhaseSeries:
     def test_benchmark_tori_keep_the_first_series(self, monkeypatch):
         monkeypatch.setattr(geometry, "_MAX_SERIES_NODES", geometry._SERIES_NODES)
         for p, q in REFERENCE:
-            geometry._phase_knot_table(solve_turning_value(RotationNumber(p, q)))
+            a = solve_turning_value(RotationNumber(p, q))
+            geometry._phase_knot_table(geometry._phase_series(a))
 
     @pytest.mark.parametrize("p,q", [(2, 3), (5, 9), (50, 99)])
     def test_theta_of_phase_matches_the_knot_table(self, p, q):
@@ -516,26 +518,26 @@ class TestPhaseSeries:
         # and the closure theta(2 pi q) = 2 pi p; then the grid evaluator
         # against the direct sum, at the knots and over the q cycles of a
         # period at 256 rows a cycle, twice the resolving grid
-        a = solve_turning_value(RotationNumber(p, q))
-        _, f, _, _, _ = geometry._phase_knot_table(a)
-        cycle = geometry._PhaseCycle(a)
-        np.testing.assert_allclose(theta_of_phase(cycle, f[0]), f[1], rtol=0.0, atol=1e-12)
-        assert abs(theta_of_phase(cycle, 2.0 * pi * q) - 2.0 * pi * p) <= 1e-9
+        rotation = RotationNumber(p, q)
+        profile = trace_geodesic(solve_turning_value(rotation), rotation)
+        _, f, _, _ = geometry._phase_knot_table(profile._series)
+        np.testing.assert_allclose(theta_of_phase(profile, f[0]), f[1], rtol=0.0, atol=1e-12)
+        assert abs(theta_of_phase(profile, 2.0 * pi * q) - 2.0 * pi * p) <= 1e-9
         knots = geometry._KNOTS
-        np.testing.assert_allclose(cycle.theta_on_grid(2.0 * pi / knots, knots), f[1, :-1],
+        np.testing.assert_allclose(profile.theta_on_grid(2.0 * pi / knots, knots), f[1, :-1],
                                    rtol=0.0, atol=1e-12)
         n = 2 * max(2048, 1 << (256 * q - 1).bit_length())
         du = 2.0 * pi * q / n
-        np.testing.assert_allclose(cycle.theta_on_grid(du, n),
-                                   theta_of_phase(cycle, du * np.arange(n)),
+        np.testing.assert_allclose(profile.theta_on_grid(du, n),
+                                   theta_of_phase(profile, du * np.arange(n)),
                                    rtol=0.0, atol=1e-14 * 2.0 * pi * p)
 
     def test_theta_on_grid_of_the_clifford_circle(self, clifford):
         # no waves: theta = slope u on any grid, not only on whole u-cycles
-        cycle = clifford.profile.cycle
-        du = clifford.t0 / cycle.period * 2.0 * pi / 256
-        np.testing.assert_allclose(cycle.theta_on_grid(du, 256),
-                                   theta_of_phase(cycle, du * np.arange(256)), rtol=0.0, atol=1e-15)
+        profile = clifford.profile
+        du = clifford.t0 / profile.cycle_period * 2.0 * pi / 256
+        np.testing.assert_allclose(profile.theta_on_grid(du, 256),
+                                   theta_of_phase(profile, du * np.arange(256)), rtol=0.0, atol=1e-15)
 
     def test_phase_metric_against_the_arc_length_quadrature(self, torus_23):
         # the mean of J over a u-cycle is the cycle's length over 2 pi,
@@ -546,13 +548,15 @@ class TestPhaseSeries:
 
     def test_node_cap_raises_closure_failure(self, monkeypatch):
         monkeypatch.setattr(geometry, "_MAX_SERIES_NODES", 512)
+        a = solve_turning_value(RotationNumber(48, 95))
         with pytest.raises(geometry.ClosureFailure, match="tail"):
-            geometry._phase_knot_table(solve_turning_value(RotationNumber(48, 95)))
+            geometry._phase_knot_table(geometry._phase_series(a))
 
 
-def theta_of_phase(cycle, u):
+def theta_of_phase(profile, u):
     """theta at phase u, its Fourier series summed directly (Horner's rule in e^{iu})."""
-    slope, b = cycle._theta_series
+    c, integral = profile._series
+    slope, b = c[1, 0].real, integral[1]
     waves = np.polynomial.polynomial.polyval(np.exp(1j * u), b)
     return slope * u + 2.0 * (waves.real - b.real.sum())
 

@@ -411,8 +411,8 @@ class TestLazyEigenvectors:
         torus = tori.get(label) or build_torus(RotationNumber(*label))
         problem = assemble(torus, l, n)
         asked = []
-        eigsh = spectral.eigsh
-        monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: asked.append(
+        eigsh = scipy.sparse.linalg.eigsh  # imported by _shift_invert when it runs
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *args, **kwargs: asked.append(
             kwargs["return_eigenvectors"]) or eigsh(*args, **kwargs))
         spectrum = eigen_low(problem, k)
         assert asked and not any(asked)  # ARPACK is never asked for vectors
@@ -586,6 +586,18 @@ class TestCountBelow:
             with pytest.raises(error):
                 count_below(tori[(5, 9)], n_grid=n_grid)
             assert called == []
+
+    @pytest.mark.parametrize("threshold", [1.0, 3.0, 6.0])
+    def test_threshold_other_than_2_refused_before_anything_is_evaluated(self, tori, monkeypatch,
+                                                                         threshold):
+        # the band is measured on the anchors at 2, so no other threshold has one
+        called = []
+        metric = spectral._phase_metric_trig
+        monkeypatch.setattr(spectral, "_phase_metric_trig",
+                            lambda a, u: called.append(u.size) or metric(a, u))
+        with pytest.raises(ValueError, match="threshold"):
+            count_below(tori[(5, 9)], threshold)
+        assert called == []
 
     def test_memory_does_not_grow_with_l_max(self, torus_23):
         # the modes are assembled one at a time, so l_max adds time, not memory
@@ -1089,6 +1101,30 @@ class TestGroundEigenvalue:
         monkeypatch.setattr(spectral, "_rayleigh_step", moved)
         with pytest.raises(spectral.SolverFailure, match="no eigenvalue"):
             count_below(torus_23, n_grid=2048)
+
+    @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9), (17, 33), (50, 99)],
+                             ids=["2/3", "3/5", "4/7", "5/8", "5/9", "17/33", "50/99"])
+    def test_one_solve_matches_factor_and_solve(self, tori, label):
+        # the three anchor steps on the doubled resolving grid: dgtsv's x is
+        # LAPACK's dgttrf and dgttrs' bit for bit, and so is the step
+        lapack = scipy.linalg.lapack
+        torus = tori.get(label) or build_torus(RotationNumber(*label))
+        n = 2 * resolving_grid(torus)
+        l0, l1 = assemble(torus, 0, n), assemble(torus, 1, n)
+        for (d, e), w in zip((l1.even, l0.even, l0.odd),
+                             spectral._known_eigenfunctions(torus, n, spectral._phase_points(torus, n))):
+            Tw = d * w
+            Tw[:-1] += e * w[1:]
+            Tw[1:] += e * w[:-1]
+            rho = float(np.sum(w * Tw) / np.sum(w * w))
+            *lu, info = lapack.dgttrf(e, d - rho, e)
+            assert info == 0
+            x = lapack.dgttrs(*lu, w)[0]
+            np.testing.assert_array_equal(lapack.dgtsv(e, d - rho, e, w)[3], x)
+            xx = np.sum(x * x)
+            step = np.sum(x * w) / xx
+            assert spectral._rayleigh_step(d, e, w) == (
+                rho + float(step), float(np.sqrt(np.sum((w - step * x) ** 2) / xx)))
 
     def test_nearest_to_the_threshold_is_not_the_ground_of_a_coupled_half(self):
         # T = tridiag(-1, 2.5, -1) of order 64 has the eigenvalues
