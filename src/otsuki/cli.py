@@ -23,8 +23,10 @@ Of the two, only spectrum loads ARPACK (scipy.sparse.linalg), for its
 eigenvalues; verify counts them by Sturm sequences alone.
 spectrum prints Richardson-extrapolated eigenvalues from grids n and 2n,
 or, with a note on stderr, the values of grid 2n where the extrapolated
-ones would not ascend.  verify prints each mode's values at 2 as one index
-range and its two ends.
+ones would not ascend, and the zero counts of grid 2n: by the oscillation
+theorem, 2j for the j-th value (from 0) of the mode's even half and
+2j + 2 for that of its odd half.  verify prints each mode's values at 2
+as one index range and its two ends.
 
 Exit codes: 0 success (and verification passed), 1 verification failed,
 2 invalid input, an output file that cannot be written, or a computation

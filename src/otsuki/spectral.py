@@ -33,27 +33,26 @@ stable), one walk over the rows for all the shifts a caller reads
 (:func:`_sturm_counts`).  :func:`eigen_low` shifts both halves of a mode
 just below its ground and asks shift-invert Lanczos on each
 (:func:`_shift_invert`) for its share of the eigenvalues alone, to
-rounding level; the eigenvectors come by inverse iteration when first
-read (:class:`SLSpectrum`).  :func:`count_below` counts two grids against
-one guard band, measured on the finer from the three eigenvalues at 2
-whose eigenfunctions are known in closed form, by one Rayleigh-quotient
-step each; the other values it reports, a window's or a shoulder's ends,
-are bisected for on the Sturm counts (:func:`_bisect`).  Grids are
-capped at ``_MAX_GRID`` rows.
+rounding level, and reads each value's zero count off its rank in its
+half (the oscillation theorem), building no eigenvector.
+:func:`count_below` counts two grids against one guard band, measured on
+the finer from the three eigenvalues at 2 whose eigenfunctions are known
+in closed form, by one Rayleigh-quotient step each; the other values it
+reports, a window's or a shoulder's ends, are bisected for on the Sturm
+counts (:func:`_bisect`).  Grids are capped at ``_MAX_GRID`` rows.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgeqrf, dgtsv, dorgqr, dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .geometry import OtsukiTorus, _phase_metric_trig
 
@@ -62,7 +61,7 @@ __all__ = [
     "SLProblem", "SLSpectrum", "VerificationReport",
     "assemble", "eigen_low",
     "known_eigenfunction_residuals", "count_below", "lambda0_monotone_check",
-    "count_sign_changes", "resolving_grid",
+    "resolving_grid",
 ]
 
 _EIGSH_SEED = 20120524  # fixed Lanczos start vector: identical runs bit for bit
@@ -91,8 +90,7 @@ class GridTooCoarse(ValueError):
 class SolverFailure(RuntimeError):
     """The eigensolver failed or contradicts a Sturm count, or a shift is not below a half's spectrum.
 
-    Shift-invert Lanczos and the eigenvectors need T - sigma I definite at
-    the Lanczos shift sigma.
+    Shift-invert Lanczos needs T - sigma I definite at its shift sigma.
     """
 
 
@@ -120,49 +118,16 @@ class SLProblem:
 
 @dataclass
 class SLSpectrum:
-    """Low eigenpairs of one mode, sorted ascending.
+    """Low eigenvalues of one mode, sorted ascending, and the sign changes of their eigenfunctions.
 
-    :func:`eigen_low` fills in the eigenvalues and keeps the mode's two
-    halves, the half of each kept value and its Lanczos shift.
-    ``eigenvectors`` computes the eigenvectors of each half at its kept
-    values on first read (:func:`_half_eigenvectors`), unfolds them onto
-    the grid and drops the halves; ``zero_counts`` is computed from
-    ``eigenvectors`` on first read.  A caller that reads only the
-    eigenvalues computes no eigenvector.
+    ``zero_counts[i]`` is the number of sign changes over one period of the
+    eigenfunction of ``eigenvalues[i]`` (:func:`eigen_low`).
     """
 
     l: int
     eigenvalues: np.ndarray
     n_grid: int
-    # the even and the odd half (d, e) of the mode; None once the eigenvectors are built
-    _halves: tuple[tuple[np.ndarray, np.ndarray], ...] | None = field(repr=False)
-    # True where a kept value is the odd half's
-    _odd: np.ndarray = field(repr=False)
-    # the shift of the Lanczos runs, below the ground: T - sigma I is definite on both halves
-    _sigma: float = field(repr=False)
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """Column i is the unit grid eigenvector ``w = J^{1/2} h`` of ``eigenvalues[i]``, even or odd in u."""
-        n = self.n_grid
-        # built as rows: half rows to grid nodes (the odd half starts at node 1), then
-        # 1 / sqrt 2 on paired nodes and the mirror image, negated for odd vectors
-        vecs = np.zeros((self.eigenvalues.size, n))
-        for side, (d, e) in enumerate(self._halves):
-            kept = np.flatnonzero(self._odd == side)
-            if kept.size:
-                vecs[kept, side:side + d.size] = _half_eigenvectors(
-                    d, e, self.eigenvalues[kept], self._sigma)
-        paired = vecs[:, 1:n // 2]
-        paired /= _SQRT2
-        np.multiply(paired[:, ::-1], np.where(self._odd, -1.0, 1.0)[:, None], out=vecs[:, n // 2 + 1:])
-        self._halves = None
-        return vecs.T
-
-    @cached_property
-    def zero_counts(self) -> list[int]:
-        """Sign changes over one period of each eigenvector (:func:`count_sign_changes`)."""
-        return [count_sign_changes(v) for v in self.eigenvectors.T]
+    zero_counts: list[int]
 
 
 @dataclass
@@ -258,24 +223,8 @@ def _direct_sum(problem: SLProblem) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([d, d_odd]), np.concatenate([e, [0.0], e_odd])
 
 
-def count_sign_changes(values: np.ndarray) -> int:
-    """Sign changes of a periodic grid function over one period.
-
-    Entries below 1e-10 times the max magnitude are ignored so that
-    discretization noise at a genuine zero is not double counted.
-    """
-    v = np.asarray(values, dtype=float)
-    peak = np.max(np.abs(v))
-    if peak == 0.0:
-        return 0
-    signs = np.sign(v[np.abs(v) >= 1e-10 * peak])
-    if signs.size < 2:
-        return 0
-    return int(np.sum(signs != np.roll(signs, 1)))
-
-
 def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
-    """The k smallest eigenpairs of the discretized problem.
+    """The k smallest eigenvalues of the discretized problem, and their zero counts.
 
     Shift-invert Lanczos on each half, both shifted to one dyadic sigma just
     below the mode's ground (:func:`_shift_below_ground`), where T - sigma I
@@ -287,10 +236,15 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     values uses ``max(3m, 20)`` Lanczos vectors, wider than ARPACK's default
     above m = 6, where that does not converge when a share ends inside a
     tight cluster (l = 3 of 9/16, k = 16 at 4096 rows).  The runs return
-    eigenvalues only, and the k smallest are kept.  Eigenvectors are
-    computed only when first read (:class:`SLSpectrum`): until then the
-    result holds the kept values and references to the mode's halves, no
-    vector.
+    eigenvalues only, and the k smallest are kept.
+
+    Their zero counts need no eigenvector.  Each half is a Jacobi matrix,
+    its couplings negative, so by the oscillation theorem (Gantmacher and
+    Krein) the eigenvector of its j-th eigenvalue (from j = 0) changes sign
+    exactly j times.  Unfolded onto the grid, an even vector is mirrored about the
+    nodes 0 and r, an odd one antisymmetric through them: the j-th value of
+    the even half has ``2 j`` sign changes over a period, that of the odd
+    half ``2 j + 2``.
     """
     n = problem.n_grid
     if k < 1 or k > n // 4:
@@ -300,47 +254,11 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     vals = np.concatenate([_shift_invert(d, e, sigma, m)
                            for (d, e), m in zip((problem.even, problem.odd), shares) if m])
     order = np.argsort(vals, kind="stable")[:k]  # the odd run's values follow the even run's
+    odd = order >= shares[0]
+    # each kept value's rank in its half: the kept values of a half are its lowest, ascending
+    rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
     return SLSpectrum(l=problem.l, eigenvalues=vals[order], n_grid=n,
-                      _halves=(problem.even, problem.odd), _odd=order >= shares[0],
-                      _sigma=sigma)
-
-
-def _half_eigenvectors(d: np.ndarray, e: np.ndarray, values: np.ndarray,
-                       sigma: float) -> np.ndarray:
-    """Orthonormal eigenvectors of the tridiagonal ``(d, e)`` at its eigenvalues ``values``, as rows.
-
-    One step of inverse iteration per value in the form of the MRRR
-    algorithm (Dhillon and Parlett, *Linear Algebra Appl.* 387, 2004; LAPACK
-    ``dlar1v``): the twisted factorization of ``L D L^T - (lambda - sigma) I``
-    from the definite ``L D L^T = T - sigma I`` (``dpttrf``), and its null
-    vector.  Its qd transforms are relatively stable, so a vector resolves
-    the relative gaps of ``lambda - sigma``, as the Lanczos runs did; an LU
-    of the indefinite T - lambda I resolves only gaps above about
-    ``eps * max|d|``.  One QR then makes the vectors orthonormal.
-    """
-    n = d.size
-    D, L, info = dpttrf(d - sigma, e)
-    if info:
-        raise SolverFailure(f"T - sigma I at sigma={sigma!r}, order {n}: not definite")
-    LD = L * D[:-1]
-    LLD = L * LD
-    vecs = np.zeros((len(values), n))  # its transpose, Fortran-ordered, is the QR's input
-    work, support = np.empty(4 * n), np.empty(2, dtype=np.intc)
-    pivmin = ctypes.c_double(_TINY * max(1.0, float(np.max(e * e, initial=0.0))))
-    size, first = ctypes.c_int(n), ctypes.c_int(1)  # the whole range 1 .. n
-    gaptol = ctypes.c_double(0.0)  # keeps every entry of the vector
-    wantnc, negcnt = ctypes.c_int(0), ctypes.c_int()
-    shift, twist = ctypes.c_double(), ctypes.c_int()
-    ztz, mingma, nrminv, resid, rqcorr = (ctypes.c_double() for _ in range(5))  # not read
-    ref = ctypes.byref
-    factors = [x.ctypes.data for x in (D, L, LD, LLD)]
-    for row, value in zip(vecs, values):
-        shift.value, twist.value = value - sigma, 0  # twist 0: dlar1v chooses it
-        _DLAR1V(ref(size), ref(first), ref(size), ref(shift), *factors, ref(pivmin), ref(gaptol),
-                row.ctypes.data, ref(wantnc), ref(negcnt), ref(ztz), ref(mingma), ref(twist),
-                support.ctypes.data, ref(nrminv), ref(resid), ref(rqcorr), work.ctypes.data)
-    qr, tau, *_ = dgeqrf(vecs.T, overwrite_a=1)
-    return dorgqr(qr, tau, overwrite_a=1)[0].T
+                      zero_counts=(2 * (rank + odd)).tolist())
 
 
 # The width, relative to 1 + |its upper end|, to which _shift_below_ground
@@ -438,9 +356,6 @@ def _lapack_routine(name: str) -> int:
 # DLAEBZ(IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2,
 # NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO), every argument by reference
 _DLAEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)(_lapack_routine("dlaebz"))
-# DLAR1V(N, B1, BN, LAMBDA, D, L, LD, LLD, PIVMIN, GAPTOL, Z, WANTNC, NEGCNT, ZTZ, MINGMA,
-# R, ISUPPZ, NRMINV, RESID, RQCORR, WORK), every argument by reference
-_DLAR1V = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 21)(_lapack_routine("dlar1v"))
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.ndarray:

@@ -236,10 +236,9 @@ class TestSpectrum:
             fine = problem.n_grid == 4096
             vals = np.array([0.0, 0.5, 0.5 - (1e-13 if fine else 0.0), 1.0])
             return spectral.SLSpectrum(l=0, eigenvalues=vals, n_grid=problem.n_grid,
-                                       _halves=None, _odd=np.zeros(4, dtype=bool), _sigma=-1.0)
+                                       zero_counts=[0, 2, 2, 4])
 
         monkeypatch.setattr(spectral, "eigen_low", fake_eigen_low)
-        monkeypatch.setattr(spectral.SLSpectrum, "zero_counts", [0, 2, 2, 4])
         code, out, err = run(capsys, "spectrum", "2", "3", "--k", "4", "--format", "json")
         assert code == 0 and err == ""
         vals = json.loads(out)["eigenvalues"]

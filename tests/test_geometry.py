@@ -1,7 +1,9 @@
+import json
 import math
 import time
 import tracemalloc
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -420,6 +422,19 @@ class TestBuildTorus:
         torus = tori[(p, q)]
         t0_quad = period(torus.profile.a, q)
         assert abs(torus.profile.t0 - t0_quad) <= 1e-6 * t0_quad
+
+    @pytest.mark.parametrize("p,q", list(REFERENCE))
+    def test_north_star_bounds_against_the_recorded_values(self, tori, p, q):
+        # the benchmark's recorded results: a within 1e-12 relative, Lambda
+        # by both lengths within 1e-9
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+        recorded = json.loads(path.read_text())["labels"][f"{p}/{q}"]
+        torus = tori[(p, q)]
+        a = torus.profile.a
+        assert abs(a - recorded["a"]) <= 1e-12 * recorded["a"]
+        for value, key in ((torus.lambda_value, "lambda"),
+                           (2.0 * period(a, q), "lambda_quadrature")):
+            assert abs(value - recorded[key]) <= 1e-9 * recorded[key], key
 
     def test_index_is_odd_and_at_least_3(self, tori):
         for torus in tori.values():
