@@ -17,15 +17,19 @@ taken only by the subcommands that read it: geodesic --n-samples; spectrum
 default.  One file may serve every subcommand: each reads the keys of its
 own flags and ignores the others, but an unknown key is refused.
 
-Only spectrum and verify import the spectral module, and with it scipy;
-the other subcommands need numpy alone and do not pay scipy's import.
-Of the two, only spectrum loads ARPACK (scipy.sparse.linalg), for its
-eigenvalues; verify counts them by Sturm sequences alone.
+Only spectrum and verify import the spectral module; the other
+subcommands need numpy alone.  Only spectrum loads scipy, for ARPACK
+(scipy.sparse.linalg) and its eigenvalues.  verify counts them by Sturm
+sequences, with the LAPACK of the OpenBLAS that numpy's Linux wheels ship
+(scipy's where numpy has none): a cold verify 2 3 takes about 0.16 s and
+32 MB, as geodesic does, against 0.41 s and 58 MB with scipy's LAPACK
+(2-vCPU x86-64 VM, numpy 2.4.6, scipy 1.17.1).
 spectrum prints Richardson-extrapolated eigenvalues from grids n and 2n,
 or, with a note on stderr, the values of grid 2n where the extrapolated
 ones would not ascend, and the zero counts of grid 2n: by the oscillation
 theorem, 2j for the j-th value (from 0) of the mode's even half and
-2j + 2 for that of its odd half.  verify prints each mode's values at 2
+2j + 2 for that of its odd half, which interlace: 2 ceil(i / 2) for the
+mode's i-th value.  verify prints each mode's values at 2
 as one index range and its two ends.
 
 Exit codes: 0 success (and verification passed), 1 verification failed,

@@ -33,8 +33,8 @@ stable), one walk over the rows for all the shifts a caller reads
 (:func:`_sturm_counts`).  :func:`eigen_low` shifts both halves of a mode
 just below its ground and asks shift-invert Lanczos on each
 (:func:`_shift_invert`) for its share of the eigenvalues alone, to
-rounding level, and reads each value's zero count off its rank in its
-half (the oscillation theorem), building no eigenvector.
+rounding level, and reads each value's zero count off its rank in the
+mode (the oscillation theorem and interlacing), building no eigenvector.
 :func:`count_below` counts two grids against one guard band, measured on
 the finer from the three eigenvalues at 2 whose eigenfunctions are known
 in closed form, by one Rayleigh-quotient step each; the other values it
@@ -48,11 +48,10 @@ import ctypes
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.linalg import cython_lapack
-from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .geometry import OtsukiTorus, _phase_metric_trig
 
@@ -244,21 +243,19 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     exactly j times.  Unfolded onto the grid, an even vector is mirrored about the
     nodes 0 and r, an odd one antisymmetric through them: the j-th value of
     the even half has ``2 j`` sign changes over a period, that of the odd
-    half ``2 j + 2``.
+    half ``2 j + 2``.  By the interlacing above, the mode's values ascend as
+    mu_0, then mu_{j+1} and nu_j in either order for j = 0, 1, ..., so the
+    i-th has ``2 ceil(i / 2)`` sign changes, whichever half's run returned
+    it: in a cluster whose values agree to rounding that run can be either.
     """
     n = problem.n_grid
     if k < 1 or k > n // 4:
         raise ValueError(f"k must lie in [1, n_grid / 4 = {n // 4}]")
-    shares = (k // 2 + 1, k // 2)
     sigma = _shift_below_ground(*problem.even)
     vals = np.concatenate([_shift_invert(d, e, sigma, m)
-                           for (d, e), m in zip((problem.even, problem.odd), shares) if m])
-    order = np.argsort(vals, kind="stable")[:k]  # the odd run's values follow the even run's
-    odd = order >= shares[0]
-    # each kept value's rank in its half: the kept values of a half are its lowest, ascending
-    rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
-    return SLSpectrum(l=problem.l, eigenvalues=vals[order], n_grid=n,
-                      zero_counts=(2 * (rank + odd)).tolist())
+                           for (d, e), m in zip((problem.even, problem.odd), (k // 2 + 1, k // 2)) if m])
+    return SLSpectrum(l=problem.l, eigenvalues=np.sort(vals)[:k], n_grid=n,
+                      zero_counts=[2 * ((i + 1) // 2) for i in range(k)])
 
 
 # The width, relative to 1 + |its upper end|, to which _shift_below_ground
@@ -335,6 +332,7 @@ def _inverse(d: np.ndarray, e: np.ndarray, sigma: float) -> LinearOperator:
     LAPACK's LDL^T (``dpttrf``, ``dpttrs``), for a shift below the spectrum:
     SolverFailure where ``dpttrf`` meets a non-positive pivot.
     """
+    from scipy.linalg.lapack import dpttrf, dpttrs
     from scipy.sparse.linalg import LinearOperator
     n = d.size
     *ldl, info = dpttrf(d - sigma, e)
@@ -343,19 +341,40 @@ def _inverse(d: np.ndarray, e: np.ndarray, sigma: float) -> LinearOperator:
     return LinearOperator((n, n), matvec=lambda b: dpttrs(*ldl, b)[0], dtype=float)
 
 
-def _lapack_routine(name: str) -> int:
-    """Address of a LAPACK routine of scipy's own build, from its ``cython_lapack`` capsule."""
+def _lapack_routine(name: str, n_args: int) -> tuple[Callable[..., None], np.dtype]:
+    """LAPACK's ``name``, called with the addresses of its ``n_args`` arguments, and its integer type.
+
+    numpy's Linux wheels link an OpenBLAS of their own,
+    ``numpy.libs/libscipy_openblas64_*.so``, loaded with numpy itself, which
+    exports LAPACK as ``scipy_<name>_64_`` with 64-bit integers: the routine
+    is taken from there, so the Sturm counts and the anchor steps of
+    :func:`count_below` import no scipy (a cold ``otsuki verify 2 3``, 2-vCPU
+    x86-64 VM, numpy 2.4.6, scipy 1.17.1: 0.41 s and 58 MB with scipy's
+    LAPACK, 0.16 s and 32 MB with numpy's).  Where that file or symbol is
+    missing (numpy built against MKL or a system OpenBLAS, the macOS and
+    Windows wheels), the routine comes from scipy's own build, its
+    ``cython_lapack`` capsule, with C ints; only that path imports scipy.
+    """
+    prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        try:
+            return prototype((f"scipy_{name}_64_", ctypes.CDLL(str(path)))), np.dtype(np.int64)
+        except (OSError, AttributeError):  # not loadable, or without the symbol
+            pass
+    from scipy.linalg import cython_lapack
     capsule = cython_lapack.__pyx_capi__[name]
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return get_pointer(capsule, get_name(capsule))
+    return prototype(get_pointer(capsule, get_name(capsule))), np.dtype(np.intc)
 
 
 # DLAEBZ(IJOB, NITMAX, N, MMAX, MINP, NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2,
 # NVAL, AB, C, MOUT, NAB, WORK, IWORK, INFO), every argument by reference
-_DLAEBZ = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 20)(_lapack_routine("dlaebz"))
+_DLAEBZ, _DLAEBZ_INT = _lapack_routine("dlaebz", 20)
+# DGTSV(N, NRHS, DL, D, DU, B, LDB, INFO), every argument by reference
+_DGTSV, _DGTSV_INT = _lapack_routine("dgtsv", 8)
 
 
 def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.ndarray:
@@ -377,28 +396,32 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts: Sequence[float]) -> np.n
     it, since the recurrence counts an eigenvalue equal to its bound as
     below.  Each shift is the C of one interval whose lower end is a
     sentinel (AB = -huge, NAB = -1) and whose target NVAL is -1: no interval
-    converges or moves, and each count lands in ``NAB(:, 2)``.
+    converges or moves, and each count lands in ``NAB(:, 2)``.  Every
+    argument but D sits in one work array, so a call reads two addresses.
     """
     d = np.ascontiguousarray(d, dtype=float)
-    e2 = np.square(e, dtype=float)
-    if e2.shape != (d.size - 1,):
-        raise ValueError(f"{d.size} diagonal entries need {d.size - 1} couplings")
+    n, m, size = d.size, len(shifts), _DLAEBZ_INT.itemsize
+    if np.shape(e) != (n - 1,):
+        raise ValueError(f"{n} diagonal entries need {n - 1} couplings")
+    # E2 (also passed as E, which is not read), then AB (m x 2, column-major),
+    # C, WORK, ABSTOL = RELTOL = 0 and PIVMIN; after them, as integers, NVAL,
+    # NAB (m x 2), IWORK, and IJOB, NITMAX, N, MMAX, MINP, NBMIN, MOUT and INFO
+    reals = n + 4 * m + 1
+    work = np.empty(reals + 4 * m + 8)
+    e2 = np.square(e, out=work[:n - 1])
     e2[np.abs(d[1:] * d[:-1]) * _EPS ** 2 + _TINY > e2] = 0.0  # dstebz's splitting
-    pivmin = ctypes.c_double(_TINY * max(1.0, float(e2.max(initial=0.0))))
-    m = len(shifts)
-    # the real arrays AB (m x 2, column-major), C and WORK end to end, and so
-    # the integer arrays NVAL, NAB (m x 2) and IWORK
-    reals = np.full(4 * m, -_HUGE)
-    reals[2 * m:3 * m] = [math.nextafter(sigma, -math.inf) for sigma in shifts]
-    ints = np.full(4 * m, -1, dtype=np.intc)
-    at, int_at, e2_at = reals.ctypes.data, ints.ctypes.data, e2.ctypes.data
-    real_size, int_size = reals.itemsize * m, ints.itemsize * m
-    args = [ctypes.c_int(v) for v in (3, 1, d.size, m, m, 1)]
-    zero, mout, info = ctypes.c_double(0.0), ctypes.c_int(0), ctypes.c_int(0)
-    ref = ctypes.byref
-    _DLAEBZ(*map(ref, args), ref(zero), ref(zero), ref(pivmin),
-            d.ctypes.data, e2_at, e2_at, int_at, at, at + 2 * real_size,  # E: not read
-            ref(mout), int_at + int_size, at + 3 * real_size, int_at + 3 * int_size, ref(info))
+    work[n - 1:n - 1 + 4 * m] = -_HUGE
+    work[n - 1 + 2 * m:n - 1 + 3 * m] = [math.nextafter(sigma, -math.inf) for sigma in shifts]
+    work[reals - 2:reals] = 0.0, _TINY * max(1.0, float(e2.max(initial=0.0)))
+    ints = work[reals:].view(_DLAEBZ_INT)
+    ints[:4 * m] = -1
+    ints[4 * m:4 * m + 8] = 3, 1, n, m, m, 1, 0, 0
+    at = work.ctypes.data
+    ab, c, w, tol, pivmin = (at + 8 * i for i in (n - 1, n - 1 + 2 * m, n - 1 + 3 * m, reals - 2, reals - 1))
+    nval, nab, iwork, ijob, nitmax, order, mmax, minp, nbmin, mout, info = (
+        at + 8 * reals + size * j for j in (0, m, 3 * m, *range(4 * m, 4 * m + 8)))
+    _DLAEBZ(ijob, nitmax, order, mmax, minp, nbmin, tol, tol, pivmin, d.ctypes.data, at, at,
+            nval, ab, c, mout, nab, w, iwork, info)
     return ints[2 * m:3 * m].astype(int)
 
 
@@ -501,8 +524,21 @@ def _rayleigh_step(d: np.ndarray, e: np.ndarray, w: np.ndarray) -> tuple[float, 
     Tw[:-1] += e * w[1:]
     Tw[1:] += e * w[:-1]
     rho = float(np.sum(w * Tw) / np.sum(w * w))
-    *_, x, info = dgtsv(e, d - rho, e, w)
-    if info > 0:
+    # DL, D - rho, DU and B end to end, then the integers N, NRHS, LDB and INFO
+    n = d.size
+    work = np.empty(4 * n + 2)
+    work[:n - 1] = e
+    np.subtract(d, rho, out=work[n - 1:2 * n - 1])
+    work[2 * n - 1:3 * n - 2] = e
+    x = work[3 * n - 2:4 * n - 2]
+    x[:] = w
+    ints = work[4 * n - 2:].view(_DGTSV_INT)
+    ints[:4] = n, 1, n, 0
+    at, size = work.ctypes.data, _DGTSV_INT.itemsize
+    order = at + 8 * (4 * n - 2)
+    _DGTSV(order, order + size, at, at + 8 * (n - 1), at + 8 * (2 * n - 1), at + 8 * (3 * n - 2),
+           order + 2 * size, order + 3 * size)
+    if ints[3] > 0:
         return rho, 0.0
     xx = np.sum(x * x)
     step = np.sum(x * w) / xx

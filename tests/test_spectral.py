@@ -1,7 +1,12 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from math import pi
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,18 +432,26 @@ class TestLazyEigenvectors:
                 expected = [count_sign_changes(v) for v in vecs.T]
                 assert eigen_low(assemble(tori[label], l, n), 8).zero_counts == expected, (n, l)
 
-    @pytest.mark.parametrize("label, modes", [((16, 31), [3]), ((17, 33), [3]), ((26, 51), [2, 3]),
-                                              ((50, 99), [1, 2, 3])],
-                             ids=["16/31", "17/33", "26/51", "50/99"])
-    def test_inside_a_cluster_tighter_than_rounding(self, label, modes):
+    @pytest.mark.parametrize("label, modes, k", [((16, 31), [3], 8), ((17, 33), [3], 8), ((17, 33), [3], 16),
+                                                 ((26, 51), [2, 3], 8), ((50, 99), [1, 2, 3], 8)],
+                             ids=["16/31", "17/33", "17/33 k16", "26/51", "50/99"])
+    def test_inside_a_cluster_tighter_than_rounding(self, label, modes, k):
         # the values of a cluster agree to rounding, so vectors computed for
         # them were an arbitrary basis of its subspace: 0 2 0 2 0 2 0 2 for
-        # 50/99, l = 3.  Each half keeps its lowest values, so the counts are
-        # 0, 2, 2, 4, 4, ... in some order
+        # 50/99, l = 3.  The halves' runs also return such values in rounding
+        # order: counts read off each value's half read 0 2 2 4 4 6 8 6 for
+        # 16/31, and began 2 0 for 17/33 at k = 16 (the odd ground below the
+        # even one).  The halves interlace, so the counts are 0, 2, 2, 4, 4, ...
+        # and the values are the runs' own, sorted
         torus = build_torus(RotationNumber(*label))
         for l in modes:
-            counts = eigen_low(assemble(torus, l, 2048), 8).zero_counts
-            assert sorted(counts) == [2 * math.ceil(i / 2) for i in range(8)], (l, counts)
+            problem = assemble(torus, l, 2048)
+            spectrum = eigen_low(problem, k)
+            assert spectrum.zero_counts == [2 * math.ceil(i / 2) for i in range(k)], (l, spectrum.zero_counts)
+            sigma = spectral._shift_below_ground(*problem.even)
+            runs = [spectral._shift_invert(d, e, sigma, m)
+                    for (d, e), m in zip((problem.even, problem.odd), (k // 2 + 1, k // 2))]
+            assert spectrum.eigenvalues.tolist() == sorted(np.concatenate(runs).tolist())[:k], l
 
 
 class TestLanczosStoppingRule:
@@ -933,6 +946,67 @@ class TestSturmCounts:
     def test_couplings_must_match_the_diagonal(self):
         with pytest.raises(ValueError, match="couplings"):
             spectral._sturm_counts(np.ones(4), np.ones(4), [0.0])
+
+
+# The five paper tori, and two thin ones whose windows near 2 are bisected for
+_BINDING_LABELS = [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9), (17, 33), (50, 99)]
+
+# count_below of each label at its resolving grid, one report a line: repr
+# writes each float's shortest round-trip form, so equal lines are equal bits
+_REPORTS = """
+import dataclasses
+from otsuki.geometry import RotationNumber, build_torus
+from otsuki.spectral import count_below, resolving_grid
+for p, q in {labels}:
+    torus = build_torus(RotationNumber(p, q))
+    print(repr(dataclasses.asdict(count_below(torus, n_grid=resolving_grid(torus)))))
+"""
+
+
+def _run_python(code: str) -> str:
+    """stdout of ``code`` in a fresh interpreter that imports otsuki from this tree."""
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestLapackBinding:
+    """dlaebz and dgtsv from numpy's own OpenBLAS, or from scipy's LAPACK where numpy ships none."""
+
+    def test_numpy_openblas_needs_no_scipy(self):
+        if not list((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")):
+            pytest.skip("this numpy ships no OpenBLAS of its own")
+        out = _run_python("import sys\n"
+                          "from otsuki import spectral\n"
+                          "print(spectral._DLAEBZ_INT, spectral._DGTSV_INT)\n"
+                          + _REPORTS.format(labels=[(2, 3)])
+                          + "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+        assert out.splitlines()[0] == "int64 int64"
+        assert out.splitlines()[-1] == "[]"
+
+    def test_scipy_fallback_reports_are_bit_identical(self):
+        # numpy's library hidden from the loader: both routines come from
+        # scipy's cython_lapack with C ints, and no report moves by a bit
+        hide = ("import ctypes, sys\n"
+                "class Hidden(ctypes.CDLL):\n"
+                "    def __init__(self, name, *args, **kwargs):\n"
+                "        if 'libscipy_openblas64_' in str(name):\n"
+                "            raise OSError(f'{name}: hidden')\n"
+                "        super().__init__(name, *args, **kwargs)\n"
+                "ctypes.CDLL = Hidden\n"
+                "from otsuki import spectral\n"
+                "print(spectral._DLAEBZ_INT, spectral._DGTSV_INT, 'scipy.linalg' in sys.modules)\n")
+        out = _run_python(hide + _REPORTS.format(labels=_BINDING_LABELS)).splitlines()
+        assert out[0] == "int32 int32 True"
+        expected = []
+        for p, q in _BINDING_LABELS:
+            torus = build_torus(RotationNumber(p, q))
+            expected.append(repr(dataclasses.asdict(count_below(torus, n_grid=resolving_grid(torus)))))
+        assert out[1:] == expected
 
 
 class TestInertiaAgainstLanczos:
