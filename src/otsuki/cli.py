@@ -25,12 +25,11 @@ sequences, with the LAPACK of the OpenBLAS that numpy's Linux wheels ship
 32 MB, as geodesic does, against 0.41 s and 58 MB with scipy's LAPACK
 (2-vCPU x86-64 VM, numpy 2.4.6, scipy 1.17.1).
 spectrum prints Richardson-extrapolated eigenvalues from grids n and 2n,
-or, with a note on stderr, the values of grid 2n where the extrapolated
-ones would not ascend, and the zero counts of grid 2n: by the oscillation
-theorem, 2j for the j-th value (from 0) of the mode's even half and
-2j + 2 for that of its odd half, which interlace: 2 ceil(i / 2) for the
-mode's i-th value.  verify prints each mode's values at 2
-as one index range and its two ends.
+each half's j-th value with that half's j-th on the other grid, sorted,
+and their zero counts: by the oscillation theorem, 2j for the j-th value
+(from 0) of the mode's even half and 2j + 2 for that of its odd half,
+which interlace: 2 ceil(i / 2) for the mode's i-th value.  verify prints
+each mode's values at 2 as one index range and its two ends.
 
 Exit codes: 0 success (and verification passed), 1 verification failed,
 2 invalid input, an output file that cannot be written, or a computation
@@ -74,13 +73,6 @@ _VALID_FORMATS = {
 
 _ALL = tuple(_VALID_FORMATS)
 
-# Largest descent, relative to max(1, |lambda|), between consecutive
-# Richardson values that spectrum takes for a tie.  Over nine labels at 2048
-# rows and at their resolving grids, l = 0..3, k = 8, descents inside pairs
-# equal to rounding (eps max|main|) on both grids reached 4.3e-13, and every
-# other descent was at least 3.0e-11.
-_RICHARDSON_TIE = 1e-12
-
 # Most vertices a mesh may have: at 64 x 16384 = 2**20 vertices a run
 # reaches about 0.5 GB peak RSS and takes several seconds.
 _MAX_MESH_VERTICES = 2 ** 20
@@ -94,7 +86,8 @@ _OPTIONS = {
                           "phase cycle, at least 2048, a power of two)", ("spectrum", "verify")),
     "n_samples": (int, None, "geodesic samples per period (default: resolution-aware)",
                   ("geodesic",)),
-    "l_max": (int, 3, "highest angular mode scanned by verify", ("verify",)),
+    "l_max": (int, 3, "highest angular mode scanned by verify; no value of mode l lies "
+                      "below l^2, so every l_max >= 2 gives the same report", ("verify",)),
     "l": (int, 0, "angular mode", ("spectrum",)),
     "k": (int, 8, "number of eigenvalues", ("spectrum",)),
     "n_alpha": (int, 64, "vertices around the orbit direction", ("mesh",)),
@@ -259,22 +252,13 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
         args.n_grid = spectral.resolving_grid(torus)
     # both grids assembled, then solved in reverse: a bad grid or k is refused before any solve
     problems = [spectral.assemble(torus, args.l, n) for n in (2 * args.n_grid, args.n_grid)]
-    coarse = spectral.eigen_low(problems.pop(), args.k).eigenvalues
+    coarse = spectral.eigen_low(problems.pop(), args.k).halves
     fine = spectral.eigen_low(problems.pop(), args.k)
-    # Richardson extrapolation of the second-order discretization.  Where
-    # the grids are not in that regime (a tight cluster narrowing faster)
-    # the extrapolated values can descend; then the finer grid's own values
-    # are printed instead.  A descent of at most _RICHARDSON_TIE relative is
-    # rounding inside a degenerate pair, a tie: it is printed as equal.
-    lam = (4.0 * fine.eigenvalues - coarse) / 3.0
-    descent = lam[:-1] - lam[1:]
-    extrapolated = bool(np.all(descent <= _RICHARDSON_TIE * np.maximum(1.0, np.abs(lam[1:]))))
-    if extrapolated:
-        lam = np.maximum.accumulate(lam)
-    else:
-        lam = fine.eigenvalues
-        print(f"extrapolation dropped: the Richardson values do not ascend; "
-              f"printing grid {2 * args.n_grid}", file=sys.stderr)
+    # Richardson extrapolation of the second-order discretization, each
+    # half's j-th value with that half's j-th on the other grid: both are of
+    # the eigenvector with j sign changes, while a rank in the whole mode can
+    # swap inside a near-degenerate even/odd pair
+    lam = np.sort(np.concatenate([(4.0 * f - c) / 3.0 for f, c in zip(fine.halves, coarse)]))[:args.k]
     clusters = _cluster_ids(lam)
     record = {
         "p": args.p, "q": args.q, "l": args.l,
@@ -288,8 +272,7 @@ def cmd_spectrum(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "csv":
         return 0, _csv(("index", "eigenvalue", "zero_count", "cluster"),
                        zip(range(len(lam)), lam.tolist(), fine.zero_counts, clusters))
-    lines = [f"mode l = {args.l}, grid {args.n_grid} (Richardson with {2 * args.n_grid})"
-             if extrapolated else f"mode l = {args.l}, grid {2 * args.n_grid}"]
+    lines = [f"mode l = {args.l}, grid {args.n_grid} (Richardson with {2 * args.n_grid})"]
     for i, v in enumerate(lam):
         lines.append(f"  lambda_{i}({args.l}) = {_fmt(v):<18s} "
                      f"zeros = {fine.zero_counts[i]:<3d} cluster = {clusters[i]}")

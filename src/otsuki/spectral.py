@@ -33,8 +33,9 @@ stable), one walk over the rows for all the shifts a caller reads
 (:func:`_sturm_counts`).  :func:`eigen_low` shifts both halves of a mode
 just below its ground and asks shift-invert Lanczos on each
 (:func:`_shift_invert`) for its share of the eigenvalues alone, to
-rounding level, and reads each value's zero count off its rank in the
-mode (the oscillation theorem and interlacing), building no eigenvector.
+rounding level, keeps each half's run, and reads each value's zero count
+off its rank in the mode (the oscillation theorem and interlacing),
+building no eigenvector.
 :func:`count_below` counts two grids against one guard band, measured on
 the finer from the three eigenvalues at 2 whose eigenfunctions are known
 in closed form, by one Rayleigh-quotient step each; the other values it
@@ -120,13 +121,18 @@ class SLSpectrum:
     """Low eigenvalues of one mode, sorted ascending, and the sign changes of their eigenfunctions.
 
     ``zero_counts[i]`` is the number of sign changes over one period of the
-    eigenfunction of ``eigenvalues[i]`` (:func:`eigen_low`).
+    eigenfunction of ``eigenvalues[i]`` (:func:`eigen_low`).  ``halves`` are
+    the runs of the even and the odd half, ``k // 2 + 1`` and ``k // 2``
+    values (none for k = 1), each ascending: the j-th value of a half is that
+    of its eigenvector with j sign changes, whatever the grid, and
+    ``eigenvalues`` are the k smallest of both.
     """
 
     l: int
     eigenvalues: np.ndarray
     n_grid: int
     zero_counts: list[int]
+    halves: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -235,7 +241,8 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     values uses ``max(3m, 20)`` Lanczos vectors, wider than ARPACK's default
     above m = 6, where that does not converge when a share ends inside a
     tight cluster (l = 3 of 9/16, k = 16 at 4096 rows).  The runs return
-    eigenvalues only, and the k smallest are kept.
+    eigenvalues only; each is kept, ascending, as its half's run, and the k
+    smallest of both are the mode's.
 
     Their zero counts need no eigenvector.  Each half is a Jacobi matrix,
     its couplings negative, so by the oscillation theorem (Gantmacher and
@@ -252,10 +259,10 @@ def eigen_low(problem: SLProblem, k: int) -> SLSpectrum:
     if k < 1 or k > n // 4:
         raise ValueError(f"k must lie in [1, n_grid / 4 = {n // 4}]")
     sigma = _shift_below_ground(*problem.even)
-    vals = np.concatenate([_shift_invert(d, e, sigma, m)
-                           for (d, e), m in zip((problem.even, problem.odd), (k // 2 + 1, k // 2)) if m])
-    return SLSpectrum(l=problem.l, eigenvalues=np.sort(vals)[:k], n_grid=n,
-                      zero_counts=[2 * ((i + 1) // 2) for i in range(k)])
+    even, odd = (np.sort(_shift_invert(d, e, sigma, m)) if m else np.empty(0)
+                 for (d, e), m in zip((problem.even, problem.odd), (k // 2 + 1, k // 2)))
+    return SLSpectrum(l=problem.l, eigenvalues=np.sort(np.concatenate([even, odd]))[:k], n_grid=n,
+                      zero_counts=[2 * ((i + 1) // 2) for i in range(k)], halves=(even, odd))
 
 
 # The width, relative to 1 + |its upper end|, to which _shift_below_ground
@@ -569,10 +576,13 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     may lie (the truncation check).  Each grid stops at its first mode
     l >= 2 with no value below ``threshold + band`` (doubled) or
     ``threshold`` (requested): mode l + 1 adds a positive diagonal to mode
-    l, so by Weyl's inequality no later mode has one.  A mode's window, its
-    values in ``[threshold - band, threshold + band)`` on the doubled grid,
-    is reported by its indices and its ends: its anchors if it holds
-    nothing else, else bisected for, as a shoulder's ends are.
+    l, so by Weyl's inequality no later mode has one.  That first mode is
+    l = 2: each half of mode l is a positive semidefinite stiffness plus the
+    diagonal ``l^2 / sin(phi)^2 >= l^2``, so by the same inequality no value
+    of mode l lies below l^2, and every l_max >= 2 gives one report.  A
+    mode's window, its values in ``[threshold - band, threshold + band)`` on
+    the doubled grid, is reported by its indices and its ends: its anchors
+    if it holds nothing else, else bisected for, as a shoulder's ends are.
 
     Raises
     ------

@@ -202,47 +202,32 @@ class TestSpectrum:
         assert code == 0
         assert "lambda_0(0)" in out
 
-    def test_cluster_that_extrapolates_descending_prints_the_finer_grid(self, capsys):
-        # the l = 1 cluster of 16/31 narrows faster than second order from
-        # 2048 to 4096 rows, so the Richardson values would descend (by 2e-9)
+    def test_near_degenerate_pairs_extrapolate_by_half(self, capsys):
+        # the l = 1 values of 16/31 come in even/odd pairs whose order in the
+        # mode differs between 2048 and 4096 rows, so a rank in the mode would
+        # pair values of different halves; a rank in the half pairs values of
+        # one eigenvector (its sign changes), and the ground extrapolates to 2
         code, out, err = run(capsys, "spectrum", "16", "31", "--l", "1", "--k", "8",
-                             "--n-grid", "2048", "--format", "json")
-        assert code == 0
-        assert "extrapolation dropped" in err
-        record = json.loads(out)
-        vals = record["eigenvalues"]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-        torus = geometry.build_torus(geometry.RotationNumber(16, 31))
-        fine = spectral.eigen_low(spectral.assemble(torus, 1, 4096), 8)
-        assert vals == [float(cli._fmt(v)) for v in fine.eigenvalues]
-        assert record["zero_counts"] == [0, 2, 2, 4, 4, 6, 6, 8]
-        assert record["clusters"] == [0] * 8
+                             "--n-grid", "2048")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == "mode l = 1, grid 2048 (Richardson with 4096)"
+        vals = [float(line.split("=")[1].split()[0]) for line in lines[1:]]
+        assert len(vals) == 8 and vals == sorted(vals)
+        assert abs(vals[0] - 2.0) <= 1e-6
 
     @pytest.mark.parametrize("argv", [("2", "3"), ("5", "9", "--l", "3"), ("9", "16", "--l", "1")],
                              ids=["2/3 l0", "5/9 l3", "9/16 l1"])
     def test_degenerate_pairs_extrapolate_ascending(self, capsys, argv):
-        # each mode's values come in pairs equal but for rounding; a flip of
-        # the pair's order by rounding is a tie, not a descent
+        # each mode's values come in even/odd pairs equal but for rounding,
+        # whose order in the mode rounding decides; each half extrapolates
+        # with its own values, so the pair's order does not pair them
         code, out, err = run(capsys, "spectrum", *argv, "--k", "8")
         assert code == 0
         assert "Richardson with" in out.splitlines()[0]
         assert "extrapolation dropped" not in err
         vals = [float(line.split("=")[1].split()[0]) for line in out.splitlines()[1:]]
         assert len(vals) == 8 and all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_tie_clamped_to_ascending(self, capsys, monkeypatch):
-        # a Richardson pair descending by 1e-13, well inside the tie tolerance
-        def fake_eigen_low(problem, k):
-            fine = problem.n_grid == 4096
-            vals = np.array([0.0, 0.5, 0.5 - (1e-13 if fine else 0.0), 1.0])
-            return spectral.SLSpectrum(l=0, eigenvalues=vals, n_grid=problem.n_grid,
-                                       zero_counts=[0, 2, 2, 4])
-
-        monkeypatch.setattr(spectral, "eigen_low", fake_eigen_low)
-        code, out, err = run(capsys, "spectrum", "2", "3", "--k", "4", "--format", "json")
-        assert code == 0 and err == ""
-        vals = json.loads(out)["eigenvalues"]
-        assert vals[1] == vals[2] and vals == sorted(vals)
 
     def test_default_grid_is_the_resolving_grid(self, capsys):
         code, out, _ = run(capsys, "spectrum", "5", "9", "--k", "1", "--format", "json")
@@ -356,6 +341,23 @@ def test_thin_labels_verify_at_defaults(capsys):
         code, out, _ = run(capsys, "verify", str(p), str(q), "--format", "json")
         if code != 0 or json.loads(out)["n2"] != 2 * p - 1:
             failed.append((p, q, code))
+    assert failed == []
+
+
+@pytest.mark.slow
+def test_near_degenerate_pairs_extrapolate_at_2048_rows(capsys):
+    # 16/31, 17/33 and 50/99, l = 0..3, k = 8, 9 and 16: even/odd pairs
+    # whose order in the mode differs between 2048 and 4096 rows; each half
+    # extrapolates with its own values, so all 36 print ascending values
+    failed = []
+    for p, q in ((16, 31), (17, 33), (50, 99)):
+        for l in range(4):
+            for k in (8, 9, 16):
+                code, out, err = run(capsys, "spectrum", str(p), str(q), "--l", str(l), "--k", str(k),
+                                     "--n-grid", "2048", "--format", "json")
+                vals = json.loads(out)["eigenvalues"] if code == 0 else []
+                if code != 0 or err or len(vals) != k or vals != sorted(vals):
+                    failed.append((p, q, l, k, code, err))
     assert failed == []
 
 
@@ -537,7 +539,9 @@ class TestOptionTable:
             "geodesic": {"--n-samples":
                          "geodesic samples per period (default: resolution-aware)"},
             "verify": {**n_grid,
-                       "--l-max": "highest angular mode scanned by verify (default 3)"},
+                       "--l-max": "highest angular mode scanned by verify; no value of mode l "
+                                  "lies below l^2, so every l_max >= 2 gives the same report "
+                                  "(default 3)"},
             "spectrum": {**n_grid, "--l": "angular mode (default 0)",
                          "--k": "number of eigenvalues (default 8)"},
             "mesh": {"--n-alpha": "vertices around the orbit direction (default 64)",

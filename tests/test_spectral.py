@@ -269,6 +269,20 @@ class TestEigenLow:
         np.testing.assert_allclose(eigen_low(problem, k).eigenvalues, oracle,
                                    rtol=0, atol=1e-9)
 
+    def test_halves_are_the_runs_of_each_half(self, torus_23):
+        # k // 2 + 1 even and k // 2 odd values, each ascending and its dense
+        # half's lowest; the mode's values are the k smallest of both, bit for bit
+        for l in (0, 1):
+            problem = assemble(torus_23, l, 256)
+            dense = [scipy.linalg.eigvalsh(_tridiagonal(d, e)) for d, e in (problem.even, problem.odd)]
+            for k in range(1, 10):
+                spectrum = eigen_low(problem, k)
+                assert [run.size for run in spectrum.halves] == [k // 2 + 1, k // 2], (l, k)
+                for run, values in zip(spectrum.halves, dense):
+                    assert np.all(np.diff(run) >= 0), (l, k)
+                    np.testing.assert_allclose(run, values[:run.size], rtol=0, atol=1e-10)
+                assert np.sort(np.concatenate(spectrum.halves))[:k].tolist() == spectrum.eigenvalues.tolist()
+
     def test_k_bounds(self, torus_23):
         problem = assemble(torus_23, 0, 256)
         with pytest.raises(ValueError):
@@ -448,10 +462,7 @@ class TestLazyEigenvectors:
             problem = assemble(torus, l, 2048)
             spectrum = eigen_low(problem, k)
             assert spectrum.zero_counts == [2 * math.ceil(i / 2) for i in range(k)], (l, spectrum.zero_counts)
-            sigma = spectral._shift_below_ground(*problem.even)
-            runs = [spectral._shift_invert(d, e, sigma, m)
-                    for (d, e), m in zip((problem.even, problem.odd), (k // 2 + 1, k // 2))]
-            assert spectrum.eigenvalues.tolist() == sorted(np.concatenate(runs).tolist())[:k], l
+            assert spectrum.eigenvalues.tolist() == sorted(np.concatenate(spectrum.halves).tolist())[:k], l
 
 
 class TestLanczosStoppingRule:
@@ -541,6 +552,17 @@ class TestCountBelow:
         r2 = count_below(torus_23, l_max=2, n_grid=1024)
         r3 = count_below(torus_23, l_max=3, n_grid=1024)
         assert r2.n2 == r3.n2 == 3
+
+    @pytest.mark.parametrize("label", [(2, 3), (3, 5), (4, 7), (5, 8), (5, 9), (17, 33), (50, 99)],
+                             ids=lambda pq: f"{pq[0]}/{pq[1]}")
+    def test_no_value_of_mode_l_below_l_squared(self, tori, label):
+        # each half is a positive semidefinite stiffness plus l^2 / sin(phi)^2
+        # >= l^2, so the early stop comes at l = 2, whatever l_max
+        torus = tori.get(label) or build_torus(RotationNumber(*label))
+        for n in sorted({2048, resolving_grid(torus)}):
+            for l in (2, 3):
+                problem = spectral._direct_sum(assemble(torus, l, n))
+                assert spectral._sturm_counts(*problem, [l * l])[0] == 0, (n, l)
 
     def test_stops_at_the_first_quiet_mode(self, torus_23, monkeypatch):
         # l = 2 of 2/3 has no value below 2 + band: no later mode is assembled
