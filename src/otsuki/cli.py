@@ -11,11 +11,11 @@ mesh      p q     stereographic projection of the torus as a wavefront obj
 
 Every subcommand takes --format, --out and --config.  Each other flag is
 taken only by the subcommands that read it: geodesic --n-samples; spectrum
---n-grid, --l and --k; verify --n-grid and --l-max; mesh --n-alpha and
---n-t.  Every flag but --config is also a key of the config file
-(underscores or dashes); a flag overrides the file, which overrides the
-default.  One file may serve every subcommand: each reads the keys of its
-own flags and ignores the others, but an unknown key is refused.
+--n-grid, --l and --k; verify --n-grid; mesh --n-alpha and --n-t.  Every
+flag but --config is also a key of the config file (underscores or
+dashes); a flag overrides the file, which overrides the default.  One
+file may serve every subcommand: each reads the keys of its own flags and
+ignores the others, but an unknown key is refused.
 
 Only spectrum and verify import the spectral module; the other
 subcommands need numpy alone.  Only spectrum loads scipy, for ARPACK
@@ -28,7 +28,8 @@ spectrum prints Richardson-extrapolated eigenvalues from grids n and 2n,
 each half's j-th value with that half's j-th on the other grid, sorted,
 and their zero counts: by the oscillation theorem, 2j for the j-th value
 (from 0) of the mode's even half and 2j + 2 for that of its odd half,
-which interlace: 2 ceil(i / 2) for the mode's i-th value.  verify prints
+which interlace: 2 ceil(i / 2) for the mode's i-th value.  verify counts
+the modes l = 0 and l = 1, the only ones with values below 4, and prints
 each mode's values at 2 as one index range and its two ends.
 
 Exit codes: 0 success (and verification passed), 1 verification failed,
@@ -86,8 +87,6 @@ _OPTIONS = {
                           "phase cycle, at least 2048, a power of two)", ("spectrum", "verify")),
     "n_samples": (int, None, "geodesic samples per period (default: resolution-aware)",
                   ("geodesic",)),
-    "l_max": (int, 3, "highest angular mode scanned by verify; no value of mode l lies "
-                      "below l^2, so every l_max >= 2 gives the same report", ("verify",)),
     "l": (int, 0, "angular mode", ("spectrum",)),
     "k": (int, 8, "number of eigenvalues", ("spectrum",)),
     "n_alpha": (int, 64, "vertices around the orbit direction", ("mesh",)),
@@ -285,8 +284,7 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     if args.n_grid is None:
         args.n_grid = spectral.resolving_grid(torus)
     try:
-        report = spectral.count_below(torus, threshold=2.0, l_max=args.l_max,
-                                      n_grid=args.n_grid)
+        report = spectral.count_below(torus, threshold=2.0, n_grid=args.n_grid)
     except spectral.AmbiguousCount as exc:
         print(f"ambiguous eigenvalue count: {exc}", file=sys.stderr)
         return 3, ""
@@ -298,7 +296,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
         "tolerance_band": report.tolerance_band,
         "grids": report.grids_used,
         "counts_by_grid": {str(n): c for n, c in report.counts_by_grid.items()},
-        "truncation_confirmed": report.truncation_confirmed,
         "eigenvalues_near_threshold": [
             {"l": l, "first": first, "last": last, "lowest": lowest, "highest": highest}
             for l, first, last, lowest, highest in report.eigenvalues_near_2],
@@ -311,8 +308,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
              f"   (grids {report.counts_by_grid})",
              f"  2p - 1 claimed = {report.claimed}",
              f"  tolerance band = {_fmt(report.tolerance_band)}",
-             f"  higher modes confirmed above threshold: "
-             f"{report.truncation_confirmed}",
              "  eigenvalues at the threshold:"]
     for l, first, last, lowest, highest in report.eigenvalues_near_2:
         lines.append(f"    lambda_{first}({l}) = {_fmt(lowest)}" if first == last else

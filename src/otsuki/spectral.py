@@ -36,8 +36,9 @@ just below its ground and asks shift-invert Lanczos on each
 rounding level, keeps each half's run, and reads each value's zero count
 off its rank in the mode (the oscillation theorem and interlacing),
 building no eigenvector.
-:func:`count_below` counts two grids against one guard band, measured on
-the finer from the three eigenvalues at 2 whose eigenfunctions are known
+:func:`count_below` counts the modes l = 0 and l = 1, the only ones with
+values below 4, on two grids against one guard band, measured on the
+finer from the three eigenvalues at 2 whose eigenfunctions are known
 in closed form, by one Rayleigh-quotient step each; the other values it
 reports, a window's or a shoulder's ends, are bisected for on the Sturm
 counts (:func:`_bisect`).  Grids are capped at ``_MAX_GRID`` rows.
@@ -48,7 +49,6 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -78,8 +78,8 @@ _TINY = float(np.finfo(float).tiny)
 _HUGE = float(np.finfo(float).max)
 
 # Largest grid assembled, in rows.  The tracemalloc peak of count_below per row of its
-# doubled grid is 96 to 106 B whatever q (the five tori and 17/33 to 100/199 at their
-# resolving grids), 0.22 GB at the cap.  Modes above l = 1 are held one at a time.
+# doubled grid is 100 to 109 B whatever q (the five tori and 17/33 to 100/199 at their
+# resolving grids), 0.21 GB at the cap; it assembles the modes l = 0 and l = 1 alone.
 _MAX_GRID = 2 ** 21
 
 
@@ -147,7 +147,6 @@ class VerificationReport:
     grids_used: list[int]
     verdict: bool
     counts_by_grid: dict[int, int]
-    truncation_confirmed: bool  # lambda_0(l) above threshold for every l >= 2
 
 
 def assemble(torus: OtsukiTorus, l: int, n_grid: int) -> SLProblem:
@@ -556,8 +555,17 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
                 n_grid: int = 2048) -> VerificationReport:
     """Count surface eigenvalues strictly below ``threshold`` and verify 2p - 1.
 
-    For each mode l = 0 .. l_max the eigenvalues below ``threshold - band``
-    are counted by Sturm counts and weighted 1 (l = 0) or 2 (l > 0).  The
+    The eigenvalues of the modes l = 0 and l = 1 below ``threshold - band``
+    are counted by Sturm counts and weighted 1 (l = 0) or 2 (l = 1).  No
+    other mode has a value below ``threshold + band``: each half of mode l
+    is a positive semidefinite stiffness plus the diagonal
+    ``l^2 / sin(phi)^2 >= l^2``, so by Weyl's inequality no value of mode l
+    lies below l^2, 4 from l = 2 on, and the band is far below 2 (at most
+    0.025 on every label with q <= 100).  So no mode above l = 1 is
+    assembled.  ``l_max``, the highest mode scanned, stays for the callers
+    that pass it and is otherwise unread: every value from 2 on, where the
+    bound takes over, gives the same report, and one below 2, a scan that
+    stops short of the bound, is refused.  The
     band is ten times the worst displacement of the three anchors, the
     eigenvalues equal to 2 analytically, on the doubled grid ``2 n_grid``,
     where phi and J are evaluated once for both grids.  Both grids are
@@ -572,24 +580,18 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     on coarse thin tori).  A doubled-grid half takes one
     :func:`_sturm_counts` call, at ``threshold -+ band``, ``threshold - 2
     band`` and an l = 0 anchor's ends, the requested grid one per mode, at
-    ``threshold - band``; modes l >= 2 also at ``threshold``, where no value
-    may lie (the truncation check).  Each grid stops at its first mode
-    l >= 2 with no value below ``threshold + band`` (doubled) or
-    ``threshold`` (requested): mode l + 1 adds a positive diagonal to mode
-    l, so by Weyl's inequality no later mode has one.  That first mode is
-    l = 2: each half of mode l is a positive semidefinite stiffness plus the
-    diagonal ``l^2 / sin(phi)^2 >= l^2``, so by the same inequality no value
-    of mode l lies below l^2, and every l_max >= 2 gives one report.  A
-    mode's window, its values in ``[threshold - band, threshold + band)`` on
-    the doubled grid, is reported by its indices and its ends: its anchors
-    if it holds nothing else, else bisected for, as a shoulder's ends are.
+    ``threshold - band``.  A mode's window, its values in
+    ``[threshold - band, threshold + band)`` on the doubled grid, is
+    reported by its indices and its ends: its anchors if it holds nothing
+    else, else bisected for, as a shoulder's ends are.
 
     Raises
     ------
     ValueError
         If ``threshold`` is not 2, where the anchors that measure the band
-        lie; if the doubled grid ``2 n_grid`` exceeds ``_MAX_GRID`` rows; or
-        if ``n_grid`` is odd: all checked before anything is evaluated.
+        lie; if ``l_max`` is below 2; if the doubled grid ``2 n_grid``
+        exceeds ``_MAX_GRID`` rows; or if ``n_grid`` is odd: all checked
+        before anything is evaluated.
     AmbiguousCount
         If on the doubled grid some eigenvalue falls in the shoulder
         ``[threshold - 2 band, threshold - band)``, where "below" versus
@@ -606,15 +608,13 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
     if l_max < 2:
         raise ValueError("l_max must be at least 2")
     claimed = torus.eigenvalue_index
-    grids, modes = [n_grid, 2 * n_grid], range(l_max + 1)
+    grids = [n_grid, 2 * n_grid]
     for n in reversed(grids):  # both checked before anything is evaluated
         _check_grid(torus, n)
     points = _phase_points(torus, grids[1])
     # the requested grid is assembled once the doubled one is done, from every other point
-    requested = _assemble_modes(torus, modes, n_grid, tuple(x[::2] for x in points))
-    doubled = _assemble_modes(torus, modes, grids[1], points)
-    # the modes one at a time: only l = 0 and l = 1 are held throughout
-    l0, l1 = next(doubled), next(doubled)
+    requested = _assemble_modes(torus, [0, 1], n_grid, tuple(x[::2] for x in points))
+    l0, l1 = _assemble_modes(torus, [0, 1], grids[1], points)
     # eps * max|main| of l = 1, main the diagonal of A: the even half holds all its values
     floor = _EPS * float(np.max(np.abs(l1.even[0])))
     # the anchors by (l, side), sin phi, cos phi cos theta, cos phi sin theta, and their intervals
@@ -649,24 +649,16 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
             f"floating-point floor eps * max|main| = {floor:.3e}: rounding, "
             f"not the discretization, moves the anchors there; use a coarser grid")
     counts_by_grid = dict.fromkeys(grids, 0)  # the requested grid first, as verify prints it
-    truncation_confirmed = True
 
     def count(problem: SLProblem, halves, shifts) -> list[np.ndarray]:
-        # Sturm counts below threshold - band, shifts and (l >= 2, truncation check) threshold
-        nonlocal truncation_confirmed
-        check = [threshold] if problem.l >= 2 else []
-        found = [_sturm_counts(d, e, [threshold - band, *extra, *check])
+        found = [_sturm_counts(d, e, [threshold - band, *extra])
                  for (d, e), extra in zip(halves, shifts)]
         counts_by_grid[problem.n_grid] += (1 if problem.l == 0 else 2) * sum(int(c[0]) for c in found)
-        if check and any(c[-1] for c in found):
-            truncation_confirmed = False
         return found
 
     near: list[tuple[int, int, int, float, float]] = []
     shoulder: list[tuple[int, float]] = []
-    for problem in chain((l0, l1), doubled):
-        if problem.l >= 2 and not _sturm_counts(*_direct_sum(problem), [threshold + band])[0]:
-            break  # no value below the window, nor in any later mode
+    for problem in (l0, l1):
         l = problem.l
         # also at the ends of an l = 0 anchor's interval, on its half
         found = count(problem, (problem.even, problem.odd),
@@ -692,17 +684,13 @@ def count_below(torus: OtsukiTorus, threshold: float = 2.0, l_max: int = 3,
             f"eigenvalues {shoulder} lie within [threshold - 2 band, "
             f"threshold - band) at n_grid = {grids[-1]}; refine the grid")
     for problem in requested:
-        found = count(problem, [_direct_sum(problem)], [[]])
-        if problem.l >= 2 and not found[0][-1]:
-            break  # no value below the threshold, nor in any later mode
+        count(problem, [_direct_sum(problem)], [[]])
     stable = len(set(counts_by_grid.values())) == 1
     n2 = counts_by_grid[grids[-1]]
-    verdict = stable and n2 == claimed and truncation_confirmed
     return VerificationReport(n2=n2, claimed=claimed,
                               eigenvalues_near_2=near, tolerance_band=band,
-                              grids_used=grids, verdict=verdict,
-                              counts_by_grid=counts_by_grid,
-                              truncation_confirmed=truncation_confirmed)
+                              grids_used=grids, verdict=stable and n2 == claimed,
+                              counts_by_grid=counts_by_grid)
 
 
 def lambda0_monotone_check(torus: OtsukiTorus, l_values: Sequence[int],

@@ -432,11 +432,13 @@ class TestConfigPrecedence:
         assert json.loads(out)["n_grid"] == 2048
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
+        # l_max is no key: verify counts the modes l = 0 and l = 1 alone
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("n_gird=1024\n")
-        code, _, err = run(capsys, "solve", "2", "3", "--config", str(cfg))
-        assert code == 2
-        assert "unknown key" in err
+        for command, line, key in [("solve", "n_gird=1024", "n_gird"), ("verify", "l_max = 3", "l_max")]:
+            cfg.write_text(line + "\n")
+            code, _, err = run(capsys, command, "2", "3", "--config", str(cfg))
+            assert code == 2
+            assert f"unknown key {key!r}" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "solve", "2", "3", "--config", "/nonexistent.cfg")
@@ -461,6 +463,7 @@ class TestFlagsPerSubcommand:
         ["table", "--l-max", "0"],
         ["spectrum", "2", "3", "--n-samples", "5000"],
         ["verify", "17", "33", "--n-samples", "5000"],
+        ["verify", "2", "3", "--l-max", "3"],
         ["solve", "2", "3", "--tol-quad", "1e-9"],
     ], ids=" ".join)
     def test_flag_the_subcommand_does_not_read_refused(self, capsys, argv):
@@ -474,7 +477,7 @@ class TestFlagsPerSubcommand:
 _OPTION_VALUES = {
     "format": ("json", "text"), "out": ("a.txt", "b.txt"),
     "n_grid": ("1024", "4096"), "n_samples": ("5000", "6000"),
-    "l_max": ("4", "5"), "l": ("1", "2"), "k": ("3", "4"),
+    "l": ("1", "2"), "k": ("3", "4"),
     "n_alpha": ("10", "12"), "n_t": ("20", "24"),
 }
 
@@ -519,7 +522,7 @@ class TestOptionTable:
             "table": {"format": "text", "out": None},
             "geodesic": {"format": "csv", "out": None, "n_samples": None},
             "spectrum": {"format": "text", "out": None, "n_grid": None, "l": 0, "k": 8},
-            "verify": {"format": "text", "out": None, "n_grid": None, "l_max": 3},
+            "verify": {"format": "text", "out": None, "n_grid": None},
             "mesh": {"format": "obj", "out": None, "n_alpha": 64, "n_t": 256},
         }
         for name, options in expected.items():
@@ -538,10 +541,7 @@ class TestOptionTable:
         extra = {
             "geodesic": {"--n-samples":
                          "geodesic samples per period (default: resolution-aware)"},
-            "verify": {**n_grid,
-                       "--l-max": "highest angular mode scanned by verify; no value of mode l "
-                                  "lies below l^2, so every l_max >= 2 gives the same report "
-                                  "(default 3)"},
+            "verify": n_grid,
             "spectrum": {**n_grid, "--l": "angular mode (default 0)",
                          "--k": "number of eigenvalues (default 8)"},
             "mesh": {"--n-alpha": "vertices around the orbit direction (default 64)",
@@ -580,8 +580,7 @@ class TestVerifyFailurePaths:
                 n2=2, claimed=3,
                 eigenvalues_near_2=[], tolerance_band=1e-5,
                 grids_used=[n_grid, 2 * n_grid], verdict=False,
-                counts_by_grid={n_grid: 2, 2 * n_grid: 2},
-                truncation_confirmed=True)
+                counts_by_grid={n_grid: 2, 2 * n_grid: 2})
 
         monkeypatch.setattr(spectral_module, "count_below", fake)
         code, out, _ = run(capsys, "verify", "2", "3", "--n-grid", "1024")
